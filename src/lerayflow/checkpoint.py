@@ -22,8 +22,12 @@ Layout (all little-endian, no padding)::
 
 The payload is the velocity coefficients, then the magnetic ones if present:
 component by component (x first), each a C-order complex128 array over the
-FFT-layout axes.  Round trips are bit-exact, which is what makes resumed runs
-reproduce uninterrupted trajectories.
+full FFT-layout axes.  The solver keeps only the rfft half spectrum, so saving
+expands it by Hermitian symmetry and loading keeps the half after checking
+that the dropped mirror modes are the conjugates of the kept ones.  Round
+trips are bit-exact, which is what makes resumed runs reproduce
+uninterrupted trajectories.  Every malformed file raises
+:class:`InvariantViolation` with a one-line message.
 """
 
 from __future__ import annotations
@@ -50,16 +54,22 @@ _HEADER_FMT = "<4sHBBIdIBddddIdQI"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 
+def _full_layout(grid: WaveGrid, half: np.ndarray) -> np.ndarray:
+    """Complete half spectra (the last ``grid.dim`` axes) to the full FFT
+    layout via Hermitian symmetry."""
+    n = grid.n
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., : n // 2 + 1] = half
+    tail = np.conj(half[..., n // 2 - 1: 0: -1])
+    for ax in range(half.ndim - grid.dim, half.ndim - 1):
+        tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
+    out[..., n // 2 + 1:] = tail
+    return out
+
+
 def _payload_bytes(state: SimState) -> bytes:
-    chunks = []
-    for field in (state.u, state.b):
-        if field is None:
-            continue
-        for comp in range(field.grid.dim):
-            arr = np.ascontiguousarray(field.coeffs[comp]).astype("<c16",
-                                                                  copy=False)
-            chunks.append(arr.tobytes())
-    return b"".join(chunks)
+    return b"".join(_full_layout(f.grid, f.coeffs).astype("<c16").tobytes()
+                    for f in (state.u, state.b) if f is not None)
 
 
 def save_checkpoint(path: str, state: SimState, cfg: ModelConfig) -> None:
@@ -109,24 +119,39 @@ def load_checkpoint(path: str) -> tuple[SimState, dict]:
     if crc != expect_crc:
         raise InvariantViolation(f"{path}: checksum mismatch")
 
-    grid = WaveGrid(dim, n, L, dealias_cutoff=cutoff)
-    per_field = dim * grid.n_total * 16
+    if has_b not in (0, 1):
+        raise InvariantViolation(f"{path}: magnetic-field flag {has_b} is not 0 or 1")
+    if kind_idx >= len(KIND_ORDER):
+        raise InvariantViolation(f"{path}: unknown model kind index {kind_idx}")
+    kind = KIND_ORDER[kind_idx]
+    if has_b != (kind is ModelKind.MHD_DECONV):
+        raise InvariantViolation(
+            f"{path}: magnetic-field flag {has_b} does not match kind {kind.value}")
+    expected = (1 + has_b) * dim * n ** dim * 16
+    if payload_len != expected:
+        raise InvariantViolation(
+            f"{path}: payload of {payload_len} bytes, expected {expected} "
+            f"for dim {dim}, n {n}")
+    if not np.isfinite(t):
+        raise InvariantViolation(f"{path}: non-finite time {t}")
+    try:
+        grid = WaveGrid(dim, n, L, dealias_cutoff=cutoff)
+    except ValueError as exc:
+        raise InvariantViolation(f"{path}: {exc}") from None
+    full = np.frombuffer(payload, dtype="<c16").reshape(
+        (1 + has_b, dim) + grid.shape)
+    if not np.all(np.isfinite(full)):
+        raise InvariantViolation(f"{path}: non-finite coefficients")
+
     fields = []
-    offset = 0
-    for _ in range(1 + has_b):
-        raw = np.frombuffer(payload, dtype="<c16",
-                            count=dim * grid.n_total, offset=offset)
-        coeffs = raw.reshape((dim,) + grid.shape).astype(complex, copy=True)
-        fields.append(SpectralVectorField(grid, coeffs, solenoidal=True))
-        offset += per_field
-    state = SimState(t, fields[0], fields[1] if has_b else None)
-    meta = {
-        "grid": grid,
-        "kind": KIND_ORDER[kind_idx],
-        "nu": nu,
-        "nu2": nu2 if KIND_ORDER[kind_idx] is ModelKind.MHD_DECONV else None,
-        "alpha": alpha,
-        "theta": theta,
-        "n_deconv": n_deconv,
-    }
-    return state, meta
+    for stored in full:
+        half = np.array(stored[..., : n // 2 + 1], dtype=complex)
+        mirror = np.abs(_full_layout(grid, half) - stored).max()
+        if mirror > 1e-10 * np.abs(stored).max():
+            raise InvariantViolation(
+                f"{path}: mirror modes are not the conjugates of the kept "
+                f"ones (deviation {mirror:.3e})")
+        fields.append(SpectralVectorField(grid, half, solenoidal=True))
+    meta = {"grid": grid, "kind": kind, "nu": nu, "nu2": nu2 if has_b else None,
+            "alpha": alpha, "theta": theta, "n_deconv": n_deconv}
+    return SimState(t, fields[0], fields[1] if has_b else None), meta

@@ -22,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .dynamics import ModelConfig, ModelKind, SimState, advecting_field
+from .dynamics import ModelConfig, ModelKind, SimState, advect, advecting_field
 from .errors import InvariantViolation, NonMonotone, TooFewSamples, UnsupportedModel
-from .fields import (SpectralScalarField, SpectralVectorField,
-                     inverse_transform, inverse_transform_scalar, l2_inner,
-                     l2_norm, sobolev_norm)
+from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
+                     inverse_transform_scalar, l2_inner, l2_norm, sobolev_norm,
+                     to_physical)
 from .filtering import FilterParams, deconvolve, filter_apply
-from .grid import WaveGrid, worker_count
+from .grid import WaveGrid
 
 __all__ = [
     "EnergyRecord", "measure_energy", "energy_budget_residual",
@@ -149,26 +148,18 @@ class BumpTestFunction:
 
     def spatial_fields(self, grid: WaveGrid):
         """Physical samples of (g, grad g, laplacian g) on the grid."""
-        key = id(grid)
+        key = grid.descriptor
         if key not in self._cache:
             if len(self.center) != grid.dim:
                 raise InvariantViolation("bump center does not match grid dim")
             w2 = self.width ** 2
-            phase = np.zeros(grid.shape)
-            for j in range(grid.dim):
-                phase = phase + grid.k[j] * self.center[j]
+            phase = sum(k * c for k, c in zip(grid.k, self.center))
             amp = ((2.0 * np.pi * w2) ** (grid.dim / 2.0) / grid.L ** grid.dim
                    * np.exp(-0.5 * w2 * grid.k_sq))
-            g_hat = amp * np.exp(-1j * phase)
-            g_hat[~grid.mode_mask] = 0.0
-            axes = tuple(range(-grid.dim, 0))
-            stack = np.empty((grid.dim + 2,) + grid.shape, dtype=complex)
-            stack[0] = g_hat
-            stack[1] = -grid.k_sq * g_hat
-            for j in range(grid.dim):
-                stack[2 + j] = 1j * grid.k[j] * g_hat
-            phys = scipy.fft.ifftn(stack, axes=axes, norm="forward",
-                                   workers=worker_count()).real
+            g_hat = amp * np.exp(-1j * phase) * grid.mode_mask
+            stack = np.concatenate([[g_hat], [-grid.k_sq * g_hat],
+                                    grid.ik * g_hat])
+            phys = to_physical(grid, stack)
             self._cache[key] = (phys[0], phys[2:], phys[1])
         return self._cache[key]
 
@@ -177,13 +168,10 @@ def _phys_grad_sq(field: SpectralVectorField) -> np.ndarray:
     """Pointwise |grad u|^2 = sum_ij (d_j u_i)^2 in physical space."""
     g = field.grid
     d = g.dim
-    nh = g.n // 2 + 1
-    stack = np.empty((d * d,) + g.shape[:-1] + (nh,), dtype=complex)
-    c_half = field.coeffs[..., :nh]
+    stack = np.empty((d * d,) + g.spectral_shape, dtype=complex)
     for j in range(d):
-        stack[j * d: (j + 1) * d] = (1j * g.k_half[j]) * c_half
-    der = scipy.fft.irfftn(stack, s=g.shape, axes=tuple(range(1, d + 1)),
-                           norm="forward", workers=worker_count())
+        stack[j * d: (j + 1) * d] = g.ik[j] * field.coeffs
+    der = to_physical(g, stack)
     return np.sum(der * der, axis=0)
 
 
@@ -215,7 +203,6 @@ def local_energy_residual(states: list[SimState],
     vol = grid.cell_volume
     is_mhd = cfg.kind is ModelKind.MHD_DECONV
     nu2 = cfg.nu2 if cfg.nu2 is not None else 0.0
-    ksq_safe = np.where(grid.k_sq > 0, grid.k_sq, 1.0)
 
     times = np.array([s.t for s in states])
     lhs_vals = np.empty(len(states))
@@ -228,40 +215,33 @@ def local_energy_residual(states: list[SimState],
             lhs_vals[i] = rhs_vals[i] = 0.0
             continue
 
-        u_phys = inverse_transform(state.u).data
+        u_phys = to_physical(grid, state.u.coeffs)
         u_sq = np.sum(u_phys * u_phys, axis=0)
         grad_u_sq = _phys_grad_sq(state.u)
-        adv_phys = inverse_transform(advecting_field(state.u, cfg)).data
+        adv_phys = to_physical(grid, advecting_field(state.u, cfg).coeffs)
         p_phys = inverse_transform_scalar(p_hat)
 
         lhs = 2.0 * cfg.nu * w * np.sum(grad_u_sq * g)
         rhs = np.sum(u_sq * (w_dt * g + cfg.nu * w * lap_g))
 
         if is_mhd:
-            from .dynamics import advect  # late import to avoid a cycle
-
-            b_phys = inverse_transform(state.b).data
+            b_phys = to_physical(grid, state.b.coeffs)
             b_sq = np.sum(b_phys * b_phys, axis=0)
             grad_b_sq = _phys_grad_sq(state.b)
             hu = deconvolve(state.u, cfg.filter)
             hb = deconvolve(state.b, cfg.filter)
-            hb_phys = inverse_transform(hb).data
+            hb_phys = to_physical(grid, hb.coeffs)
 
             # total pressure (fluid + dealiased magnetic) drives the u-flux
-            mag_hat = scipy.fft.fftn(0.5 * b_sq, norm="forward",
-                                     workers=worker_count())
-            mag_hat[grid.not_dealias_mask] = 0.0
-            mag_hat[(0,) * grid.dim] = 0.0
-            p_tot = p_phys + inverse_transform_scalar(
-                SpectralScalarField(grid, mag_hat))
-
+            mag_hat = from_physical(grid, 0.5 * b_sq) * grid.dealias_weight
             # pseudo-pressure removed by projecting the induction tendency:
             # the mixed deconvolved transport is not curl-like for alpha > 0
             induct = (advect(hb, state.u, project=False).coeffs
                       - advect(hu, state.b, project=False).coeffs)
-            q_hat = -1j * np.sum(grid.k * induct, axis=0) / ksq_safe
+            q_hat = -1j * np.sum(grid.k * induct, axis=0) / grid.k_sq_safe
             q_hat[(0,) * grid.dim] = 0.0
-            q_phys = inverse_transform_scalar(SpectralScalarField(grid, q_hat))
+            p_tot, q_phys = to_physical(grid, np.stack([mag_hat, q_hat]))
+            p_tot += p_phys
 
             lhs += 2.0 * nu2 * w * np.sum(grad_b_sq * g)
             rhs += np.sum(b_sq * (w_dt * g + nu2 * w * lap_g))
@@ -276,8 +256,8 @@ def local_energy_residual(states: list[SimState],
                 + 2.0 * p_phys[np.newaxis] * u_phys
             rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
             if not cfg.forcing.is_zero():
-                f_phys = inverse_transform(
-                    cfg.forcing.evaluate(grid, state.t)).data
+                f_phys = to_physical(
+                    grid, cfg.forcing.evaluate(grid, state.t).coeffs)
                 rhs += 2.0 * w * np.sum(np.sum(f_phys * u_phys, axis=0) * g)
 
         lhs_vals[i] = vol * lhs
@@ -404,7 +384,7 @@ def shell_spectrum(u: SpectralVectorField) -> list[tuple[int, float]]:
     L2 norm of the field.
     """
     g = u.grid
-    energy_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    energy_density = g.plane_weight * np.sum(np.abs(u.coeffs) ** 2, axis=0)
     totals = np.bincount(g.shell.ravel(), weights=energy_density.ravel(),
                          minlength=g.max_shell + 1)
     return [(j, float(totals[j])) for j in range(g.max_shell + 1)]

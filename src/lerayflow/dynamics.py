@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .errors import (CriticalityViolation, GridMismatch, InvariantViolation,
                      MissingMagneticField)
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
-                     inverse_transform, leray_project)
+                     leray_project, to_physical)
 from .filtering import CRITICAL_THETA, FilterParams, deconvolve, filter_apply
-from .grid import WaveGrid, worker_count
+from .grid import WaveGrid
 
 __all__ = [
     "ModelKind", "ForcingSpec", "ForcingMode", "ModelConfig", "SimState",
@@ -87,16 +86,19 @@ class ForcingSpec:
                     f"forcing amplitude at {m.a} is not orthogonal to its wavevector")
 
     def evaluate(self, grid: WaveGrid, t: float) -> SpectralVectorField:
-        coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+        """The force at time t; each mode is stored at its half-spectrum
+        representative (both a and -a when a_d = 0, conj at -a when a_d < 0)."""
+        coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
         for m in self.modes:
-            idx = tuple(int(c) % grid.n for c in m.a)
-            conj_idx = tuple((-int(c)) % grid.n for c in m.a)
             amp = np.array(m.amplitude, dtype=complex)
             if m.decay_rate != 0.0:
                 amp = amp * np.exp(-m.decay_rate * t)
-            for comp in range(grid.dim):
-                coeffs[(comp,) + idx] += amp[comp]
-                coeffs[(comp,) + conj_idx] += np.conj(amp[comp])
+            pos = tuple(int(c) % grid.n for c in m.a)
+            neg = tuple((-int(c)) % grid.n for c in m.a)
+            if m.a[-1] >= 0:
+                coeffs[(slice(None),) + pos] += amp
+            if m.a[-1] <= 0:
+                coeffs[(slice(None),) + neg] += np.conj(amp)
         return SpectralVectorField(grid, coeffs, solenoidal=True)
 
 
@@ -165,29 +167,26 @@ def advect(w: SpectralVectorField, v: SpectralVectorField, *,
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
     d = g.dim
-    nh = g.n // 2 + 1
 
     # Batch all physical-space ingredients into a single inverse transform:
     # the d advecting components followed by the d*d derivatives of v.
-    half = np.empty((d + d * d,) + g.shape[:-1] + (nh,), dtype=complex)
-    half[:d] = w.coeffs[..., :nh]
-    v_half = v.coeffs[..., :nh]
+    half = np.empty((d + d * d,) + g.spectral_shape, dtype=complex)
+    half[:d] = w.coeffs
     for j in range(d):
-        np.multiply(g.ik_half[j], v_half, out=half[d + j * d: d + (j + 1) * d])
-    phys = scipy.fft.irfftn(half, s=g.shape, axes=tuple(range(1, d + 1)),
-                            norm="forward", workers=worker_count())
+        np.multiply(g.ik[j], v.coeffs, out=half[d + j * d: d + (j + 1) * d])
+    phys = to_physical(g, half)
     w_phys, dv = phys[:d], phys[d:]
 
     prod = w_phys[0] * dv[:d]
     for j in range(1, d):
         prod += w_phys[j] * dv[j * d: (j + 1) * d]
 
-    out = from_physical(g, prod)
-    if dealias:
-        out[:, g.not_dealias_mask] = 0.0
-    out[(slice(None),) + (0,) * d] = 0.0
-    result = SpectralVectorField(g, out)
-    return leray_project(result) if project else result
+    result = SpectralVectorField(g, from_physical(g, prod))
+    mask = g.dealias_weight if dealias else g.mode_weight
+    if project:
+        return leray_project(result, mask)
+    result.coeffs *= mask
+    return result
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
@@ -211,21 +210,17 @@ def _mhd_tendency(state: SimState, cfg: ModelConfig) -> Tendency:
     u, b = state.u, state.b
     g = u.grid
     d = g.dim
-    nh = g.n // 2 + 1
     hu = deconvolve(u, cfg.filter)
     hb = deconvolve(b, cfg.filter)
 
-    half = np.empty((2 * d + 2 * d * d,) + g.shape[:-1] + (nh,), dtype=complex)
-    half[:d] = hu.coeffs[..., :nh]
-    half[d:2 * d] = hb.coeffs[..., :nh]
-    u_half = u.coeffs[..., :nh]
-    b_half = b.coeffs[..., :nh]
+    half = np.empty((2 * d + 2 * d * d,) + g.spectral_shape, dtype=complex)
+    half[:d] = hu.coeffs
+    half[d:2 * d] = hb.coeffs
     off_u, off_b = 2 * d, 2 * d + d * d
     for j in range(d):
-        np.multiply(g.ik_half[j], u_half, out=half[off_u + j * d: off_u + (j + 1) * d])
-        np.multiply(g.ik_half[j], b_half, out=half[off_b + j * d: off_b + (j + 1) * d])
-    phys = scipy.fft.irfftn(half, s=g.shape, axes=tuple(range(1, d + 1)),
-                            norm="forward", workers=worker_count())
+        np.multiply(g.ik[j], u.coeffs, out=half[off_u + j * d: off_u + (j + 1) * d])
+        np.multiply(g.ik[j], b.coeffs, out=half[off_b + j * d: off_b + (j + 1) * d])
+    phys = to_physical(g, half)
     hu_p, hb_p = phys[:d], phys[d:2 * d]
     grad_u, grad_b = phys[off_u:off_b], phys[off_b:]
 
@@ -237,10 +232,8 @@ def _mhd_tendency(state: SimState, cfg: ModelConfig) -> Tendency:
             - hu_p[j] * grad_b[j * d: (j + 1) * d]
 
     out = from_physical(g, prods)
-    out[:, g.not_dealias_mask] = 0.0
-    out[(slice(None),) + (0,) * d] = 0.0
-    du = leray_project(SpectralVectorField(g, out[:d]))
-    db = leray_project(SpectralVectorField(g, out[d:]))
+    du = leray_project(SpectralVectorField(g, out[:d]), g.dealias_weight)
+    db = leray_project(SpectralVectorField(g, out[d:]), g.dealias_weight)
     return Tendency(du=du, db=db)
 
 
@@ -250,11 +243,10 @@ def rhs(state: SimState, cfg: ModelConfig) -> Tendency:
     if cfg.kind is ModelKind.MHD_DECONV:
         return _mhd_tendency(state, cfg)
     u = state.u
-    adv = advecting_field(u, cfg)
-    transport = advect(adv, u)
-    coeffs = -transport.coeffs
+    coeffs = advect(advecting_field(u, cfg), u).coeffs
+    np.negative(coeffs, out=coeffs)
     if not cfg.forcing.is_zero():
-        coeffs = coeffs + cfg.forcing.evaluate(u.grid, state.t).coeffs
+        coeffs += cfg.forcing.evaluate(u.grid, state.t).coeffs
     return Tendency(du=SpectralVectorField(u.grid, coeffs, solenoidal=True))
 
 
@@ -267,8 +259,8 @@ def _product_tensor_divergence(g: WaveGrid, w_phys: np.ndarray,
         for j in range(d):
             prods[i * d + j] = w_phys[i] * v_phys[j]
     hat = from_physical(g, prods)
-    hat[:, ~g.dealias_mask] = 0.0
-    acc = np.zeros(g.shape, dtype=complex)
+    hat *= g.dealias_weight
+    acc = np.zeros(g.spectral_shape, dtype=complex)
     for i in range(d):
         for j in range(d):
             acc += g.k[i] * g.k[j] * hat[i * d + j]
@@ -284,28 +276,22 @@ def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     """
     g = state.u.grid
     d = g.dim
-    ksq_safe = np.where(g.k_sq > 0, g.k_sq, 1.0)
-
-    u_phys = inverse_transform(state.u).data
     if cfg.kind is ModelKind.MHD_DECONV:
         if state.b is None:
             raise MissingMagneticField("MHD model needs a magnetic field")
-        hu_phys = inverse_transform(deconvolve(state.u, cfg.filter)).data
-        b_phys = inverse_transform(state.b).data
-        hb_phys = inverse_transform(deconvolve(state.b, cfg.filter)).data
-        dd = (_product_tensor_divergence(g, hu_phys, u_phys)
-              - _product_tensor_divergence(g, hb_phys, b_phys))
-        p_hat = -dd / ksq_safe
-        # subtract the magnetic pressure |b|^2 / 2 (dealiased, zero-mean)
-        mag = scipy.fft.fftn(0.5 * np.sum(b_phys * b_phys, axis=0),
-                             norm="forward", workers=worker_count())
-        mag[~g.dealias_mask] = 0.0
-        p_hat = p_hat - mag
+        fields = (state.u, deconvolve(state.u, cfg.filter),
+                  state.b, deconvolve(state.b, cfg.filter))
     else:
-        adv_phys = inverse_transform(advecting_field(state.u, cfg)).data
-        dd = _product_tensor_divergence(g, adv_phys, u_phys)
-        p_hat = -dd / ksq_safe
-
-    p_hat[(0,) * d] = 0.0
-    p_hat[~g.mode_mask] = 0.0
+        fields = (state.u, advecting_field(state.u, cfg))
+    phys = to_physical(g, np.concatenate([f.coeffs for f in fields]))
+    dd = _product_tensor_divergence(g, phys[d:2 * d], phys[:d])
+    if cfg.kind is ModelKind.MHD_DECONV:
+        b_phys = phys[2 * d:3 * d]
+        dd -= _product_tensor_divergence(g, phys[3 * d:], b_phys)
+    p_hat = -dd / g.k_sq_safe
+    if cfg.kind is ModelKind.MHD_DECONV:
+        # subtract the magnetic pressure |b|^2 / 2 (dealiased, zero-mean)
+        p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0))
+    # the dealias weight is zero at the mean mode and on the Nyquist planes
+    p_hat *= g.dealias_weight
     return SpectralScalarField(g, p_hat)

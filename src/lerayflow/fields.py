@@ -1,9 +1,11 @@
 """Vector fields on the torus and the core spectral operators.
 
-Fields are stored as full complex coefficient arrays in FFT layout, one
-d-vector per wavevector.  The normalization is the Fourier-series one:
-``u(x) = sum_k uhat_k exp(i k.x)``, so ``forward_transform`` divides by the
-total sample count and Parseval reads ``sum_k |uhat_k|^2 = mean_x |u(x)|^2``.
+Fields are real, so each is stored as its rfft half spectrum, one d-vector
+per wavevector with ``a_d >= 0`` (see :mod:`lerayflow.grid`); every transform
+is a real FFT.  The normalization is the Fourier-series one:
+``u(x) = sum_k uhat_k exp(i k.x)``, so ``from_physical`` divides by the total
+sample count and Parseval reads ``sum_k |uhat_k|^2 = mean_x |u(x)|^2`` over
+the full spectrum, i.e. weighted by ``grid.plane_weight`` over the half.
 Every norm in this package is built on that convention; the Sobolev norm of
 order s is ``sqrt(sum_{k != 0} |k|^{2s} |uhat_k|^2)``.
 
@@ -12,7 +14,7 @@ All operations are pure: inputs are never mutated, outputs are fresh arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -26,7 +28,7 @@ __all__ = [
     "leray_project", "fractional_laplacian", "galerkin_project",
     "sobolev_norm", "sobolev_inner", "l2_inner", "l2_norm",
     "hermitian_reflection", "random_solenoidal",
-    "to_physical", "from_physical", "full_spectrum_from_half",
+    "to_physical", "from_physical",
 ]
 
 
@@ -34,7 +36,7 @@ __all__ = [
 class SpectralVectorField:
     """Complex Fourier coefficients of a real d-vector field, zero mean.
 
-    ``coeffs`` has shape (dim, n, ..., n).  ``solenoidal`` is a bookkeeping
+    ``coeffs`` has shape (dim, n, ..., n/2 + 1).  ``solenoidal`` is a bookkeeping
     flag set by constructors that guarantee divergence-free output; the
     numerical invariant itself is checked by :meth:`divergence_residual`.
     """
@@ -44,7 +46,7 @@ class SpectralVectorField:
     solenoidal: bool = False
 
     def __post_init__(self):
-        expected = (self.grid.dim,) + self.grid.shape
+        expected = (self.grid.dim,) + self.grid.spectral_shape
         if self.coeffs.shape != expected:
             raise ValueError(
                 f"coeff shape {self.coeffs.shape} != expected {expected}")
@@ -53,11 +55,13 @@ class SpectralVectorField:
         return SpectralVectorField(self.grid, self.coeffs.copy(), self.solenoidal)
 
     def hermitian_residual(self) -> float:
-        """Max deviation from coeff(-k) = conj(coeff(k)), relative to max |coeff|."""
+        """Max deviation from coeff(-k) = conj(coeff(k)), relative to max
+        |coeff|, inside the plane a_d = 0, the only one holding both k and -k."""
         scale = np.abs(self.coeffs).max()
         if scale == 0.0:
             return 0.0
-        dev = np.abs(self.coeffs - hermitian_reflection(self.coeffs, self.grid.dim))
+        plane = self.coeffs[..., 0]
+        dev = np.abs(plane - hermitian_reflection(plane, self.grid.dim - 1))
         return float(dev.max() / scale)
 
     def divergence_residual(self) -> float:
@@ -91,19 +95,19 @@ class RealVectorField:
 
 @dataclass
 class SpectralScalarField:
-    """Spectral coefficients of a real scalar field (e.g. pressure)."""
+    """Half-spectrum coefficients of a real scalar field (e.g. pressure)."""
 
     grid: WaveGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coeff shape {self.coeffs.shape} != expected {self.grid.shape}")
+        if self.coeffs.shape != self.grid.spectral_shape:
+            raise ValueError(f"coeff shape {self.coeffs.shape} != expected "
+                             f"{self.grid.spectral_shape}")
 
 
 def hermitian_reflection(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """conj(coeffs) evaluated at -k, i.e. the array a Hermitian field equals."""
+    """conj(coeffs) at -k over the last ``dim`` (full FFT-layout) axes."""
     out = coeffs
     for ax in range(coeffs.ndim - dim, coeffs.ndim):
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
@@ -111,35 +115,21 @@ def hermitian_reflection(coeffs: np.ndarray, dim: int) -> np.ndarray:
 
 
 def to_physical(grid: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Fast inverse transform for Hermitian coefficient stacks.
+    """Physical samples of a stack of half spectra (inverse real FFT).
 
-    Uses only the half spectrum (real FFT), so the input must satisfy the
-    Hermitian symmetry; callers on the hot path guarantee that structurally.
+    Inside the plane a_d = 0 the transform reads only the Hermitian part;
+    :func:`inverse_transform` checks that there is no other.
     """
     axes = tuple(range(coeffs.ndim - grid.dim, coeffs.ndim))
-    half = coeffs[..., : grid.n // 2 + 1]
-    return scipy.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward",
+    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward",
                             workers=worker_count())
 
 
 def from_physical(grid: WaveGrid, data: np.ndarray) -> np.ndarray:
-    """Fast forward transform of real stacks to full Hermitian spectra."""
+    """Half spectra of a stack of real samples (forward real FFT)."""
     axes = tuple(range(data.ndim - grid.dim, data.ndim))
-    half = scipy.fft.rfftn(data, axes=axes, norm="forward",
+    return scipy.fft.rfftn(data, axes=axes, norm="forward",
                            workers=worker_count())
-    return full_spectrum_from_half(grid, half)
-
-
-def full_spectrum_from_half(grid: WaveGrid, half: np.ndarray) -> np.ndarray:
-    """Complete an rfft half spectrum to the full FFT layout via symmetry."""
-    n = grid.n
-    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
-    out[..., : n // 2 + 1] = half
-    tail = np.conj(half[..., n // 2 - 1: 0: -1])
-    for ax in range(half.ndim - grid.dim, half.ndim - 1):
-        tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
-    out[..., n // 2 + 1:] = tail
-    return out
 
 
 def forward_transform(r: RealVectorField) -> SpectralVectorField:
@@ -148,37 +138,41 @@ def forward_transform(r: RealVectorField) -> SpectralVectorField:
     The mean (k=0) component is kept as-is; callers that require mean-free
     fields zero it themselves.
     """
-    coeffs = scipy.fft.fftn(r.data, axes=tuple(range(1, r.grid.dim + 1)),
-                            norm="forward", workers=worker_count())
-    return SpectralVectorField(r.grid, coeffs)
+    return SpectralVectorField(r.grid, from_physical(r.grid, r.data))
 
 
 def inverse_transform(s: SpectralVectorField) -> RealVectorField:
     """Pointwise evaluation of the truncated Fourier series.
 
     Raises SymmetryViolation if the Hermitian residual exceeds 1e-10
-    relative; the (then roundoff-level) imaginary part is discarded.
+    relative.
     """
     res = s.hermitian_residual()
     if res > 1e-10:
         raise SymmetryViolation(
             f"Hermitian symmetry violated: relative residual {res:.3e}")
-    data = scipy.fft.ifftn(s.coeffs, axes=tuple(range(1, s.grid.dim + 1)),
-                           norm="forward", workers=worker_count())
-    return RealVectorField(s.grid, np.ascontiguousarray(data.real))
+    return RealVectorField(s.grid, to_physical(s.grid, s.coeffs))
 
 
 def inverse_transform_scalar(p: SpectralScalarField) -> np.ndarray:
-    """Physical samples of a spectral scalar (Hermitian checked loosely)."""
-    data = scipy.fft.ifftn(p.coeffs, norm="forward", workers=worker_count())
-    return np.ascontiguousarray(data.real)
+    """Physical samples of a spectral scalar (inverse real FFT)."""
+    return to_physical(p.grid, p.coeffs)
 
 
-def leray_project(s: SpectralVectorField) -> SpectralVectorField:
-    """Remove the component parallel to k at every mode (Leray-Helmholtz)."""
+def leray_project(s: SpectralVectorField,
+                  mask: np.ndarray | None = None) -> SpectralVectorField:
+    """Remove the component parallel to k at every mode (Leray-Helmholtz).
+
+    A ``mask`` (a float array over the modes, e.g. ``grid.dealias_weight``)
+    multiplies the result, so dealiasing costs no extra pass.
+    """
     g = s.grid
-    k_dot = np.sum(g.k * s.coeffs, axis=0)
-    coeffs = s.coeffs - g.k_over_ksq * k_dot[np.newaxis]
+    k_dot = g.k[0] * s.coeffs[0]
+    for j in range(1, g.dim):
+        k_dot += g.k[j] * s.coeffs[j]
+    coeffs = s.coeffs - g.k_over_ksq * k_dot
+    if mask is not None:
+        coeffs *= mask
     return SpectralVectorField(g, coeffs, solenoidal=True)
 
 
@@ -206,7 +200,7 @@ def galerkin_project(s: SpectralVectorField, m: int) -> SpectralVectorField:
 
 def sobolev_norm(s: SpectralVectorField, sexp: float) -> float:
     """H^s norm over the mean-free modes: sqrt(sum |k|^{2s} |uhat|^2)."""
-    w = s.grid.k_power(2.0 * sexp)
+    w = s.grid.plane_weight * s.grid.k_power(2.0 * sexp)
     total = np.sum(w * np.sum(np.abs(s.coeffs) ** 2, axis=0))
     return float(np.sqrt(total))
 
@@ -215,7 +209,7 @@ def sobolev_inner(u: SpectralVectorField, v: SpectralVectorField, sexp: float) -
     """Real V^s pairing sum |k|^{2s} uhat_k . conj(vhat_k)."""
     if not u.grid.same_as(v.grid):
         raise GridMismatch("inner product requires a common grid")
-    w = u.grid.k_power(2.0 * sexp)
+    w = u.grid.plane_weight * u.grid.k_power(2.0 * sexp)
     return float(np.real(np.sum(w * np.sum(u.coeffs * np.conj(v.coeffs), axis=0))))
 
 
@@ -223,11 +217,13 @@ def l2_inner(u: SpectralVectorField, v: SpectralVectorField) -> float:
     """L2 inner product in the series convention, (1/L^d) * integral(u.v)."""
     if not u.grid.same_as(v.grid):
         raise GridMismatch("inner product requires a common grid")
-    return float(np.real(np.sum(u.coeffs * np.conj(v.coeffs))))
+    pairing = np.real(np.sum(u.coeffs * np.conj(v.coeffs), axis=0))
+    return float(np.sum(u.grid.plane_weight * pairing))
 
 
 def l2_norm(u: SpectralVectorField) -> float:
-    return float(np.sqrt(np.sum(np.abs(u.coeffs) ** 2)))
+    energy = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    return float(np.sqrt(np.sum(u.grid.plane_weight * energy)))
 
 
 def random_solenoidal(grid: WaveGrid, seed: int, spectrum_slope: float,
@@ -239,7 +235,8 @@ def random_solenoidal(grid: WaveGrid, seed: int, spectrum_slope: float,
     so the shell-averaged energy spectrum follows the requested power law.
     Shells above ``cutoff_shell`` are empty.  Hermitian symmetry and the
     zero-mean / Nyquist pins hold by construction, and the same seed
-    reproduces the field bit for bit.
+    reproduces the field bit for bit.  The random numbers are drawn and
+    symmetrized in the full FFT layout, then the half spectrum is kept.
     """
     if cutoff_shell > grid.dealias_cutoff:
         raise ValueError(
@@ -249,13 +246,14 @@ def random_solenoidal(grid: WaveGrid, seed: int, spectrum_slope: float,
     shape = (grid.dim,) + grid.shape
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z = 0.5 * (z + hermitian_reflection(z, grid.dim))
+    z = np.ascontiguousarray(z[..., : grid.n // 2 + 1])
 
     # Solenoidal projection, then per-mode renormalization to the shell law.
     z -= grid.k_over_ksq * np.sum(grid.k * z, axis=0)[np.newaxis]
     keep = grid.mode_mask & (grid.shell >= 1) & (grid.shell <= cutoff_shell)
     z[:, ~keep] = 0.0
     amp = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))
-    target = np.zeros(grid.shape)
+    target = np.zeros(grid.spectral_shape)
     target[keep] = (grid.k0 * grid.shell[keep].astype(float)) ** spectrum_slope
     scale = np.where(amp > 0, target / np.where(amp > 0, amp, 1.0), 0.0)
     return SpectralVectorField(grid, z * scale[np.newaxis], solenoidal=True)

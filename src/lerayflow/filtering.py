@@ -78,29 +78,14 @@ def deconvolution_multiplier(k_mag, p: FilterParams):
     return out if np.asarray(k_mag).ndim else float(out)
 
 
-def _cached_grid_multiplier(grid, p: FilterParams, deconv: bool) -> np.ndarray:
-    """Per-grid cache of the (diagonal) filter and deconvolution symbols."""
-    cache = getattr(grid, "_filter_symbol_cache", None)
-    if cache is None:
-        cache = {}
-        grid._filter_symbol_cache = cache
-    key = (p.alpha, p.theta, p.n_deconv if deconv else -1)
-    mult = cache.get(key)
-    if mult is None:
-        if deconv:
-            mult = deconvolution_multiplier(grid.k_mag, p)
-        else:
-            mult = 1.0 / helmholtz_multiplier(grid.k_mag, p)
-        cache[key] = mult
-    return mult
-
-
 def filter_apply(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
     """Smooth u with the fractional Helmholtz filter (divide by the symbol)."""
     if p.alpha == 0.0:
         return u.copy()
-    mult = _cached_grid_multiplier(u.grid, p, deconv=False)
-    return SpectralVectorField(u.grid, u.coeffs * mult, u.solenoidal)
+    g = u.grid
+    mult = g.cached(("filter", p.alpha, p.theta),
+                    lambda: 1.0 / helmholtz_multiplier(g.k_mag, p))
+    return SpectralVectorField(g, u.coeffs * mult, u.solenoidal)
 
 
 def deconvolve(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
@@ -111,8 +96,10 @@ def deconvolve(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
     """
     if p.n_deconv == 0 or p.alpha == 0.0:
         return filter_apply(u, p)
-    mult = _cached_grid_multiplier(u.grid, p, deconv=True)
-    return SpectralVectorField(u.grid, u.coeffs * mult, u.solenoidal)
+    g = u.grid
+    mult = g.cached(("deconvolve", p.alpha, p.theta, p.n_deconv),
+                    lambda: deconvolution_multiplier(g.k_mag, p))
+    return SpectralVectorField(g, u.coeffs * mult, u.solenoidal)
 
 
 def van_cittert_series(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:

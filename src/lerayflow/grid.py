@@ -1,10 +1,12 @@
 """Periodic torus discretization in Fourier space.
 
 A :class:`WaveGrid` holds the wavevector bookkeeping for a ``d``-dimensional
-periodic box of side ``L`` sampled with ``n`` points per axis.  Mode indices
-follow standard FFT layout, ``a_j in {0, 1, ..., n/2-1, -n/2, ..., -1}``, and
-the physical wavevector is ``k = 2*pi*a/L``.  Two masks matter everywhere
-downstream:
+periodic box of side ``L`` sampled with ``n`` points per axis; samples have
+``shape = (n,) * d``.  Spectra of real fields are stored as the rfft half
+spectrum, ``spectral_shape = (n, ..., n/2 + 1)``: mode indices follow FFT
+layout, ``a_j in {0, 1, ..., n/2-1, -n/2, ..., -1}``, except ``a_d >= 0`` on
+the last axis (a mode with ``a_d < 0`` is the conjugate of its mirror).  The
+wavevector is ``k = 2*pi*a/L``.  Every array below has the spectral shape.
 
 * ``mode_mask``   : modes with every ``|a_j| < n/2``.  The Nyquist planes are
   pinned to zero for all fields because they cannot carry Hermitian-symmetric
@@ -12,6 +14,9 @@ downstream:
 * ``dealias_mask``: the subset with every ``|a_j| <= dealias_cutoff``; every
   nonlinear product is truncated to it (2/3 rule by default), which is what
   makes the discrete transport identities hold to roundoff.
+* ``plane_weight``: 1 on the self-conjugate planes ``a_d = 0`` and
+  ``a_d = n/2``, 2 elsewhere, where a stored mode also stands for its
+  mirror.  Sums over the full spectrum are weighted sums over the half.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ class WaveGrid:
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         if n < 8 or n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {n}")
-        if L <= 0:
-            raise ValueError(f"period L must be positive, got {L}")
+        if not 0 < L < np.inf:
+            raise ValueError(f"period L must be positive and finite, got {L}")
         if dealias_cutoff is None:
             dealias_cutoff = n // 3
         if not 1 <= dealias_cutoff <= n // 2:
@@ -58,58 +63,64 @@ class WaveGrid:
         self.n = n
         self.L = float(L)
         self.dealias_cutoff = int(dealias_cutoff)
+        self.descriptor = (dim, n, self.L, self.dealias_cutoff)
         self.shape = (n,) * dim
-        self.n_total = n ** dim
+        self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self.cell_volume = (self.L / n) ** dim
         self.k0 = 2.0 * np.pi / self.L  # fundamental wavenumber
 
-        # Integer mode indices per axis, FFT layout.
+        # Integer mode indices per axis: FFT layout, a_d >= 0 on the last.
         axis = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        self.a = np.stack(mesh)                       # (dim, *shape) ints
+        axes = [axis] * (dim - 1) + [np.arange(n // 2 + 1, dtype=np.int64)]
+        self.a = np.stack(np.meshgrid(*axes, indexing="ij"))
         self.a_sq = np.sum(self.a * self.a, axis=0)   # exact integer |a|^2
         self.k = self.k0 * self.a.astype(np.float64)
+        self.ik = 1j * self.k
         self.k_sq = (self.k0 ** 2) * self.a_sq.astype(np.float64)
         self.k_mag = np.sqrt(self.k_sq)
 
         # k / |k|^2 with the zero mode mapped to 0 (Leray projection kernel).
-        k_sq_safe = np.where(self.k_sq > 0, self.k_sq, 1.0)
-        self.k_over_ksq = self.k / k_sq_safe
+        self.k_sq_safe = np.where(self.k_sq > 0, self.k_sq, 1.0)
+        self.k_over_ksq = self.k / self.k_sq_safe
         self.k_over_ksq[(slice(None),) + (0,) * dim] = 0.0
 
         abs_a = np.abs(self.a)
         self.mode_mask = np.all(abs_a < n // 2, axis=0)
         self.dealias_mask = self.mode_mask & np.all(
             abs_a <= self.dealias_cutoff, axis=0)
+        # Float masks that close every nonlinear term, zero at the mean mode:
+        # the dealias band, and every retained mode (negative controls only).
+        self.dealias_weight = self.dealias_mask.astype(np.float64)
+        self.mode_weight = self.mode_mask.astype(np.float64)
+        for w in (self.dealias_weight, self.mode_weight):
+            w[(0,) * dim] = 0.0
+        self.plane_weight = np.full(self.spectral_shape, 2.0)
+        self.plane_weight[..., 0] = self.plane_weight[..., n // 2] = 1.0
 
         # Integer shell index |k| in units of k0, rounded to nearest shell.
         self.shell = np.rint(np.sqrt(self.a_sq.astype(np.float64))).astype(np.int64)
         self.max_shell = int(self.shell[self.mode_mask].max())
+        self._symbols: dict[tuple, np.ndarray] = {}
 
-        # half-spectrum arrays for the real-FFT fast path (fields are Hermitian)
-        self.k_half = np.ascontiguousarray(self.k[..., : n // 2 + 1])
-        self.ik_half = np.ascontiguousarray(1j * self.k_half)
-        self.not_dealias_mask = ~self.dealias_mask
-        self._k_power_cache: dict[float, np.ndarray] = {}
+    def cached(self, key: tuple, build) -> np.ndarray:
+        """The array stored under ``key``, made once by ``build()``.
 
-    # spatial axes of a (dim, n, ..., n) component-stacked array
-    @property
-    def spatial_axes(self) -> tuple[int, ...]:
-        return tuple(range(-self.dim, 0))
+        The one cache of the grid's diagonal symbols: powers of |k|, filter
+        multipliers, viscous factors.  Treat returned arrays as read-only.
+        """
+        value = self._symbols.get(key)
+        if value is None:
+            value = self._symbols[key] = build()
+        return value
 
     def k_power(self, exponent: float) -> np.ndarray:
-        """|k|^exponent with the zero mode mapped to 0 (mean-free spaces).
-
-        Cached per exponent; treat the returned array as read-only.
-        """
-        key = float(exponent)
-        cached = self._k_power_cache.get(key)
-        if cached is None:
-            cached = np.zeros(self.shape)
+        """|k|^exponent with the zero mode mapped to 0 (mean-free spaces)."""
+        def build():
+            out = np.zeros(self.spectral_shape)
             nz = self.k_mag > 0
-            cached[nz] = self.k_mag[nz] ** exponent
-            self._k_power_cache[key] = cached
-        return cached
+            out[nz] = self.k_mag[nz] ** exponent
+            return out
+        return self.cached(("k_power", float(exponent)), build)
 
     def mesh(self) -> np.ndarray:
         """Physical sample coordinates, shape (dim, *shape)."""
@@ -117,9 +128,7 @@ class WaveGrid:
         return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     def same_as(self, other: "WaveGrid") -> bool:
-        return (self.dim == other.dim and self.n == other.n
-                and self.L == other.L
-                and self.dealias_cutoff == other.dealias_cutoff)
+        return self.descriptor == other.descriptor
 
     def __repr__(self) -> str:
         return (f"WaveGrid(dim={self.dim}, n={self.n}, L={self.L:.6g}, "

@@ -61,8 +61,13 @@ class StepperConfig:
         return steps
 
 
+def _viscous_factor(grid, nu: float, h: float) -> np.ndarray:
+    """exp(-nu |k|^2 h) per mode, kept in the grid's symbol cache."""
+    return grid.cached(("viscous", nu, h), lambda: np.exp(-nu * grid.k_sq * h))
+
+
 class _Stepper:
-    """Caches the per-mode viscous exponentials for one (grid, model, dt)."""
+    """The per-mode viscous exponentials for one (grid, model, dt)."""
 
     def __init__(self, cfg: ModelConfig, sc: StepperConfig, grid):
         self.cfg = cfg
@@ -70,8 +75,8 @@ class _Stepper:
         self.grid = grid
         self.is_mhd = cfg.kind is ModelKind.MHD_DECONV
         nus = [cfg.nu] + ([cfg.nu2] if self.is_mhd else [])
-        self.e_half = [np.exp(-nu * grid.k_sq * (0.5 * sc.dt)) for nu in nus]
-        self.e_full = [np.exp(-nu * grid.k_sq * sc.dt) for nu in nus]
+        self.e_half = [_viscous_factor(grid, nu, 0.5 * sc.dt) for nu in nus]
+        self.e_full = [_viscous_factor(grid, nu, sc.dt) for nu in nus]
         self.dx = grid.L / grid.n
         self._cfl_warned = False
 
@@ -135,8 +140,8 @@ class _Stepper:
 
 
 def step(state: SimState, cfg: ModelConfig, sc: StepperConfig) -> SimState:
-    """Advance the state by one dt.  Convenience wrapper around the cached
-    stepper; prefer :func:`run` for whole trajectories."""
+    """Advance the state by one dt, as one step of :func:`run` does.  The
+    viscous factors come from the grid's cache, so repeated calls reuse them."""
     return _Stepper(cfg, sc, state.u.grid).advance(state)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import parse_config
-from .checkpoint import load_checkpoint
+from .checkpoint import _full_layout, load_checkpoint
 from .diagnostics import (BumpTestFunction, alpha_sweep, energy_budget_residual,
                           local_energy_residual, n_sweep)
 from .dynamics import (ForcingMode, ForcingSpec, ModelConfig, ModelKind,
@@ -50,30 +50,35 @@ def convolution_advect_oracle(w: SpectralVectorField,
                               v: SpectralVectorField) -> SpectralVectorField:
     """Direct O(M^2) convolution sum for the projected transport term.
 
-    Iterates over explicit mode pairs, so it shares nothing with the
+    Expands both inputs to the full FFT layout and iterates over explicit
+    mode pairs of the full spectrum, so it shares nothing with the
     pseudo-spectral evaluation path it checks.
     """
     g = w.grid
     d = g.dim
+    axis = np.fft.fftfreq(g.n, d=1.0 / g.n).astype(np.int64)
+    a_full = np.stack(np.meshgrid(*([axis] * d), indexing="ij"))
+    w_full, v_full = _full_layout(g, w.coeffs), _full_layout(g, v.coeffs)
     coeffs = np.zeros((d,) + g.shape, dtype=complex)
     cutoff = g.dealias_cutoff
-    nonzero = lambda f: np.argwhere(np.any(f.coeffs != 0.0, axis=0))
+    nonzero = lambda f: np.argwhere(np.any(f != 0.0, axis=0))
     all_comp = (slice(None),)
-    for p_idx in nonzero(w):
+    for p_idx in nonzero(w_full):
         p = tuple(int(c) for c in p_idx)
-        a_p = g.a[all_comp + p]
-        w_p = w.coeffs[all_comp + p]
-        for q_idx in nonzero(v):
+        a_p = a_full[all_comp + p]
+        w_p = w_full[all_comp + p]
+        for q_idx in nonzero(v_full):
             q = tuple(int(c) for c in q_idx)
-            a_s = a_p + g.a[all_comp + q]
+            a_s = a_p + a_full[all_comp + q]
             if np.any(np.abs(a_s) > cutoff):
                 continue
-            k_q = g.k[all_comp + q]
+            k_q = g.k0 * a_full[all_comp + q]
             factor = 1j * complex(np.dot(w_p, k_q))
             s = tuple(int(c) % g.n for c in a_s)
-            coeffs[all_comp + s] += factor * v.coeffs[all_comp + q]
+            coeffs[all_comp + s] += factor * v_full[all_comp + q]
     coeffs[all_comp + (0,) * d] = 0.0
-    return leray_project(SpectralVectorField(g, coeffs))
+    half = np.ascontiguousarray(coeffs[..., : g.n // 2 + 1])
+    return leray_project(SpectralVectorField(g, half))
 
 
 def _budget_forcing() -> ForcingSpec:

@@ -20,13 +20,17 @@ def grid2_64() -> WaveGrid:
 
 
 def single_mode_field(grid, a, amplitude):
-    """Hermitian pair at integer index a (and -a) with the given d-vector."""
+    """Hermitian pair at integer index a (and -a) with the given d-vector,
+    stored at its half-spectrum representative: both a and -a when a_d = 0,
+    conj(amplitude) at -a when a_d < 0."""
     from lerayflow import SpectralVectorField
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
     amp = np.asarray(amplitude, dtype=complex)
     idx = tuple(int(c) % grid.n for c in a)
     conj_idx = tuple((-int(c)) % grid.n for c in a)
     for comp in range(grid.dim):
-        coeffs[(comp,) + idx] = amp[comp]
-        coeffs[(comp,) + conj_idx] = np.conj(amp[comp])
+        if a[-1] >= 0:
+            coeffs[(comp,) + idx] = amp[comp]
+        if a[-1] <= 0:
+            coeffs[(comp,) + conj_idx] = np.conj(amp[comp])
     return SpectralVectorField(grid, coeffs)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from lerayflow.checkpoint import load_checkpoint
+from lerayflow.checkpoint import _HEADER_SIZE, load_checkpoint, save_checkpoint
 from lerayflow.config import parse_config
 from lerayflow.runner import execute_run
 
@@ -63,11 +63,27 @@ def test_v1_resume_reproduces_uninterrupted_run(tmp_path):
     assert np.array_equal(resumed.b.coeffs, whole.b.coeffs)
 
 
-def test_v1_file_loads():
+def test_v1_file_loads_into_half_layout():
     state, meta = load_checkpoint(V1_FILE)
     assert state.t == 0.01
-    assert state.b is not None
     assert meta["kind"].value == "mhd-deconv"
+    for field in (state.u, state.b):
+        assert field.coeffs.shape == (3, 8, 8, 5)
+        assert field.coeffs.shape[1:] == meta["grid"].spectral_shape
+
+
+def test_save_writes_the_full_v1_layout(tmp_path):
+    # expanding on save gives back the header and the coefficient values of
+    # the stored v1 file (the CRC may differ: zeros can change sign)
+    state, _meta = load_checkpoint(V1_FILE)
+    cfg = parse_config(config_text(str(tmp_path))).build_model()
+    path = str(tmp_path / "again.lfck")
+    save_checkpoint(path, state, cfg)
+    with open(V1_FILE, "rb") as a, open(path, "rb") as b:
+        old, new = a.read(), b.read()
+    assert old[:_HEADER_SIZE - 4] == new[:_HEADER_SIZE - 4]
+    assert np.array_equal(np.frombuffer(old[_HEADER_SIZE:], "<c16"),
+                          np.frombuffer(new[_HEADER_SIZE:], "<c16"))
 
 
 def main() -> int:

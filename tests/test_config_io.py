@@ -1,6 +1,8 @@
 """Config parsing, checkpoint format, CSV emission."""
 
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from lerayflow import (ConfigSyntaxError, FilterParams, InvariantViolation,
                        ModelConfig, ModelKind, SimState, UnknownKeyError,
                        WaveGrid, random_solenoidal)
-from lerayflow.checkpoint import load_checkpoint, save_checkpoint
+from lerayflow.checkpoint import (_HEADER_FMT, MAGIC, _full_layout,
+                                  load_checkpoint, save_checkpoint)
+from lerayflow.cli import EXIT_INVARIANT, main
 from lerayflow.config import parse_config
 from lerayflow.diagnostics import EnergyRecord
 from lerayflow.output import energy_csv_text, format_g17
@@ -192,6 +196,79 @@ class TestCheckpoint:
         open(path, "wb").write(b"not a checkpoint at all" * 10)
         with pytest.raises(InvariantViolation):
             load_checkpoint(path)
+
+
+def forge_checkpoint(path, payload, *, dim=3, has_b=0, n=8, kind=1, t=0.5):
+    """A checkpoint with a consistent length field and CRC, whatever else."""
+    header = struct.pack(_HEADER_FMT, MAGIC, 1, dim, has_b, n, 2.0 * np.pi,
+                         2, kind, 0.02, 0.0, 0.1, 0.25, 0, t, len(payload), 0)
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    with open(path, "wb") as fh:
+        fh.write(header[:-4] + struct.pack("<I", crc) + payload)
+
+
+def full_payload(grid, fields: int = 1) -> np.ndarray:
+    """Full FFT-layout coefficients of ``fields`` random solenoidal fields."""
+    return np.stack([_full_layout(grid, random_solenoidal(
+        grid, seed, -1.5, 2).coeffs) for seed in range(fields)])
+
+
+def _nan_coefficient(full):
+    full[0, 0, 1, 2, 0] = np.nan
+
+
+def _broken_mirror(full):
+    full[0, 1, 1, 2, 6] += 1e-3  # a_3 = -2: dropped on load
+
+
+FORGED = {
+    # name: (header overrides, fields in the payload, payload edit, message)
+    "short_payload": ({}, 1, "short", "payload of"),
+    "kind_index": ({"kind": 9}, 1, None, "unknown model kind index 9"),
+    "has_b_flag": ({"has_b": 2}, 3, None, "flag 2 is not 0 or 1"),
+    "b_without_mhd": ({"has_b": 1}, 2, None, "does not match kind leray-alpha"),
+    "mhd_without_b": ({"kind": 3}, 1, None, "does not match kind mhd-deconv"),
+    "bad_dim": ({"dim": 4}, 0, None, "dim must be 2 or 3"),
+    "nonfinite_t": ({"t": float("inf")}, 1, None, "non-finite time"),
+    "nonfinite_coefficient": ({}, 1, _nan_coefficient, "non-finite coefficients"),
+    "broken_mirror": ({}, 1, _broken_mirror, "mirror modes"),
+}
+
+
+class TestForgedCheckpoints:
+    """CRC-consistent files with a bad field fail with one clear line."""
+
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_rejected(self, tmp_path, case):
+        overrides, fields, edit, message = FORGED[case]
+        if fields:
+            full = full_payload(WaveGrid(3, 8), fields)
+            if callable(edit):
+                edit(full)
+            payload = full.astype("<c16").tobytes()
+        else:
+            payload = bytes(4 * 8 ** 4 * 16)
+        if edit == "short":
+            payload = payload[:-16]
+        path = os.path.join(tmp_path, f"{case}.lfck")
+        forge_checkpoint(path, payload, **overrides)
+        with pytest.raises(InvariantViolation, match=message) as info:
+            load_checkpoint(path)
+        assert "\n" not in str(info.value)
+
+    def test_run_exits_with_invariant_code(self, tmp_path, capsys):
+        ckpt = os.path.join(tmp_path, "short.lfck")
+        payload = full_payload(WaveGrid(3, 8)).astype("<c16").tobytes()
+        forge_checkpoint(ckpt, payload[:-16])
+        cfg = os.path.join(tmp_path, "resume.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"[grid]\ndim = 3\nn = 8\n[model]\nkind = leray-alpha\n"
+                     f"nu = 0.02\nalpha = 0.1\n[initial]\npreset = checkpoint\n"
+                     f"path = {ckpt}\n[stepper]\ndt = 0.001\nt_end = 0.501\n"
+                     f"[output]\ndirectory = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "payload of" in err and len(err.strip().splitlines()) == 1
 
 
 class TestCsvOutput:

@@ -43,8 +43,9 @@ class TestEnergyRecord:
 
 class TestEnergyBudget:
     def test_zero_state_zero_residual(self, grid3):
-        zero = SpectralVectorField(grid3, np.zeros((3,) + grid3.shape, complex),
-                                   solenoidal=True)
+        zero = SpectralVectorField(
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
+            solenoidal=True)
         samples = [measure_energy(SimState(t, zero), leray_cfg())
                    for t in (0.0, 0.1, 0.2, 0.3)]
         assert energy_budget_residual(samples, leray_cfg()) == 0.0
@@ -127,6 +128,18 @@ class TestBumpTestFunction:
         assert grad_g.shape == (3,) + grid3.shape
         assert np.abs(np.mean(lap_g)) < 1e-13  # zero-mean laplacian
 
+    def test_cache_follows_the_grid_not_its_id(self):
+        # grids alternate and die between calls, so ids get reused
+        import gc
+        phi = BumpTestFunction(center=(np.pi, np.pi), width=0.8,
+                               t0=0.1, t1=0.2)
+        for i in range(200):
+            n = 16 if i % 2 == 0 else 32
+            g, grad_g, lap_g = phi.spatial_fields(WaveGrid(2, n))
+            assert g.shape == lap_g.shape == (n, n)
+            assert grad_g.shape == (2, n, n)
+            gc.collect()
+
     def test_invalid_windows(self):
         with pytest.raises(InvariantViolation):
             BumpTestFunction(center=(0, 0), width=-1.0, t0=0.1, t1=0.2)
@@ -136,8 +149,9 @@ class TestBumpTestFunction:
 
 class TestLocalEnergy:
     def test_zero_trajectory(self, grid3):
-        zero = SpectralVectorField(grid3, np.zeros((3,) + grid3.shape, complex),
-                                   solenoidal=True)
+        zero = SpectralVectorField(
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
+            solenoidal=True)
         cfg = leray_cfg()
         states = [SimState(t, zero.copy()) for t in np.linspace(0, 0.2, 9)]
         pressures = [pressure_solve(s, cfg) for s in states]
@@ -231,7 +245,7 @@ class TestAlphaSweep:
         alphas = [0.4, 0.2, 0.1]
         report = alpha_sweep(u, FilterParams(alpha=1.0, theta=theta),
                              alphas, s)
-        w = u.grid.k_power(2 * s)
+        w = u.grid.plane_weight * u.grid.k_power(2 * s)
         for a, err in zip(alphas, report.errors):
             x = a ** (2 * theta) * u.grid.k_power(2 * theta)
             per_mode = (x / (1.0 + x)) ** 2
@@ -284,7 +298,7 @@ class TestNSweep:
         s = 0.5
         ns = [0, 1, 3]
         report = n_sweep(u, p, ns, s)
-        w = u.grid.k_power(2 * s)
+        w = u.grid.plane_weight * u.grid.k_power(2 * s)
         x = p.alpha ** 0.5 * u.grid.k_power(0.5)
         r = x / (1.0 + x)
         for n, err in zip(ns, report.errors):

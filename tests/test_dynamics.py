@@ -40,8 +40,9 @@ class TestAdvect:
             assert np.abs(out.coeffs).max() < 1e-14
 
     def test_zero_advecting_field(self, grid3):
-        w = SpectralVectorField(grid3, np.zeros((3,) + grid3.shape, complex),
-                                solenoidal=True)
+        w = SpectralVectorField(
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
+            solenoidal=True)
         v = single_mode_field(grid3, (1, 2, 0), (2.0, -1.0, 0.0))
         assert np.abs(advect(w, v).coeffs).max() == 0.0
 
@@ -180,8 +181,9 @@ class TestRhs:
         assert np.abs(out.du.coeffs - expected.coeffs).max() < 1e-13
 
     def test_zero_state_zero_tendency(self, grid3):
-        zero = SpectralVectorField(grid3, np.zeros((3,) + grid3.shape, complex),
-                                   solenoidal=True)
+        zero = SpectralVectorField(
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
+            solenoidal=True)
         cfg = ModelConfig(kind=ModelKind.MHD_DECONV, nu=0.1, nu2=0.1,
                           filter=FilterParams(alpha=0.1, theta=0.25))
         out = rhs(SimState(0.0, zero, zero.copy()), cfg)
@@ -242,8 +244,9 @@ class TestRhs:
 
 class TestPressure:
     def test_zero_velocity_zero_pressure(self, grid3):
-        zero = SpectralVectorField(grid3, np.zeros((3,) + grid3.shape, complex),
-                                   solenoidal=True)
+        zero = SpectralVectorField(
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
+            solenoidal=True)
         cfg = ModelConfig(ModelKind.NSE, 0.1, FilterParams(alpha=0.0))
         p = pressure_solve(SimState(0.0, zero), cfg)
         assert np.abs(p.coeffs).max() == 0.0

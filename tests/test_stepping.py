@@ -31,6 +31,20 @@ class TestStepBasics:
         expected = u.coeffs * np.exp(-nu * grid3.k_sq * dt)
         assert np.abs(out.u.coeffs - expected).max() <= 1e-15
 
+    def test_step_matches_one_step_run_and_reuses_factors(self):
+        grid = WaveGrid(2, 16)
+        cfg = ModelConfig(kind=ModelKind.LERAY_ALPHA, nu=0.05,
+                          filter=FilterParams(alpha=0.1, theta=0.25))
+        sc = StepperConfig(dt=1e-3, t_end=1e-3)
+        start = SimState(0.0, random_solenoidal(grid, 2, -1.5, 5))
+        once = step(start, cfg, sc)
+        assert np.array_equal(once.u.coeffs, run(start, cfg, sc).u.coeffs)
+        factors = dict(grid._symbols)
+        assert ("viscous", 0.05, 1e-3) in factors
+        step(once, cfg, sc)
+        assert grid._symbols.keys() == factors.keys()
+        assert all(grid._symbols[k] is v for k, v in factors.items())
+
     def test_linear_subsystem_multi_step(self, grid3):
         u = random_solenoidal(grid3, 0, -1.0, 4)
         nu = 0.12
@@ -41,8 +55,9 @@ class TestStepBasics:
         assert np.abs(final.u.coeffs - expected).max() <= 1e-12 * scale
 
     def test_zero_state_stays_zero(self, grid3):
-        zero = SpectralVectorField(grid3, np.zeros((3,) + grid3.shape, complex),
-                                   solenoidal=True)
+        zero = SpectralVectorField(
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
+            solenoidal=True)
         final = run(SimState(0.0, zero), nse_cfg(0.1),
                     StepperConfig(dt=0.01, t_end=0.1))
         assert np.abs(final.u.coeffs).max() == 0.0
