@@ -41,7 +41,7 @@ import numpy as np
 
 from .dynamics import ModelConfig, ModelKind, SimState
 from .errors import InvariantViolation
-from .fields import SpectralVectorField
+from .fields import SpectralVectorField, full_layout
 from .grid import WaveGrid
 
 __all__ = ["save_checkpoint", "load_checkpoint", "FORMAT_VERSION"]
@@ -54,21 +54,8 @@ _HEADER_FMT = "<4sHBBIdIBddddIdQI"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 
-def _full_layout(grid: WaveGrid, half: np.ndarray) -> np.ndarray:
-    """Complete half spectra (the last ``grid.dim`` axes) to the full FFT
-    layout via Hermitian symmetry."""
-    n = grid.n
-    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
-    out[..., : n // 2 + 1] = half
-    tail = np.conj(half[..., n // 2 - 1: 0: -1])
-    for ax in range(half.ndim - grid.dim, half.ndim - 1):
-        tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
-    out[..., n // 2 + 1:] = tail
-    return out
-
-
 def _payload_bytes(state: SimState) -> bytes:
-    return b"".join(_full_layout(f.grid, f.coeffs).astype("<c16").tobytes()
+    return b"".join(full_layout(f.grid, f.coeffs).astype("<c16").tobytes()
                     for f in (state.u, state.b) if f is not None)
 
 
@@ -146,7 +133,7 @@ def load_checkpoint(path: str) -> tuple[SimState, dict]:
     fields = []
     for stored in full:
         half = np.array(stored[..., : n // 2 + 1], dtype=complex)
-        mirror = np.abs(_full_layout(grid, half) - stored).max()
+        mirror = np.abs(full_layout(grid, half) - stored).max()
         if mirror > 1e-10 * np.abs(stored).max():
             raise InvariantViolation(
                 f"{path}: mirror modes are not the conjugates of the kept "

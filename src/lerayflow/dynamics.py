@@ -86,8 +86,8 @@ class ForcingSpec:
                     f"forcing amplitude at {m.a} is not orthogonal to its wavevector")
 
     def evaluate(self, grid: WaveGrid, t: float) -> SpectralVectorField:
-        """The force at time t; each mode is stored at its half-spectrum
-        representative (both a and -a when a_d = 0, conj at -a when a_d < 0)."""
+        """The force at time t on the half spectrum: each mode (indices taken
+        mod n) keeps whichever of a and -a has its last index in [0, n/2]."""
         coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
         for m in self.modes:
             amp = np.array(m.amplitude, dtype=complex)
@@ -95,9 +95,9 @@ class ForcingSpec:
                 amp = amp * np.exp(-m.decay_rate * t)
             pos = tuple(int(c) % grid.n for c in m.a)
             neg = tuple((-int(c)) % grid.n for c in m.a)
-            if m.a[-1] >= 0:
+            if pos[-1] <= grid.n // 2:
                 coeffs[(slice(None),) + pos] += amp
-            if m.a[-1] <= 0:
+            if neg[-1] <= grid.n // 2:
                 coeffs[(slice(None),) + neg] += np.conj(amp)
         return SpectralVectorField(grid, coeffs, solenoidal=True)
 
@@ -182,11 +182,9 @@ def advect(w: SpectralVectorField, v: SpectralVectorField, *,
         prod += w_phys[j] * dv[j * d: (j + 1) * d]
 
     result = SpectralVectorField(g, from_physical(g, prod))
-    mask = g.dealias_weight if dealias else g.mode_weight
-    if project:
-        return leray_project(result, mask)
-    result.coeffs *= mask
-    return result
+    out = leray_project(result) if project else result
+    out.coeffs *= g.dealias_weight if dealias else g.mode_weight
+    return out
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
@@ -232,8 +230,9 @@ def _mhd_tendency(state: SimState, cfg: ModelConfig) -> Tendency:
             - hu_p[j] * grad_b[j * d: (j + 1) * d]
 
     out = from_physical(g, prods)
-    du = leray_project(SpectralVectorField(g, out[:d]), g.dealias_weight)
-    db = leray_project(SpectralVectorField(g, out[d:]), g.dealias_weight)
+    out *= g.dealias_weight
+    du = leray_project(SpectralVectorField(g, out[:d]))
+    db = leray_project(SpectralVectorField(g, out[d:]))
     return Tendency(du=du, db=db)
 
 

@@ -27,7 +27,7 @@ __all__ = [
     "forward_transform", "inverse_transform", "inverse_transform_scalar",
     "leray_project", "fractional_laplacian", "galerkin_project",
     "sobolev_norm", "sobolev_inner", "l2_inner", "l2_norm",
-    "hermitian_reflection", "random_solenoidal",
+    "hermitian_reflection", "full_layout", "random_solenoidal",
     "to_physical", "from_physical",
 ]
 
@@ -56,12 +56,13 @@ class SpectralVectorField:
 
     def hermitian_residual(self) -> float:
         """Max deviation from coeff(-k) = conj(coeff(k)), relative to max
-        |coeff|, inside the plane a_d = 0, the only one holding both k and -k."""
+        |coeff|, inside the planes a_d = 0 and a_d = n/2, the only ones
+        holding both k and -k."""
         scale = np.abs(self.coeffs).max()
         if scale == 0.0:
             return 0.0
-        plane = self.coeffs[..., 0]
-        dev = np.abs(plane - hermitian_reflection(plane, self.grid.dim - 1))
+        planes = np.moveaxis(self.coeffs[..., :: self.grid.n // 2], -1, 0)
+        dev = np.abs(planes - hermitian_reflection(planes, self.grid.dim - 1))
         return float(dev.max() / scale)
 
     def divergence_residual(self) -> float:
@@ -114,6 +115,19 @@ def hermitian_reflection(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return np.conj(out)
 
 
+def full_layout(grid: WaveGrid, half: np.ndarray) -> np.ndarray:
+    """Complete half spectra (the last ``grid.dim`` axes) to the full FFT
+    layout via Hermitian symmetry."""
+    n = grid.n
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., : n // 2 + 1] = half
+    tail = np.conj(half[..., n // 2 - 1: 0: -1])
+    for ax in range(half.ndim - grid.dim, half.ndim - 1):
+        tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
+    out[..., n // 2 + 1:] = tail
+    return out
+
+
 def to_physical(grid: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
     """Physical samples of a stack of half spectra (inverse real FFT).
 
@@ -159,20 +173,13 @@ def inverse_transform_scalar(p: SpectralScalarField) -> np.ndarray:
     return to_physical(p.grid, p.coeffs)
 
 
-def leray_project(s: SpectralVectorField,
-                  mask: np.ndarray | None = None) -> SpectralVectorField:
-    """Remove the component parallel to k at every mode (Leray-Helmholtz).
-
-    A ``mask`` (a float array over the modes, e.g. ``grid.dealias_weight``)
-    multiplies the result, so dealiasing costs no extra pass.
-    """
+def leray_project(s: SpectralVectorField) -> SpectralVectorField:
+    """Remove the component parallel to k at every mode (Leray-Helmholtz)."""
     g = s.grid
     k_dot = g.k[0] * s.coeffs[0]
     for j in range(1, g.dim):
         k_dot += g.k[j] * s.coeffs[j]
     coeffs = s.coeffs - g.k_over_ksq * k_dot
-    if mask is not None:
-        coeffs *= mask
     return SpectralVectorField(g, coeffs, solenoidal=True)
 
 

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import parse_config
-from .checkpoint import _full_layout, load_checkpoint
+from .checkpoint import load_checkpoint
 from .diagnostics import (BumpTestFunction, alpha_sweep, energy_budget_residual,
                           local_energy_residual, n_sweep)
 from .dynamics import (ForcingMode, ForcingSpec, ModelConfig, ModelKind,
                        SimState, advect, pressure_solve)
-from .fields import (SpectralVectorField, inverse_transform, l2_inner, l2_norm,
-                     leray_project, random_solenoidal, sobolev_norm)
+from .fields import (SpectralVectorField, full_layout, inverse_transform,
+                     l2_inner, l2_norm, leray_project, random_solenoidal,
+                     sobolev_norm)
 from .filtering import FilterParams, deconvolve, filter_apply, van_cittert_series
 from .grid import WaveGrid
 from .presets import taylor_green_state_field, taylor_green_velocity
@@ -56,23 +57,23 @@ def convolution_advect_oracle(w: SpectralVectorField,
     """
     g = w.grid
     d = g.dim
-    axis = np.fft.fftfreq(g.n, d=1.0 / g.n).astype(np.int64)
-    a_full = np.stack(np.meshgrid(*([axis] * d), indexing="ij"))
-    w_full, v_full = _full_layout(g, w.coeffs), _full_layout(g, v.coeffs)
+    w_full, v_full = full_layout(g, w.coeffs), full_layout(g, v.coeffs)
     coeffs = np.zeros((d,) + g.shape, dtype=complex)
     cutoff = g.dealias_cutoff
     nonzero = lambda f: np.argwhere(np.any(f != 0.0, axis=0))
+    signed = lambda idx: (idx + g.n // 2) % g.n - g.n // 2  # FFT-layout mode index
     all_comp = (slice(None),)
     for p_idx in nonzero(w_full):
         p = tuple(int(c) for c in p_idx)
-        a_p = a_full[all_comp + p]
+        a_p = signed(p_idx)
         w_p = w_full[all_comp + p]
         for q_idx in nonzero(v_full):
             q = tuple(int(c) for c in q_idx)
-            a_s = a_p + a_full[all_comp + q]
+            a_q = signed(q_idx)
+            a_s = a_p + a_q
             if np.any(np.abs(a_s) > cutoff):
                 continue
-            k_q = g.k0 * a_full[all_comp + q]
+            k_q = g.k0 * a_q
             factor = 1j * complex(np.dot(w_p, k_q))
             s = tuple(int(c) % g.n for c in a_s)
             coeffs[all_comp + s] += factor * v_full[all_comp + q]

@@ -10,11 +10,12 @@ import pytest
 from lerayflow import (ConfigSyntaxError, FilterParams, InvariantViolation,
                        ModelConfig, ModelKind, SimState, UnknownKeyError,
                        WaveGrid, random_solenoidal)
-from lerayflow.checkpoint import (_HEADER_FMT, MAGIC, _full_layout,
-                                  load_checkpoint, save_checkpoint)
+from lerayflow.checkpoint import (_HEADER_FMT, MAGIC, load_checkpoint,
+                                  save_checkpoint)
 from lerayflow.cli import EXIT_INVARIANT, main
 from lerayflow.config import parse_config
 from lerayflow.diagnostics import EnergyRecord
+from lerayflow.fields import full_layout
 from lerayflow.output import energy_csv_text, format_g17
 
 MINIMAL = """
@@ -209,7 +210,7 @@ def forge_checkpoint(path, payload, *, dim=3, has_b=0, n=8, kind=1, t=0.5):
 
 def full_payload(grid, fields: int = 1) -> np.ndarray:
     """Full FFT-layout coefficients of ``fields`` random solenoidal fields."""
-    return np.stack([_full_layout(grid, random_solenoidal(
+    return np.stack([full_layout(grid, random_solenoidal(
         grid, seed, -1.5, 2).coeffs) for seed in range(fields)])
 
 

@@ -166,6 +166,21 @@ class TestForcingSpec:
         assert np.abs(decayed.coeffs).max() == pytest.approx(
             np.abs(field.coeffs).max() * np.exp(-0.7), rel=1e-12)
 
+    def test_indices_wrap_mod_n_as_in_the_full_layout(self, grid3):
+        # a_d = 12 and -15 lie outside [-n/2, n/2] on n = 16; a_d = 8 and -8
+        # sit on the self-conjugate Nyquist plane
+        f = ForcingSpec((ForcingMode((1, 0, 12), (0.0j, 0.3 + 0.1j, 0.0j)),
+                         ForcingMode((0, 1, -15), (0.2j, 0.0j, 0.0j)),
+                         ForcingMode((2, 1, 8), (0.1 + 0.0j, -0.2 + 0.0j, 0.0j)),
+                         ForcingMode((0, 1, -8), (0.4 + 0.0j, 0.0j, 0.0j))))
+        f.validate(3)
+        full = np.zeros((3,) + grid3.shape, dtype=complex)
+        for m in f.modes:
+            amp = np.array(m.amplitude, dtype=complex)
+            full[(slice(None),) + tuple(c % 16 for c in m.a)] += amp
+            full[(slice(None),) + tuple(-c % 16 for c in m.a)] += np.conj(amp)
+        assert np.array_equal(f.evaluate(grid3, 0.0).coeffs, full[..., :9])
+
 
 class TestRhs:
     def test_taylor_green_tendency_is_forcing_only(self, grid2_64):

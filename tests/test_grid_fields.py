@@ -52,6 +52,12 @@ class TestTransforms:
         with pytest.raises(SymmetryViolation):
             inverse_transform(u)
 
+    def test_inverse_rejects_asymmetric_nyquist_plane(self, grid3):
+        u = random_solenoidal(grid3, 0, -1.0, 4)
+        u.coeffs[0, 1, 2, grid3.n // 2] += 1.0  # k_z = n/2 is self-conjugate too
+        with pytest.raises(SymmetryViolation):
+            inverse_transform(u)
+
     def test_parseval(self, grid3):
         u = random_solenoidal(grid3, 5, -1.5, grid3.dealias_cutoff)
         phys = inverse_transform(u).data
