@@ -127,6 +127,11 @@ class RunConfig:
             if not loaded.same_as(grid):
                 raise InvariantViolation(
                     "checkpoint grid does not match the configured grid")
+            if (state.b is not None) != (self.kind is ModelKind.MHD_DECONV):
+                raise InvariantViolation(
+                    f"checkpoint of kind {meta['kind'].value} "
+                    f"{'has' if state.b is not None else 'lacks'} a magnetic "
+                    f"field; the configured kind is {self.kind.value}")
             return state
         raise InvariantViolation(f"preset: unknown initial preset {self.preset!r}")
 
@@ -277,6 +282,9 @@ def parse_config(text: str) -> RunConfig:
     cutoff_shell = vals.get_int("initial", "cutoff_shell")
     scale = vals.get_float("initial", "scale", default=1.0)
     seed_b = vals.get_int("initial", "seed_b")
+    for key, value in (("seed", seed), ("seed_b", seed_b)):
+        if value is not None and value < 0:
+            raise InvariantViolation(f"{key}: must be >= 0, got {value}")
     scale_b = vals.get_float("initial", "scale_b")
     path = vals.get_str("initial", "path")
     if preset == "checkpoint" and not path:

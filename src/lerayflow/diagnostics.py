@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelConfig, ModelKind, SimState, advect, advecting_field
+from .dynamics import (ModelConfig, ModelKind, SimState, _gradient_potential,
+                       _mhd_rows, advecting_field)
 from .errors import InvariantViolation, NonMonotone, TooFewSamples, UnsupportedModel
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
                      inverse_transform_scalar, l2_inner, l2_norm, sobolev_norm,
@@ -228,18 +229,13 @@ def local_energy_residual(states: list[SimState],
             b_phys = to_physical(grid, state.b.coeffs)
             b_sq = np.sum(b_phys * b_phys, axis=0)
             grad_b_sq = _phys_grad_sq(state.b)
-            hu = deconvolve(state.u, cfg.filter)
-            hb = deconvolve(state.b, cfg.filter)
-            hb_phys = to_physical(grid, hb.coeffs)
+            hb_phys = to_physical(grid, deconvolve(state.b, cfg.filter).coeffs)
 
             # total pressure (fluid + dealiased magnetic) drives the u-flux
             mag_hat = from_physical(grid, 0.5 * b_sq) * grid.dealias_weight
             # pseudo-pressure removed by projecting the induction tendency:
             # the mixed deconvolved transport is not curl-like for alpha > 0
-            induct = (advect(hb, state.u, project=False).coeffs
-                      - advect(hu, state.b, project=False).coeffs)
-            q_hat = -1j * np.sum(grid.k * induct, axis=0) / grid.k_sq_safe
-            q_hat[(0,) * grid.dim] = 0.0
+            q_hat = _gradient_potential(grid, _mhd_rows(state, cfg)[1])
             p_tot, q_phys = to_physical(grid, np.stack([mag_hat, q_hat]))
             p_tot += p_phys
 

@@ -9,6 +9,13 @@ alias-free, so the discrete skew-symmetry identities
 whenever the inputs live inside the dealias band.  Everything the energy
 verification machinery asserts rests on this.
 
+One kernel evaluates every transport term: the RHS, the MHD tendencies, the
+pressure and the local-energy diagnostics.  The pressure is the potential of
+the gradient part that the projection removes from the same unprojected
+momentum tendency, ``p = -i k . N / |k|^2``; for MHD the induction row gives
+the pseudo-pressure ``q`` the same way.  Under the 2/3 rule this equals the
+flux-tensor form ``-k_i k_j (w_i v_j)^ / |k|^2`` in the retained band.
+
 Model kinds differ only in which velocity advects:
 
 * NSE          : u itself
@@ -156,6 +163,46 @@ class Tendency:
     db: SpectralVectorField | None = None
 
 
+def _transport(g: WaveGrid, ws, vs, rows, weight=None) -> np.ndarray:
+    """Dealiased, unprojected half spectra of signed sums of ``w . grad v``.
+
+    ``ws`` and ``vs`` are the advecting and the transported spectra.  Each
+    row lists ``(i, p)`` terms ``ws[i] . grad vs[p]``; the first is added,
+    the others subtracted.  One inverse transform covers every ingredient
+    and one forward transform every row; ``weight`` replaces the dealias
+    mask (negative controls only).  Returns shape ``(len(rows), d, ...)``.
+    """
+    d = g.dim
+    half = np.empty(((len(ws) + d * len(vs)) * d,) + g.spectral_shape,
+                    dtype=complex)
+    for i, w in enumerate(ws):
+        half[i * d: (i + 1) * d] = w
+    for p, v in enumerate(vs):
+        for j in range(d):
+            s = (len(ws) + p * d + j) * d
+            np.multiply(g.ik[j], v, out=half[s: s + d])
+    phys = to_physical(g, half)
+    w_phys = phys[: len(ws) * d].reshape((len(ws), d) + g.shape)
+    grads = phys[len(ws) * d:].reshape((len(vs), d, d) + g.shape)
+
+    prods = np.zeros((len(rows), d) + g.shape)
+    for j in range(d):
+        for row, ((i, p), *minus) in zip(prods, rows):
+            tmp = w_phys[i, j] * grads[p, j]
+            for m, q in minus:
+                tmp -= w_phys[m, j] * grads[q, j]
+            row += tmp
+    out = from_physical(g, prods)
+    out *= g.dealias_weight if weight is None else weight
+    return out
+
+
+def _gradient_potential(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The zero-mean scalar whose gradient is the part of ``coeffs`` that the
+    Leray projection removes: ``-i k . c / |k|^2``."""
+    return -1j * np.sum(g.k * coeffs, axis=0) / g.k_sq_safe
+
+
 def advect(w: SpectralVectorField, v: SpectralVectorField, *,
            project: bool = True, dealias: bool = True) -> SpectralVectorField:
     """Transport term w . grad v, dealiased and (by default) Leray-projected.
@@ -166,25 +213,10 @@ def advect(w: SpectralVectorField, v: SpectralVectorField, *,
     g = w.grid
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
-    d = g.dim
-
-    # Batch all physical-space ingredients into a single inverse transform:
-    # the d advecting components followed by the d*d derivatives of v.
-    half = np.empty((d + d * d,) + g.spectral_shape, dtype=complex)
-    half[:d] = w.coeffs
-    for j in range(d):
-        np.multiply(g.ik[j], v.coeffs, out=half[d + j * d: d + (j + 1) * d])
-    phys = to_physical(g, half)
-    w_phys, dv = phys[:d], phys[d:]
-
-    prod = w_phys[0] * dv[:d]
-    for j in range(1, d):
-        prod += w_phys[j] * dv[j * d: (j + 1) * d]
-
-    result = SpectralVectorField(g, from_physical(g, prod))
-    out = leray_project(result) if project else result
-    out.coeffs *= g.dealias_weight if dealias else g.mode_weight
-    return out
+    weight = None if dealias else g.mode_weight
+    out = SpectralVectorField(
+        g, _transport(g, (w.coeffs,), (v.coeffs,), (((0, 0),),), weight)[0])
+    return leray_project(out) if project else out
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
@@ -196,52 +228,25 @@ def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorF
     return deconvolve(u, cfg.filter)
 
 
-def _mhd_tendency(state: SimState, cfg: ModelConfig) -> Tendency:
-    """Coupled MHD tendencies with all transforms batched.
-
-    Momentum: -(Hu.grad)u + (Hb.grad)b; the projection absorbs every pressure
-    gradient including the magnetic |b|^2/2.  Induction: -(Hu.grad)b +
-    (Hb.grad)u, projected defensively (divergence-free up to roundoff).
-    """
+def _mhd_rows(state: SimState, cfg: ModelConfig) -> np.ndarray:
+    """Unprojected MHD tendencies: momentum ``Hb.grad b - Hu.grad u`` and
+    induction ``Hb.grad u - Hu.grad b``, with H the deconvolution."""
     if state.b is None:
         raise MissingMagneticField("MHD model needs a magnetic field")
     u, b = state.u, state.b
-    g = u.grid
-    d = g.dim
-    hu = deconvolve(u, cfg.filter)
-    hb = deconvolve(b, cfg.filter)
-
-    half = np.empty((2 * d + 2 * d * d,) + g.spectral_shape, dtype=complex)
-    half[:d] = hu.coeffs
-    half[d:2 * d] = hb.coeffs
-    off_u, off_b = 2 * d, 2 * d + d * d
-    for j in range(d):
-        np.multiply(g.ik[j], u.coeffs, out=half[off_u + j * d: off_u + (j + 1) * d])
-        np.multiply(g.ik[j], b.coeffs, out=half[off_b + j * d: off_b + (j + 1) * d])
-    phys = to_physical(g, half)
-    hu_p, hb_p = phys[:d], phys[d:2 * d]
-    grad_u, grad_b = phys[off_u:off_b], phys[off_b:]
-
-    prods = np.zeros((2 * d,) + g.shape)
-    for j in range(d):
-        prods[:d] += hb_p[j] * grad_b[j * d: (j + 1) * d] \
-            - hu_p[j] * grad_u[j * d: (j + 1) * d]
-        prods[d:] += hb_p[j] * grad_u[j * d: (j + 1) * d] \
-            - hu_p[j] * grad_b[j * d: (j + 1) * d]
-
-    out = from_physical(g, prods)
-    out *= g.dealias_weight
-    du = leray_project(SpectralVectorField(g, out[:d]))
-    db = leray_project(SpectralVectorField(g, out[d:]))
-    return Tendency(du=du, db=db)
+    ws = (deconvolve(u, cfg.filter).coeffs, deconvolve(b, cfg.filter).coeffs)
+    return _transport(u.grid, ws, (u.coeffs, b.coeffs),
+                      (((1, 1), (0, 0)), ((1, 0), (0, 1))))
 
 
 def rhs(state: SimState, cfg: ModelConfig) -> Tendency:
     """Non-viscous tendency of the state (viscosity is handled exactly by the
     integrating-factor stepper)."""
-    if cfg.kind is ModelKind.MHD_DECONV:
-        return _mhd_tendency(state, cfg)
     u = state.u
+    if cfg.kind is ModelKind.MHD_DECONV:
+        du, db = _mhd_rows(state, cfg)
+        return Tendency(du=leray_project(SpectralVectorField(u.grid, du)),
+                        db=leray_project(SpectralVectorField(u.grid, db)))
     coeffs = advect(advecting_field(u, cfg), u).coeffs
     np.negative(coeffs, out=coeffs)
     if not cfg.forcing.is_zero():
@@ -249,48 +254,21 @@ def rhs(state: SimState, cfg: ModelConfig) -> Tendency:
     return Tendency(du=SpectralVectorField(u.grid, coeffs, solenoidal=True))
 
 
-def _product_tensor_divergence(g: WaveGrid, w_phys: np.ndarray,
-                               v_phys: np.ndarray) -> np.ndarray:
-    """k_i k_j FFT[w_i v_j], dealiased; the double divergence of the flux tensor."""
-    d = g.dim
-    prods = np.empty((d * d,) + g.shape)
-    for i in range(d):
-        for j in range(d):
-            prods[i * d + j] = w_phys[i] * v_phys[j]
-    hat = from_physical(g, prods)
-    hat *= g.dealias_weight
-    acc = np.zeros(g.spectral_shape, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            acc += g.k[i] * g.k[j] * hat[i * d + j]
-    return acc
-
-
 def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
-    """Recover the zero-mean pressure consistent with the projected dynamics.
+    """The zero-mean pressure of the projected dynamics.
 
-    Solves the spectral Poisson problem for minus the double divergence of
-    the advective flux tensor; for MHD the Lorentz flux and the explicit
-    magnetic-pressure term are included, so the result is the fluid pressure.
+    It is the potential of the gradient part that the projection removes
+    from the unprojected momentum tendency; for MHD the magnetic pressure
+    |b|^2/2 is subtracted, so the result is the fluid pressure.
     """
     g = state.u.grid
-    d = g.dim
     if cfg.kind is ModelKind.MHD_DECONV:
-        if state.b is None:
-            raise MissingMagneticField("MHD model needs a magnetic field")
-        fields = (state.u, deconvolve(state.u, cfg.filter),
-                  state.b, deconvolve(state.b, cfg.filter))
+        p_hat = _gradient_potential(g, _mhd_rows(state, cfg)[0])
+        b_phys = to_physical(g, state.b.coeffs)
+        p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
+            * g.dealias_weight
     else:
-        fields = (state.u, advecting_field(state.u, cfg))
-    phys = to_physical(g, np.concatenate([f.coeffs for f in fields]))
-    dd = _product_tensor_divergence(g, phys[d:2 * d], phys[:d])
-    if cfg.kind is ModelKind.MHD_DECONV:
-        b_phys = phys[2 * d:3 * d]
-        dd -= _product_tensor_divergence(g, phys[3 * d:], b_phys)
-    p_hat = -dd / g.k_sq_safe
-    if cfg.kind is ModelKind.MHD_DECONV:
-        # subtract the magnetic pressure |b|^2 / 2 (dealiased, zero-mean)
-        p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0))
-    # the dealias weight is zero at the mean mode and on the Nyquist planes
-    p_hat *= g.dealias_weight
+        transport = _transport(g, (advecting_field(state.u, cfg).coeffs,),
+                               (state.u.coeffs,), (((0, 0),),))[0]
+        p_hat = -_gradient_potential(g, transport)
     return SpectralScalarField(g, p_hat)

@@ -31,15 +31,16 @@ __all__ = ["WaveGrid", "worker_count"]
 def worker_count() -> int:
     """Internal parallelism cap, from the LERAY_THREADS environment variable.
 
-    Defaults to 1.  FFT results are bit-identical for any worker count (the
-    thread split is over independent outer axes), so this only affects speed.
+    Defaults to 1 and never exceeds ``os.cpu_count()``.  FFT results are
+    bit-identical for any worker count (the thread split is over independent
+    outer axes), so this only affects speed.
     """
     raw = os.environ.get("LERAY_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
         return 1
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 class WaveGrid:

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INVARIANT, EXIT_OK,
-                           EXIT_SYNTAX, EXIT_UNKNOWN_KEY, main)
+import lerayflow.cli
+from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_INVARIANT,
+                           EXIT_OK, EXIT_SYNTAX, EXIT_UNKNOWN_KEY, main)
 from lerayflow.presets import taylor_green_energy
 from lerayflow.validate import criterion_advection
 
@@ -104,6 +105,22 @@ class TestErrorExitCodes:
         bad = TG_RUN.replace("kind = nse", "kind = leray-alpha\ntheta = 0.1")
         cfg = write_cfg(tmp_path, bad, outdir=os.path.join(tmp_path, "o"))
         assert main(["run", cfg]) == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("line", ["seed = -1", "seed = 3\nseed_b = -2"])
+    def test_negative_seed(self, tmp_path, capsys, line):
+        bad = SWEEP_BASE.replace("seed = 3", line)
+        cfg = write_cfg(tmp_path, bad, outdir=os.path.join(tmp_path, "o"))
+        assert main(["run", cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "seed" in err and len(err.strip().splitlines()) == 1
+
+    def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(lerayflow.cli, "_dispatch", broken)
+        assert main(["validate"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "boom" in err and len(err.strip().splitlines()) == 1
 
 
 class TestSweepCommands:

@@ -271,6 +271,31 @@ class TestForgedCheckpoints:
         err = capsys.readouterr().err
         assert "payload of" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("stored,configured", [
+        ("mhd-deconv", "leray-alpha"), ("leray-alpha", "mhd-deconv")])
+    def test_resume_checks_magnetic_field(self, tmp_path, capsys, stored,
+                                          configured):
+        grid = WaveGrid(3, 8)
+        mhd = stored == "mhd-deconv"
+        state = SimState(0.5, random_solenoidal(grid, 1, -1.5, 2),
+                         random_solenoidal(grid, 2, -1.5, 2) if mhd else None)
+        model = ModelConfig(kind=ModelKind(stored), nu=0.02,
+                            nu2=0.02 if mhd else None,
+                            filter=FilterParams(alpha=0.1, theta=0.25))
+        ckpt = os.path.join(tmp_path, "state.lfck")
+        save_checkpoint(ckpt, state, model)
+        cfg = os.path.join(tmp_path, "resume.cfg")
+        nu2 = "nu2 = 0.02\n" if configured == "mhd-deconv" else ""
+        with open(cfg, "w") as fh:
+            fh.write(f"[grid]\ndim = 3\nn = 8\n[model]\nkind = {configured}\n"
+                     f"nu = 0.02\n{nu2}alpha = 0.1\n[initial]\n"
+                     f"preset = checkpoint\npath = {ckpt}\n[stepper]\n"
+                     f"dt = 0.001\nt_end = 0.501\n"
+                     f"[output]\ndirectory = {tmp_path}/out\n")
+        assert main(["run", cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "magnetic field" in err and len(err.strip().splitlines()) == 1
+
 
 class TestCsvOutput:
     def test_full_precision_and_fixed_order(self):

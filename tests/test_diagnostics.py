@@ -158,24 +158,6 @@ class TestLocalEnergy:
         phi = BumpTestFunction.canonical(3, 0.2)
         assert local_energy_residual(states, pressures, phi, cfg) == 0.0
 
-    def test_forced_leray_equality_and_superconvergence(self):
-        # the C^2-in-time window makes the trapezoid quadrature superconvergent
-        # (4th order), so halving the cadence
-        # shrinks the residual by far more than the nominal factor 4, until it
-        # reaches the space-truncation floor
-        from lerayflow.validate import _leray_budget_setup
-        grid, cfg, u0 = _leray_budget_setup()
-        states = []
-        run(SimState(0.0, u0), cfg, StepperConfig(dt=1e-3, t_end=0.2),
-            state_sink=states.append, state_every=5)
-        pressures = [pressure_solve(s, cfg) for s in states]
-        phi = BumpTestFunction.canonical(3, 0.2)
-        r_coarse = abs(local_energy_residual(states[::2], pressures[::2],
-                                             phi, cfg))
-        r_fine = abs(local_energy_residual(states, pressures, phi, cfg))
-        assert r_coarse < 1e-3
-        assert r_coarse / r_fine >= 8.0
-
     def test_leray_deconv_equality(self):
         grid = WaveGrid(3, 32)
         cfg = ModelConfig(kind=ModelKind.LERAY_DECONV, nu=0.15,

@@ -13,11 +13,45 @@ from lerayflow import (CriticalityViolation, FilterParams, ForcingMode,
                        inverse_transform_scalar, l2_inner, l2_norm,
                        leray_project, pressure_solve, random_solenoidal,
                        rhs, sobolev_norm)
+from lerayflow.fields import from_physical, to_physical
 from lerayflow.presets import (taylor_green_pressure,
                                taylor_green_state_field)
 from lerayflow.validate import convolution_advect_oracle
 
 from conftest import single_mode_field
+
+
+def flux_double_divergence(w, v):
+    """k_i k_j FFT[w_i v_j], dealiased: the double divergence of the flux
+    tensor w (x) v, from physical products of the fields themselves."""
+    g = w.grid
+    w_phys = to_physical(g, w.coeffs)
+    v_phys = to_physical(g, v.coeffs)
+    acc = np.zeros(g.spectral_shape, dtype=complex)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            hat = from_physical(g, w_phys[i] * v_phys[j]) * g.dealias_weight
+            acc += g.k[i] * g.k[j] * hat
+    return acc
+
+
+def flux_form_pressure(state, cfg):
+    """Reference pressure: -k_i k_j (w_i u_j)^ / |k|^2 with w the advecting
+    field; for MHD the Lorentz flux enters with the opposite sign and the
+    dealiased magnetic pressure |b|^2/2 is subtracted."""
+    g = state.u.grid
+    if cfg.kind is ModelKind.MHD_DECONV:
+        hu = deconvolve(state.u, cfg.filter)
+        hb = deconvolve(state.b, cfg.filter)
+        dd = flux_double_divergence(hu, state.u) \
+            - flux_double_divergence(hb, state.b)
+    else:
+        dd = flux_double_divergence(advecting_field(state.u, cfg), state.u)
+    p_hat = -dd / g.k_sq_safe
+    if cfg.kind is ModelKind.MHD_DECONV:
+        b_phys = to_physical(g, state.b.coeffs)
+        p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0))
+    return p_hat * g.dealias_weight
 
 
 def spec_variant_taylor_green(grid):
@@ -294,6 +328,27 @@ class TestPressure:
         grad_p = 1j * grid.k * p.coeffs[np.newaxis]
         scale = max(np.abs(grad_p).max(), 1e-30)
         assert np.abs(grad_p + complement).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("kind,alpha,n", [
+        (ModelKind.NSE, 0.0, 0),
+        (ModelKind.LERAY_ALPHA, 0.15, 0),
+        (ModelKind.LERAY_DECONV, 0.15, 2),
+        (ModelKind.MHD_DECONV, 0.2, 1),
+    ])
+    def test_matches_flux_form(self, kind, alpha, n):
+        # under the 2/3 rule the convective and flux forms agree exactly in
+        # the retained band, so the two pressures differ only by roundoff
+        grid = WaveGrid(3, 32)
+        mhd = kind is ModelKind.MHD_DECONV
+        u = random_solenoidal(grid, 14, -2.0, 8)
+        b = random_solenoidal(grid, 15, -2.0, 8) if mhd else None
+        cfg = ModelConfig(kind, 0.1, FilterParams(alpha=alpha, theta=0.25,
+                                                  n_deconv=n),
+                          nu2=0.1 if mhd else None)
+        state = SimState(0.0, u, b)
+        p = pressure_solve(state, cfg).coeffs
+        oracle = flux_form_pressure(state, cfg)
+        assert np.abs(p - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_mhd_gradient_consistency(self):
         grid = WaveGrid(3, 32)

@@ -1,5 +1,7 @@
 """Spectral core: transforms, projections, norms, field generation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,7 @@ class TestShellSpectrum:
 class TestWorkerCount:
     def test_env_var_caps_parallelism(self, monkeypatch):
         from lerayflow import worker_count
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.delenv("LERAY_THREADS", raising=False)
         assert worker_count() == 1
         monkeypatch.setenv("LERAY_THREADS", "4")
@@ -241,6 +244,14 @@ class TestWorkerCount:
         assert worker_count() == 1
         monkeypatch.setenv("LERAY_THREADS", "many")
         assert worker_count() == 1
+
+    @pytest.mark.parametrize("cpus,expected", [(2, 2), (None, 1)])
+    def test_clamped_to_cpu_count(self, monkeypatch, cpus, expected):
+        # only worker_count() itself: no transform runs at the huge value
+        from lerayflow import worker_count
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("LERAY_THREADS", str(10 ** 9))
+        assert worker_count() == expected
 
     def test_results_identical_across_worker_counts(self, grid3, monkeypatch):
         u = random_solenoidal(grid3, 3, -1.5, grid3.dealias_cutoff)
