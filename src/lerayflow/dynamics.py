@@ -185,13 +185,14 @@ def _transport(g: WaveGrid, ws, vs, rows, weight=None) -> np.ndarray:
     w_phys = phys[: len(ws) * d].reshape((len(ws), d) + g.shape)
     grads = phys[len(ws) * d:].reshape((len(vs), d, d) + g.shape)
 
-    prods = np.zeros((len(rows), d) + g.shape)
+    prods = np.empty((len(rows), d) + g.shape)
     for j in range(d):
         for row, ((i, p), *minus) in zip(prods, rows):
-            tmp = w_phys[i, j] * grads[p, j]
+            tmp = np.multiply(w_phys[i, j], grads[p, j], out=None if j else row)
             for m, q in minus:
                 tmp -= w_phys[m, j] * grads[q, j]
-            row += tmp
+            if j:
+                row += tmp
     out = from_physical(g, prods)
     out *= g.dealias_weight if weight is None else weight
     return out

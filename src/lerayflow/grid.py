@@ -27,11 +27,14 @@ import numpy as np
 
 __all__ = ["WaveGrid", "worker_count"]
 
+# Read once: os.cpu_count() costs microseconds and every transform asks.
+_CPU_COUNT = os.cpu_count() or 1
+
 
 def worker_count() -> int:
     """Internal parallelism cap, from the LERAY_THREADS environment variable.
 
-    Defaults to 1 and never exceeds ``os.cpu_count()``.  FFT results are
+    Defaults to 1 and never exceeds the CPU count.  FFT results are
     bit-identical for any worker count (the thread split is over independent
     outer axes), so this only affects speed.
     """
@@ -40,7 +43,7 @@ def worker_count() -> int:
         value = int(raw)
     except ValueError:
         return 1
-    return max(1, min(value, os.cpu_count() or 1))
+    return max(1, min(value, _CPU_COUNT))
 
 
 class WaveGrid:

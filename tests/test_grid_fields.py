@@ -1,7 +1,5 @@
 """Spectral core: transforms, projections, norms, field generation."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -234,8 +232,8 @@ class TestShellSpectrum:
 
 class TestWorkerCount:
     def test_env_var_caps_parallelism(self, monkeypatch):
-        from lerayflow import worker_count
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        from lerayflow import grid, worker_count
+        monkeypatch.setattr(grid, "_CPU_COUNT", 8)
         monkeypatch.delenv("LERAY_THREADS", raising=False)
         assert worker_count() == 1
         monkeypatch.setenv("LERAY_THREADS", "4")
@@ -245,13 +243,12 @@ class TestWorkerCount:
         monkeypatch.setenv("LERAY_THREADS", "many")
         assert worker_count() == 1
 
-    @pytest.mark.parametrize("cpus,expected", [(2, 2), (None, 1)])
-    def test_clamped_to_cpu_count(self, monkeypatch, cpus, expected):
+    def test_clamped_to_cpu_count(self, monkeypatch):
         # only worker_count() itself: no transform runs at the huge value
-        from lerayflow import worker_count
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        from lerayflow import grid, worker_count
+        monkeypatch.setattr(grid, "_CPU_COUNT", 2)
         monkeypatch.setenv("LERAY_THREADS", str(10 ** 9))
-        assert worker_count() == expected
+        assert worker_count() == 2
 
     def test_results_identical_across_worker_counts(self, grid3, monkeypatch):
         u = random_solenoidal(grid3, 3, -1.5, grid3.dealias_cutoff)
