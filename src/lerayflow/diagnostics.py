@@ -235,7 +235,7 @@ def local_energy_residual(states: list[SimState],
             mag_hat = from_physical(grid, 0.5 * b_sq) * grid.dealias_weight
             # pseudo-pressure removed by projecting the induction tendency:
             # the mixed deconvolved transport is not curl-like for alpha > 0
-            q_hat = _gradient_potential(grid, _mhd_rows(state, cfg)[1])
+            q_hat = _gradient_potential(grid, _mhd_rows(state, cfg)[1].coeffs)
             p_tot, q_phys = to_physical(grid, np.stack([mag_hat, q_hat]))
             p_tot += p_phys
 

@@ -163,14 +163,16 @@ class Tendency:
     db: SpectralVectorField | None = None
 
 
-def _transport(g: WaveGrid, ws, vs, rows, weight=None) -> np.ndarray:
-    """Dealiased, unprojected half spectra of signed sums of ``w . grad v``.
+def _transport(g: WaveGrid, ws, vs, rows, *, project: bool = False,
+               weight=None) -> list[SpectralVectorField]:
+    """Dealiased half spectra of signed sums of ``w . grad v``, one field per
+    row, Leray-projected when ``project`` is set.
 
     ``ws`` and ``vs`` are the advecting and the transported spectra.  Each
     row lists ``(i, p)`` terms ``ws[i] . grad vs[p]``; the first is added,
     the others subtracted.  One inverse transform covers every ingredient
     and one forward transform every row; ``weight`` replaces the dealias
-    mask (negative controls only).  Returns shape ``(len(rows), d, ...)``.
+    mask (negative controls only).
     """
     d = g.dim
     half = np.empty(((len(ws) + d * len(vs)) * d,) + g.spectral_shape,
@@ -195,7 +197,11 @@ def _transport(g: WaveGrid, ws, vs, rows, weight=None) -> np.ndarray:
                 row += tmp
     out = from_physical(g, prods)
     out *= g.dealias_weight if weight is None else weight
-    return out
+    # Project while the work arrays are alive: freeing them first leaves a
+    # large free block on top of the heap, which the allocator returns to
+    # the system and every later call page-faults back in.
+    return [leray_project(SpectralVectorField(g, row)) if project
+            else SpectralVectorField(g, row) for row in out]
 
 
 def _gradient_potential(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -214,10 +220,9 @@ def advect(w: SpectralVectorField, v: SpectralVectorField, *,
     g = w.grid
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
-    weight = None if dealias else g.mode_weight
-    out = SpectralVectorField(
-        g, _transport(g, (w.coeffs,), (v.coeffs,), (((0, 0),),), weight)[0])
-    return leray_project(out) if project else out
+    return _transport(g, (w.coeffs,), (v.coeffs,), (((0, 0),),),
+                      project=project,
+                      weight=None if dealias else g.mode_weight)[0]
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
@@ -229,15 +234,16 @@ def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorF
     return deconvolve(u, cfg.filter)
 
 
-def _mhd_rows(state: SimState, cfg: ModelConfig) -> np.ndarray:
-    """Unprojected MHD tendencies: momentum ``Hb.grad b - Hu.grad u`` and
-    induction ``Hb.grad u - Hu.grad b``, with H the deconvolution."""
+def _mhd_rows(state: SimState, cfg: ModelConfig,
+              project: bool = False) -> list[SpectralVectorField]:
+    """MHD tendencies: momentum ``Hb.grad b - Hu.grad u`` and induction
+    ``Hb.grad u - Hu.grad b``, with H the deconvolution."""
     if state.b is None:
         raise MissingMagneticField("MHD model needs a magnetic field")
     u, b = state.u, state.b
     ws = (deconvolve(u, cfg.filter).coeffs, deconvolve(b, cfg.filter).coeffs)
     return _transport(u.grid, ws, (u.coeffs, b.coeffs),
-                      (((1, 1), (0, 0)), ((1, 0), (0, 1))))
+                      (((1, 1), (0, 0)), ((1, 0), (0, 1))), project=project)
 
 
 def rhs(state: SimState, cfg: ModelConfig) -> Tendency:
@@ -245,9 +251,8 @@ def rhs(state: SimState, cfg: ModelConfig) -> Tendency:
     integrating-factor stepper)."""
     u = state.u
     if cfg.kind is ModelKind.MHD_DECONV:
-        du, db = _mhd_rows(state, cfg)
-        return Tendency(du=leray_project(SpectralVectorField(u.grid, du)),
-                        db=leray_project(SpectralVectorField(u.grid, db)))
+        du, db = _mhd_rows(state, cfg, project=True)
+        return Tendency(du=du, db=db)
     coeffs = advect(advecting_field(u, cfg), u).coeffs
     np.negative(coeffs, out=coeffs)
     if not cfg.forcing.is_zero():
@@ -264,12 +269,12 @@ def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     """
     g = state.u.grid
     if cfg.kind is ModelKind.MHD_DECONV:
-        p_hat = _gradient_potential(g, _mhd_rows(state, cfg)[0])
+        p_hat = _gradient_potential(g, _mhd_rows(state, cfg)[0].coeffs)
         b_phys = to_physical(g, state.b.coeffs)
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
             * g.dealias_weight
     else:
         transport = _transport(g, (advecting_field(state.u, cfg).coeffs,),
                                (state.u.coeffs,), (((0, 0),),))[0]
-        p_hat = -_gradient_potential(g, transport)
+        p_hat = -_gradient_potential(g, transport.coeffs)
     return SpectralScalarField(g, p_hat)
