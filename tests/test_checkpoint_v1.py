@@ -1,9 +1,11 @@
-"""Format-v1 checkpoints: an old file still loads and resumes bit for bit.
+"""Format-v1 checkpoints: an old file still loads and resumes.
 
 ``tests/data/mhd_deconv_8_v1.lfck`` is the step-10 checkpoint of
 ``V1_CONFIG`` (3D 8^3 ``mhd-deconv`` with a magnetic field), written by the
-solver while it still stored full FFT-layout spectra.  Regenerate it (only
-with such a solver) with
+solver while it still stored full FFT-layout spectra.  Steps 0-10 of a fresh
+run use today's arithmetic, so the resume from the old file matches the
+uninterrupted run to roundoff; the resume path itself is checked bit for
+bit.  Regenerate the file (only with such a solver) with
 
     PYTHONPATH=src python tests/test_checkpoint_v1.py
 """
@@ -17,6 +19,7 @@ import numpy as np
 from lerayflow.checkpoint import _HEADER_SIZE, load_checkpoint, save_checkpoint
 from lerayflow.config import parse_config
 from lerayflow.runner import execute_run
+from lerayflow.stepping import run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 V1_FILE = os.path.join(ROOT, "tests", "data", "mhd_deconv_8_v1.lfck")
@@ -54,10 +57,37 @@ def config_text(outdir: str, checkpoint: str | None = None) -> str:
     return V1_CONFIG.format(initial=initial, outdir=outdir)
 
 
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
 def test_v1_resume_reproduces_uninterrupted_run(tmp_path):
+    # the file holds the old solver's step 10; steps 0-10 of the fresh run
+    # may differ at roundoff, inside the 1e-13 bound of the fingerprints
     whole, _ = execute_run(parse_config(config_text(str(tmp_path / "whole"))))
     resumed, _ = execute_run(parse_config(
         config_text(str(tmp_path / "resumed"), checkpoint=V1_FILE)))
+    assert resumed.t == whole.t
+    assert _relative_gap(resumed.u.coeffs, whole.u.coeffs) <= 1e-13
+    assert _relative_gap(resumed.b.coeffs, whole.b.coeffs) <= 1e-13
+
+
+def test_v1_resume_is_run_from_the_loaded_state(tmp_path):
+    rc = parse_config(config_text(str(tmp_path), checkpoint=V1_FILE))
+    resumed, _ = execute_run(rc)
+    state, _meta = load_checkpoint(V1_FILE)
+    direct = run(state, rc.build_model(), rc.build_stepper())
+    assert resumed.t == direct.t
+    assert np.array_equal(resumed.u.coeffs, direct.u.coeffs)
+    assert np.array_equal(resumed.b.coeffs, direct.b.coeffs)
+
+
+def test_current_checkpoint_resumes_bit_for_bit(tmp_path):
+    whole_dir = str(tmp_path / "whole")
+    whole, _ = execute_run(parse_config(config_text(whole_dir)))
+    resumed, _ = execute_run(parse_config(config_text(
+        str(tmp_path / "resumed"),
+        checkpoint=os.path.join(whole_dir, "checkpoint_000010.lfck"))))
     assert resumed.t == whole.t
     assert np.array_equal(resumed.u.coeffs, whole.u.coeffs)
     assert np.array_equal(resumed.b.coeffs, whole.b.coeffs)
