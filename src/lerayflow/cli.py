@@ -70,6 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number_list(text: str, convert, option: str) -> list:
+    """The comma-separated values of a list option, or InvariantViolation."""
+    try:
+        return [convert(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise InvariantViolation(
+            f"{option}: expected comma-separated {convert.__name__} values, "
+            f"got {text!r}") from None
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         rc = parse_config_file(args.config)
@@ -80,7 +90,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "sweep-alpha":
         rc = parse_config_file(args.config)
-        alphas = [float(tok) for tok in args.alphas.split(",") if tok]
+        alphas = _number_list(args.alphas, float, "--alphas")
         report = execute_sweep_alpha(rc, alphas, args.s_norm,
                                      args.target_slope)
         slope = "exact" if report.slope is None else f"{report.slope:.4f}"
@@ -90,7 +100,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "sweep-n":
         rc = parse_config_file(args.config)
-        orders = [int(tok) for tok in args.orders.split(",") if tok]
+        orders = _number_list(args.orders, int, "--orders")
         report = execute_sweep_n(rc, orders, args.s_norm)
         ratio = "exact" if report.ratio is None else f"{report.ratio:.6f}"
         print(f"n sweep ratio {ratio} bound {report.ratio_bound} "

@@ -114,6 +114,19 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert "seed" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command,option,value", [
+        ("sweep-alpha", "--alphas", "0.4,x"),
+        ("sweep-n", "--orders", "0,x"),
+        ("sweep-n", "--orders", "0,1.5"),
+    ])
+    def test_malformed_list_argument(self, tmp_path, capsys, command, option,
+                                     value):
+        cfg = write_cfg(tmp_path, SWEEP_BASE,
+                        outdir=os.path.join(tmp_path, "o"))
+        assert main([command, cfg, option, value]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert option in err and len(err.strip().splitlines()) == 1
+
     def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("boom")
