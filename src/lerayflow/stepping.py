@@ -67,7 +67,8 @@ def _viscous_factor(grid, nu: float, h: float) -> np.ndarray:
 
 
 class _Stepper:
-    """The per-mode viscous exponentials for one (grid, model, dt)."""
+    """The per-mode viscous exponentials for one (grid, model, dt), and the
+    stage buffers that the RK combinations write into."""
 
     def __init__(self, cfg: ModelConfig, sc: StepperConfig, grid):
         self.cfg = cfg
@@ -77,6 +78,13 @@ class _Stepper:
         nus = [cfg.nu] + ([cfg.nu2] if self.is_mhd else [])
         self.e_half = [_viscous_factor(grid, nu, 0.5 * sc.dt) for nu in nus]
         self.e_full = [_viscous_factor(grid, nu, sc.dt) for nu in nus]
+        self.h_e_half = [sc.dt * eh for eh in self.e_half]
+        self.two_e_half = [2.0 * eh for eh in self.e_half]
+        # Owned by this stepper, never by the grid: a stage state and one
+        # scratch array per field, overwritten by every step.
+        shape = (grid.dim,) + grid.spectral_shape
+        self.stage = [np.empty(shape, dtype=complex) for _ in nus]
+        self.scratch = [np.empty(shape, dtype=complex) for _ in nus]
         self.dx = grid.L / grid.n
         self._cfl_warned = False
 
@@ -109,25 +117,49 @@ class _Stepper:
         t = state.t
         y = [state.u.coeffs] + ([state.b.coeffs] if self.is_mhd else [])
 
+        # Each combination keeps the operation order of its formula, so the
+        # in-place form is bit-identical; k1..k4 are fresh arrays, k1 ends up
+        # holding the new state.
+        k1 = self._tendency(y, t)
         if self.sc.scheme is StepperScheme.IFEULER:
-            k1 = self._tendency(y, t)
-            new = [ef * (yi + h * ki)
-                   for yi, ki, ef in zip(y, k1, self.e_full)]
-        else:
-            k1 = self._tendency(y, t)
-            s2 = [eh * (yi + 0.5 * h * ki)
-                  for yi, ki, eh in zip(y, k1, self.e_half)]
-            k2 = self._tendency(s2, t + 0.5 * h)
-            s3 = [eh * yi + 0.5 * h * ki
-                  for yi, ki, eh in zip(y, k2, self.e_half)]
-            k3 = self._tendency(s3, t + 0.5 * h)
-            s4 = [ef * yi + h * eh * ki
-                  for yi, ki, eh, ef in zip(y, k3, self.e_half, self.e_full)]
-            k4 = self._tendency(s4, t + h)
-            new = [ef * yi + (h / 6.0) * (ef * a + 2.0 * eh * (b2 + c) + d)
-                   for yi, a, b2, c, d, eh, ef
-                   in zip(y, k1, k2, k3, k4, self.e_half, self.e_full)]
+            for yi, ki, ef in zip(y, k1, self.e_full):  # ef (y + h k1)
+                ki *= h
+                ki += yi
+                ki *= ef
+            return self._state(k1, t)
 
+        for yi, ki, eh, s in zip(y, k1, self.e_half, self.stage):
+            np.multiply(ki, 0.5 * h, out=s)             # eh (y + h/2 k1)
+            s += yi
+            s *= eh
+        k2 = self._tendency(self.stage, t + 0.5 * h)
+        for yi, ki, eh, s, tmp in zip(y, k2, self.e_half, self.stage,
+                                      self.scratch):
+            np.multiply(yi, eh, out=s)                  # eh y + h/2 k2
+            np.multiply(ki, 0.5 * h, out=tmp)
+            s += tmp
+        k3 = self._tendency(self.stage, t + 0.5 * h)
+        for yi, ki, ef, heh, s, tmp in zip(y, k3, self.e_full, self.h_e_half,
+                                           self.stage, self.scratch):
+            np.multiply(yi, ef, out=s)                  # ef y + h eh k3
+            np.multiply(ki, heh, out=tmp)
+            s += tmp
+        k4 = self._tendency(self.stage, t + h)
+        # ef y + h/6 (ef k1 + 2 eh (k2 + k3) + k4)
+        for yi, a, b2, c, d, ef, eh2, tmp in zip(
+                y, k1, k2, k3, k4, self.e_full, self.two_e_half, self.scratch):
+            b2 += c
+            b2 *= eh2
+            a *= ef
+            a += b2
+            a += d
+            a *= h / 6.0
+            np.multiply(yi, ef, out=tmp)
+            a += tmp
+        return self._state(k1, t)
+
+    def _state(self, new: list[np.ndarray], t: float) -> SimState:
+        """The state one step after ``t``, once every array is finite."""
         for arr in new:
             peak = float(np.abs(arr).max())
             if not np.isfinite(peak):
@@ -136,7 +168,7 @@ class _Stepper:
         u = SpectralVectorField(self.grid, new[0], solenoidal=True)
         b = (SpectralVectorField(self.grid, new[1], solenoidal=True)
              if self.is_mhd else None)
-        return SimState(t + h, u, b)
+        return SimState(t + self.sc.dt, u, b)
 
 
 def step(state: SimState, cfg: ModelConfig, sc: StepperConfig) -> SimState:
