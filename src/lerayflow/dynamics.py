@@ -1,20 +1,24 @@
 """Model right-hand sides: projected transport and the regularized families.
 
 The bilinear transport term ``B(w, v) = P_sigma(w . grad v)`` is evaluated
-pseudo-spectrally in convective form: inverse-transform the advecting field
-and all partial derivatives of v, multiply pointwise, transform back, truncate
-to the dealias band, project.  With 2/3 dealiasing the quadratic product is
-alias-free, so the discrete skew-symmetry identities
+pseudo-spectrally in divergence form, ``ik_j (w_j v_q)^``: inverse-transform
+w and v, multiply pointwise into the flux tensor ``w (x) v``, transform the
+products back, contract with ``ik``, truncate to the dealias band, project.
+It equals the convective form ``(w_j d_j v_q)^`` in the retained band: the
+two differ by ``v div w``, which is zero for a spectrally solenoidal w, and
+with 2/3 dealiasing every quadratic product is alias-free there (Orszag
+1971; Zang 1991).  So the discrete skew-symmetry identities
 ``(B(w, v), v) = 0`` and ``(B(w, v), z) = -(B(w, z), v)`` hold to roundoff
 whenever the inputs live inside the dealias band.  Everything the energy
-verification machinery asserts rests on this.
+verification machinery asserts rests on this.  The divergence form
+inverse-transforms the fields alone, not all d^2 derivatives of v, and
+needs only d(d+1)/2 products when w is v.
 
 One kernel evaluates every transport term: the RHS, the MHD tendencies, the
 pressure and the local-energy diagnostics.  The pressure is the potential of
 the gradient part that the projection removes from the same unprojected
 momentum tendency, ``p = -i k . N / |k|^2``; for MHD the induction row gives
-the pseudo-pressure ``q`` the same way.  Under the 2/3 rule this equals the
-flux-tensor form ``-k_i k_j (w_i v_j)^ / |k|^2`` in the retained band.
+the pseudo-pressure ``q`` the same way.
 
 Model kinds differ only in which velocity advects:
 
@@ -163,45 +167,63 @@ class Tendency:
     db: SpectralVectorField | None = None
 
 
-def _transport(g: WaveGrid, ws, vs, rows, *, project: bool = False,
-               weight=None) -> list[SpectralVectorField]:
+def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
+               dealias: bool = True, peaks: list | None = None
+               ) -> list[SpectralVectorField]:
     """Dealiased half spectra of signed sums of ``w . grad v``, one field per
     row, Leray-projected when ``project`` is set.
 
-    ``ws`` and ``vs`` are the advecting and the transported spectra.  Each
-    row lists ``(i, p)`` terms ``ws[i] . grad vs[p]``; the first is added,
-    the others subtracted.  One inverse transform covers every ingredient
-    and one forward transform every row; ``weight`` replaces the dealias
-    mask (negative controls only).
+    ``fields`` are distinct spectra; each row lists ``(i, p)`` terms
+    ``fields[i] . grad fields[p]``, the first added, the others subtracted.
+    Each term is taken in divergence form, ``ik_j (w_j v_q)^``: one inverse
+    transform of the fields, the flux products (only ``j <= q`` for a row
+    ``w . grad w``, whose flux is symmetric), one forward transform of all
+    products, then the contraction with ``ik_j`` masked to the dealias band
+    (to every retained mode when ``dealias`` is off: negative controls only).
+    When ``peaks`` is a list, the largest physical |component| of the
+    transported fields is appended to it.
     """
     d = g.dim
-    half = np.empty(((len(ws) + d * len(vs)) * d,) + g.spectral_shape,
-                    dtype=complex)
-    for i, w in enumerate(ws):
-        half[i * d: (i + 1) * d] = w
-    for p, v in enumerate(vs):
-        for j in range(d):
-            s = (len(ws) + p * d + j) * d
-            np.multiply(g.ik[j], v, out=half[s: s + d])
-    phys = to_physical(g, half)
-    w_phys = phys[: len(ws) * d].reshape((len(ws), d) + g.shape)
-    grads = phys[len(ws) * d:].reshape((len(vs), d, d) + g.shape)
+    stack = fields[0] if len(fields) == 1 else np.concatenate(fields)
+    phys = to_physical(g, stack).reshape((len(fields), d) + g.shape)
+    if peaks is not None:
+        moved = phys[sorted({p for row in rows for _, p in row})]
+        peaks.append(float(max(moved.max(), -moved.min())))
 
-    prods = np.empty((len(rows), d) + g.shape)
-    for j in range(d):
-        for row, ((i, p), *minus) in zip(prods, rows):
-            tmp = np.multiply(w_phys[i, j], grads[p, j], out=None if j else row)
-            for m, q in minus:
-                tmp -= w_phys[m, j] * grads[q, j]
-            if j:
-                row += tmp
-    out = from_physical(g, prods)
-    out *= g.dealias_weight if weight is None else weight
+    index = []   # per row: (j, q) -> position of w_j v_q among the products
+    terms = []   # per product: its row's terms and (j, q)
+    for row in rows:
+        symmetric = len(row) == 1 and row[0][0] == row[0][1]
+        pos = {}
+        for j in range(d):
+            for q in range(d):
+                if symmetric and q < j:
+                    pos[j, q] = pos[q, j]
+                else:
+                    pos[j, q] = len(terms)
+                    terms.append((row, j, q))
+        index.append(pos)
+    prods = np.empty((len(terms),) + g.shape)
+    for out, (((i, p), *minus), j, q) in zip(prods, terms):
+        np.multiply(phys[i, j], phys[p, q], out=out)
+        for m, r in minus:
+            out -= phys[m, j] * phys[r, q]
+    hat = from_physical(g, prods)
+
+    ik = g.cached(("masked_ik", dealias), lambda: g.ik * (
+        g.dealias_weight if dealias else g.mode_weight))
+    rows_hat = np.empty((len(rows), d) + g.spectral_shape, dtype=complex)
+    acc = np.empty(g.spectral_shape, dtype=complex)
+    for row_hat, pos in zip(rows_hat, index):
+        for q in range(d):
+            np.multiply(ik[0], hat[pos[0, q]], out=row_hat[q])
+            for j in range(1, d):
+                row_hat[q] += np.multiply(ik[j], hat[pos[j, q]], out=acc)
     # Project while the work arrays are alive: freeing them first leaves a
     # large free block on top of the heap, which the allocator returns to
     # the system and every later call page-faults back in.
     return [leray_project(SpectralVectorField(g, row)) if project
-            else SpectralVectorField(g, row) for row in out]
+            else SpectralVectorField(g, row) for row in rows_hat]
 
 
 def _gradient_potential(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -211,18 +233,24 @@ def _gradient_potential(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def advect(w: SpectralVectorField, v: SpectralVectorField, *,
-           project: bool = True, dealias: bool = True) -> SpectralVectorField:
+           project: bool = True, dealias: bool = True,
+           peaks: list | None = None) -> SpectralVectorField:
     """Transport term w . grad v, dealiased and (by default) Leray-projected.
 
-    ``dealias=False`` exists for negative controls in the verification suite;
-    production callers never disable it.
+    ``w`` must be solenoidal.  ``dealias=False`` exists for negative controls
+    in the verification suite; production callers never disable it.
+    ``peaks`` receives the largest physical |component| of v (see
+    :func:`rhs`).
     """
     g = w.grid
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
-    return _transport(g, (w.coeffs,), (v.coeffs,), (((0, 0),),),
-                      project=project,
-                      weight=None if dealias else g.mode_weight)[0]
+    if w.coeffs is v.coeffs:
+        fields, rows = (v.coeffs,), (((0, 0),),)
+    else:
+        fields, rows = (w.coeffs, v.coeffs), (((0, 1),),)
+    return _transport(g, fields, rows, project=project, dealias=dealias,
+                      peaks=peaks)[0]
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
@@ -234,26 +262,34 @@ def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorF
     return deconvolve(u, cfg.filter)
 
 
-def _mhd_rows(state: SimState, cfg: ModelConfig,
-              project: bool = False) -> list[SpectralVectorField]:
+def _mhd_rows(state: SimState, cfg: ModelConfig, project: bool = False,
+              peaks: list | None = None) -> list[SpectralVectorField]:
     """MHD tendencies: momentum ``Hb.grad b - Hu.grad u`` and induction
-    ``Hb.grad u - Hu.grad b``, with H the deconvolution."""
+    ``Hb.grad u - Hu.grad b``, with H the deconvolution; their fluxes are
+    ``Hb (x) b - Hu (x) u`` and ``Hb (x) u - Hu (x) b``."""
     if state.b is None:
         raise MissingMagneticField("MHD model needs a magnetic field")
     u, b = state.u, state.b
-    ws = (deconvolve(u, cfg.filter).coeffs, deconvolve(b, cfg.filter).coeffs)
-    return _transport(u.grid, ws, (u.coeffs, b.coeffs),
-                      (((1, 1), (0, 0)), ((1, 0), (0, 1))), project=project)
+    fields = (deconvolve(u, cfg.filter).coeffs,
+              deconvolve(b, cfg.filter).coeffs, u.coeffs, b.coeffs)
+    return _transport(u.grid, fields, (((1, 3), (0, 2)), ((1, 2), (0, 3))),
+                      project=project, peaks=peaks)
 
 
-def rhs(state: SimState, cfg: ModelConfig) -> Tendency:
+def rhs(state: SimState, cfg: ModelConfig, *,
+        peaks: list | None = None) -> Tendency:
     """Non-viscous tendency of the state (viscosity is handled exactly by the
-    integrating-factor stepper)."""
+    integrating-factor stepper).
+
+    When ``peaks`` is a list, the largest physical |component| of u (and b)
+    is appended to it, read off the transport kernel's own inverse
+    transform; the stepper's CFL check uses it.
+    """
     u = state.u
     if cfg.kind is ModelKind.MHD_DECONV:
-        du, db = _mhd_rows(state, cfg, project=True)
+        du, db = _mhd_rows(state, cfg, project=True, peaks=peaks)
         return Tendency(du=du, db=db)
-    coeffs = advect(advecting_field(u, cfg), u).coeffs
+    coeffs = advect(advecting_field(u, cfg), u, peaks=peaks).coeffs
     np.negative(coeffs, out=coeffs)
     if not cfg.forcing.is_zero():
         coeffs += cfg.forcing.evaluate(u.grid, state.t).coeffs
@@ -274,7 +310,7 @@ def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
             * g.dealias_weight
     else:
-        transport = _transport(g, (advecting_field(state.u, cfg).coeffs,),
-                               (state.u.coeffs,), (((0, 0),),))[0]
+        transport = advect(advecting_field(state.u, cfg), state.u,
+                           project=False)
         p_hat = -_gradient_potential(g, transport.coeffs)
     return SpectralScalarField(g, p_hat)

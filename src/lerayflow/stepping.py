@@ -86,25 +86,33 @@ class _Stepper:
         self.stage = [np.empty(shape, dtype=complex) for _ in nus]
         self.scratch = [np.empty(shape, dtype=complex) for _ in nus]
         self.dx = grid.L / grid.n
+        self.max_cfl = 0.0
         self._cfl_warned = False
 
-    def _tendency(self, arrays: list[np.ndarray], t: float) -> list[np.ndarray]:
+    def _tendency(self, arrays: list[np.ndarray], t: float,
+                  peaks: list | None = None) -> list[np.ndarray]:
         if self.sc.linear_only:
             return [np.zeros_like(a) for a in arrays]
         u = SpectralVectorField(self.grid, arrays[0], solenoidal=True)
         b = (SpectralVectorField(self.grid, arrays[1], solenoidal=True)
              if self.is_mhd else None)
-        out: Tendency = rhs(SimState(t, u, b), self.cfg)
+        out: Tendency = rhs(SimState(t, u, b), self.cfg, peaks=peaks)
         arrs = [out.du.coeffs]
         if self.is_mhd:
             arrs.append(out.db.coeffs)
         return arrs
 
-    def _check_cfl(self, state: SimState) -> None:
-        umax = float(np.abs(to_physical(self.grid, state.u.coeffs)).max())
-        if self.is_mhd:
-            umax = max(umax, float(np.abs(to_physical(self.grid, state.b.coeffs)).max()))
+    def _check_cfl(self, state: SimState, peaks: list[float]) -> None:
+        """Warn once when the advective CFL number exceeds the limit.  The
+        peak |u| (and |b|) is stage 1's, from the transport kernel; only
+        without a nonlinear term is it transformed here."""
+        if peaks:
+            umax = peaks[0]
+        else:
+            umax = max(float(np.abs(to_physical(self.grid, f.coeffs)).max())
+                       for f in (state.u, state.b) if f is not None)
         cfl = umax * self.sc.dt / self.dx
+        self.max_cfl = max(self.max_cfl, cfl)
         if cfl > self.sc.cfl_limit and not self._cfl_warned:
             warnings.warn(CFLExceeded(
                 f"advective CFL {cfl:.3f} exceeds limit {self.sc.cfl_limit} "
@@ -112,15 +120,15 @@ class _Stepper:
             self._cfl_warned = True
 
     def advance(self, state: SimState) -> SimState:
-        self._check_cfl(state)
         h = self.sc.dt
         t = state.t
         y = [state.u.coeffs] + ([state.b.coeffs] if self.is_mhd else [])
 
-        # Each combination keeps the operation order of its formula, so the
-        # in-place form is bit-identical; k1..k4 are fresh arrays, k1 ends up
-        # holding the new state.
-        k1 = self._tendency(y, t)
+        # Each combination keeps the operation order of its formula; k1..k4
+        # are fresh arrays, and k1 ends up holding the new state.
+        peaks: list[float] = []
+        k1 = self._tendency(y, t, peaks)
+        self._check_cfl(state, peaks)
         if self.sc.scheme is StepperScheme.IFEULER:
             for yi, ki, ef in zip(y, k1, self.e_full):  # ef (y + h k1)
                 ki *= h

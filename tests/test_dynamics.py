@@ -54,6 +54,45 @@ def flux_form_pressure(state, cfg):
     return p_hat * g.dealias_weight
 
 
+def convective_transport(w, v):
+    """w . grad v, dealiased and unprojected, in convective form: physical
+    products of w with the inverse transforms of every derivative of v."""
+    g = w.grid
+    w_phys = to_physical(g, w.coeffs)
+    acc = np.zeros((g.dim,) + g.shape)
+    for j in range(g.dim):
+        acc += w_phys[j] * to_physical(g, g.ik[j] * v.coeffs)
+    return from_physical(g, acc) * g.dealias_weight
+
+
+def convective_rhs_and_pressure(state, cfg):
+    """Reference tendencies and pressure from the convective form: the rows
+    are Leray-projected, the pressure is ``-i k . N / |k|^2`` of the
+    unprojected momentum row N, less the dealiased |b|^2/2 for MHD."""
+    g = state.u.grid
+    if cfg.kind is ModelKind.MHD_DECONV:
+        hu = deconvolve(state.u, cfg.filter)
+        hb = deconvolve(state.b, cfg.filter)
+        rows = [convective_transport(hb, state.b)
+                - convective_transport(hu, state.u),
+                convective_transport(hb, state.u)
+                - convective_transport(hu, state.b)]
+    else:
+        rows = [-convective_transport(advecting_field(state.u, cfg), state.u)]
+        rows[0] += cfg.forcing.evaluate(g, state.t).coeffs
+    p_hat = -1j * np.sum(g.k * rows[0], axis=0) / g.k_sq_safe
+    if cfg.kind is ModelKind.MHD_DECONV:
+        b_phys = to_physical(g, state.b.coeffs)
+        p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
+            * g.dealias_weight
+    return [leray_project(SpectralVectorField(g, r)).coeffs
+            for r in rows], p_hat
+
+
+def relative_gap(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
 def spec_variant_taylor_green(grid):
     """The (sin x cos y, -cos x sin y) single-shell variant."""
     from lerayflow import RealVectorField, forward_transform
@@ -140,6 +179,53 @@ class TestAdvect:
         v = random_solenoidal(grid2, 0, -1.0, 4)
         with pytest.raises(GridMismatch):
             advect(w, v)
+
+
+KINDS = [(ModelKind.NSE, 0.0, 0), (ModelKind.LERAY_ALPHA, 0.15, 0),
+         (ModelKind.LERAY_DECONV, 0.15, 2), (ModelKind.MHD_DECONV, 0.2, 1)]
+
+
+class TestConvectiveForm:
+    """The solver's transport equals the convective form to roundoff."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("kind,alpha,n_deconv", KINDS)
+    def test_rhs_and_pressure_match(self, dim, n, kind, alpha, n_deconv):
+        grid = WaveGrid(dim, n)
+        mhd = kind is ModelKind.MHD_DECONV
+        u = random_solenoidal(grid, 21, -1.5, grid.dealias_cutoff)
+        b = (random_solenoidal(grid, 22, -1.5, grid.dealias_cutoff)
+             if mhd else None)
+        amp = (0.0j, 0.2 + 0.1j, 0.0j)[:dim]
+        forcing = (ForcingSpec.zero() if mhd else
+                   ForcingSpec((ForcingMode((1,) + (0,) * (dim - 1), amp),)))
+        cfg = ModelConfig(kind, 0.1, FilterParams(alpha=alpha, theta=0.25,
+                                                  n_deconv=n_deconv),
+                          forcing, nu2=0.1 if mhd else None)
+        state = SimState(0.3, u, b)
+        rows, p_ref = convective_rhs_and_pressure(state, cfg)
+        out = rhs(state, cfg)
+        assert relative_gap(out.du.coeffs, rows[0]) <= 1e-13
+        if mhd:
+            assert relative_gap(out.db.coeffs, rows[1]) <= 1e-13
+        assert relative_gap(pressure_solve(state, cfg).coeffs, p_ref) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_skew_identities(self, dim, n):
+        grid = WaveGrid(dim, n)
+        w, v, z = (random_solenoidal(grid, s, -1.0, grid.dealias_cutoff)
+                   for s in (31, 32, 33))
+        scale = l2_norm(w) * l2_norm(v) * sobolev_norm(v, 1.0)
+        assert abs(l2_inner(advect(w, v), v)) <= 1e-13 * scale
+        pair = l2_inner(advect(w, v), z) + l2_inner(advect(w, z), v)
+        assert abs(pair) <= 1e-13 * l2_norm(w) * (
+            sobolev_norm(v, 1.0) * l2_norm(z) + sobolev_norm(z, 1.0) * l2_norm(v))
+        # w is v: the self-advection branch of the kernel
+        scale = l2_norm(v) ** 2 * sobolev_norm(v, 1.0)
+        assert abs(l2_inner(advect(v, v), v)) <= 1e-13 * scale
+        pair = l2_inner(advect(v, v), z) + l2_inner(advect(v, z), v)
+        assert abs(pair) <= 1e-13 * l2_norm(v) * (
+            sobolev_norm(v, 1.0) * l2_norm(z) + sobolev_norm(z, 1.0) * l2_norm(v))
 
 
 class TestModelConfig:

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from lerayflow import (CFLExceeded, FilterParams, ForcingMode, ForcingSpec,
                        InvariantViolation, ModelConfig, ModelKind, NonFinite,
                        SimState, SpectralVectorField, StepperConfig,
                        StepperScheme, WaveGrid, inverse_transform, l2_norm,
                        random_solenoidal, run, step)
+from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field, taylor_green_velocity
+from lerayflow.stepping import _Stepper
 
 from conftest import single_mode_field
 
@@ -182,6 +185,73 @@ class TestRunContracts:
             StepperConfig(dt=0.01, t_end=0.1), state_sink=states.append,
             state_every=4)
         assert [round(s.t, 10) for s in states] == [0.0, 0.04, 0.08, 0.1]
+
+
+def model_state(dim: int, kind: ModelKind, n: int = 16):
+    """A model of the given kind and a random state for it."""
+    grid = WaveGrid(dim, n)
+    mhd = kind is ModelKind.MHD_DECONV
+    cfg = ModelConfig(kind=kind, nu=0.05, nu2=0.05 if mhd else None,
+                      filter=FilterParams(alpha=0.1, theta=0.25, n_deconv=1))
+    u = random_solenoidal(grid, 5, -1.5, grid.dealias_cutoff)
+    b = random_solenoidal(grid, 6, -1.5, grid.dealias_cutoff) if mhd else None
+    return cfg, SimState(0.0, u, b)
+
+
+class TestCFL:
+    @pytest.mark.parametrize("scheme", list(StepperScheme))
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_warning_fires(self, grid2, scheme, linear_only):
+        u0 = random_solenoidal(grid2, 7, -1.0, 4)
+        scale = 10.0 / max(np.abs(inverse_transform(u0).data).max(), 1e-30)
+        big = SpectralVectorField(grid2, u0.coeffs * scale, solenoidal=True)
+        with pytest.warns(CFLExceeded):
+            run(SimState(0.0, big), nse_cfg(1e-4),
+                StepperConfig(dt=0.05, t_end=0.1, cfl_limit=0.5,
+                              scheme=scheme, linear_only=linear_only))
+
+    @pytest.mark.parametrize("dim,kind", [(2, ModelKind.NSE),
+                                          (3, ModelKind.LERAY_ALPHA),
+                                          (3, ModelKind.MHD_DECONV)])
+    @pytest.mark.parametrize("scheme", list(StepperScheme))
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_value_matches_a_direct_transform(self, dim, kind, scheme,
+                                              linear_only):
+        cfg, state = model_state(dim, kind)
+        sc = StepperConfig(dt=1e-3, t_end=1e-3, scheme=scheme,
+                           linear_only=linear_only)
+        stepper = _Stepper(cfg, sc, state.u.grid)
+        stepper.advance(state)
+        umax = max(float(np.abs(to_physical(f.grid, f.coeffs)).max())
+                   for f in (state.u, state.b) if f is not None)
+        expected = umax * sc.dt / stepper.dx
+        assert abs(stepper.max_cfl - expected) <= 1e-15 * expected
+
+
+class TestTransformCounts:
+    """Transforms per IF-RK4 step: calls, and the scalar fields they
+    transform, for each kind (one inverse and one forward call per stage)."""
+
+    @pytest.mark.parametrize("dim,kind,inverse,forward", [
+        (2, ModelKind.NSE, 8, 12),
+        (3, ModelKind.NSE, 12, 24),
+        (3, ModelKind.LERAY_ALPHA, 24, 36),
+        (3, ModelKind.LERAY_DECONV, 24, 36),
+        (3, ModelKind.MHD_DECONV, 48, 72),
+    ])
+    def test_per_step(self, monkeypatch, dim, kind, inverse, forward):
+        cfg, state = model_state(dim, kind, n=8)
+        counts = {}
+        for name in ("irfftn", "rfftn"):
+            def counted(x, *args, _name=name, _fn=getattr(scipy.fft, name),
+                        **kwargs):
+                calls, fields = counts.get(_name, (0, 0))
+                counts[_name] = (calls + 1,
+                                 fields + x.size // np.prod(x.shape[-dim:]))
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        step(state, cfg, StepperConfig(dt=1e-3, t_end=1e-3))
+        assert counts == {"irfftn": (4, inverse), "rfftn": (4, forward)}
 
 
 class TestModelFamilyTrajectories:
