@@ -134,49 +134,47 @@ class _Stepper:
                 ki *= h
                 ki += yi
                 ki *= ef
-            return self._state(k1, t)
+        else:
+            for yi, ki, eh, s in zip(y, k1, self.e_half, self.stage):
+                np.multiply(ki, 0.5 * h, out=s)         # eh (y + h/2 k1)
+                s += yi
+                s *= eh
+            k2 = self._tendency(self.stage, t + 0.5 * h)
+            for yi, ki, eh, s, tmp in zip(y, k2, self.e_half, self.stage,
+                                          self.scratch):
+                np.multiply(yi, eh, out=s)              # eh y + h/2 k2
+                np.multiply(ki, 0.5 * h, out=tmp)
+                s += tmp
+            k3 = self._tendency(self.stage, t + 0.5 * h)
+            for yi, ki, ef, heh, s, tmp in zip(y, k3, self.e_full,
+                                               self.h_e_half, self.stage,
+                                               self.scratch):
+                np.multiply(yi, ef, out=s)              # ef y + h eh k3
+                np.multiply(ki, heh, out=tmp)
+                s += tmp
+            k4 = self._tendency(self.stage, t + h)
+            # ef y + h/6 (ef k1 + 2 eh (k2 + k3) + k4)
+            for yi, a, b2, c, d, ef, eh2, tmp in zip(
+                    y, k1, k2, k3, k4, self.e_full, self.two_e_half,
+                    self.scratch):
+                b2 += c
+                b2 *= eh2
+                a *= ef
+                a += b2
+                a += d
+                a *= h / 6.0
+                np.multiply(yi, ef, out=tmp)
+                a += tmp
 
-        for yi, ki, eh, s in zip(y, k1, self.e_half, self.stage):
-            np.multiply(ki, 0.5 * h, out=s)             # eh (y + h/2 k1)
-            s += yi
-            s *= eh
-        k2 = self._tendency(self.stage, t + 0.5 * h)
-        for yi, ki, eh, s, tmp in zip(y, k2, self.e_half, self.stage,
-                                      self.scratch):
-            np.multiply(yi, eh, out=s)                  # eh y + h/2 k2
-            np.multiply(ki, 0.5 * h, out=tmp)
-            s += tmp
-        k3 = self._tendency(self.stage, t + 0.5 * h)
-        for yi, ki, ef, heh, s, tmp in zip(y, k3, self.e_full, self.h_e_half,
-                                           self.stage, self.scratch):
-            np.multiply(yi, ef, out=s)                  # ef y + h eh k3
-            np.multiply(ki, heh, out=tmp)
-            s += tmp
-        k4 = self._tendency(self.stage, t + h)
-        # ef y + h/6 (ef k1 + 2 eh (k2 + k3) + k4)
-        for yi, a, b2, c, d, ef, eh2, tmp in zip(
-                y, k1, k2, k3, k4, self.e_full, self.two_e_half, self.scratch):
-            b2 += c
-            b2 *= eh2
-            a *= ef
-            a += b2
-            a += d
-            a *= h / 6.0
-            np.multiply(yi, ef, out=tmp)
-            a += tmp
-        return self._state(k1, t)
-
-    def _state(self, new: list[np.ndarray], t: float) -> SimState:
-        """The state one step after ``t``, once every array is finite."""
-        for arr in new:
+        for arr in k1:
             peak = float(np.abs(arr).max())
             if not np.isfinite(peak):
                 raise NonFinite(f"non-finite solution after step from t = {t:.6g}")
 
-        u = SpectralVectorField(self.grid, new[0], solenoidal=True)
-        b = (SpectralVectorField(self.grid, new[1], solenoidal=True)
+        u = SpectralVectorField(self.grid, k1[0], solenoidal=True)
+        b = (SpectralVectorField(self.grid, k1[1], solenoidal=True)
              if self.is_mhd else None)
-        return SimState(t + self.sc.dt, u, b)
+        return SimState(t + h, u, b)
 
 
 def step(state: SimState, cfg: ModelConfig, sc: StepperConfig) -> SimState:
