@@ -4,7 +4,7 @@ from .errors import (CFLExceeded, ConfigError, ConfigSyntaxError,
                      CriticalityViolation, GridMismatch, InvariantViolation,
                      LerayflowError, MissingMagneticField, NonFinite,
                      NonMonotone, SymmetryViolation, TooFewSamples,
-                     UnknownKeyError, UnsupportedModel)
+                     UnknownKeyError)
 from .grid import WaveGrid, worker_count
 from .fields import (RealVectorField, SpectralScalarField, SpectralVectorField,
                      forward_transform, fractional_laplacian, galerkin_project,

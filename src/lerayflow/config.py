@@ -2,19 +2,16 @@
 
 The format is deliberately flat so parse errors can always name the offending
 key and line.  Comments start with '#', values never span lines, duplicate
-keys are rejected with both line numbers.  All module invariants (positivity,
-the theta >= 1/4 gate, forcing orthogonality, ...) are re-validated at parse
-time so a RunConfig that parses is a RunConfig that runs.
+keys are rejected with both line numbers.  Every key is declared once, in
+``_KEYS``, with its reader and default; float values must be finite.  The
+[forcing] section takes mode_1, mode_2, ... ("a1 a2 [a3] : re im pairs :
+decay") instead.
 
-Sections and keys::
-
-    [grid]     dim, n, length, dealias_fraction
-    [model]    kind, nu, nu2, alpha, theta, n_deconv, unsafe_subcritical
-    [forcing]  mode_1, mode_2, ...  ("a1 a2 [a3] : re im pairs : decay")
-    [initial]  preset (taylor-green | random | checkpoint),
-               seed, slope, cutoff_shell, scale, seed_b, scale_b, path
-    [stepper]  dt, t_end, scheme, sample_every, cfl_limit
-    [output]   directory, checkpoint_every
+Parsing reports the first fault in this order: syntax and unknown keys in
+text order, then unreadable or missing values in table order, then the range
+checks.  All module invariants (positivity, the theta >= 1/4 gate, forcing
+orthogonality, ...) are re-validated at parse time so a RunConfig that
+parses is a RunConfig that runs.
 """
 
 from __future__ import annotations
@@ -34,17 +31,6 @@ from .presets import taylor_green_state_field
 from .stepping import StepperConfig, StepperScheme
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file"]
-
-_SECTIONS = {
-    "grid": {"dim", "n", "length", "dealias_fraction"},
-    "model": {"kind", "nu", "nu2", "alpha", "theta", "n_deconv",
-              "unsafe_subcritical"},
-    "forcing": None,  # mode_* keys, validated separately
-    "initial": {"preset", "seed", "slope", "cutoff_shell", "scale",
-                "seed_b", "scale_b", "path"},
-    "stepper": {"dt", "t_end", "scheme", "sample_every", "cfl_limit"},
-    "output": {"directory", "checkpoint_every"},
-}
 
 _KINDS = {k.value: k for k in ModelKind}
 _SCHEMES = {s.value: s for s in StepperScheme}
@@ -73,7 +59,7 @@ class RunConfig:
     scale: float
     seed_b: int | None
     scale_b: float | None
-    checkpoint_path: str | None
+    path: str | None
     dt: float
     t_end: float
     scheme: StepperScheme
@@ -122,7 +108,7 @@ class RunConfig:
             return SimState(0.0, u, b)
         if self.preset == "checkpoint":
             from .checkpoint import load_checkpoint
-            state, meta = load_checkpoint(self.checkpoint_path)
+            state, meta = load_checkpoint(self.path)
             loaded = meta["grid"]
             if not loaded.same_as(grid):
                 raise InvariantViolation(
@@ -136,10 +122,50 @@ class RunConfig:
         raise InvariantViolation(f"preset: unknown initial preset {self.preset!r}")
 
 
-def _tokenize(text: str):
-    """Yield (line_no, section, key, value) after syntax validation."""
+_REQUIRED = object()  # marks a key without a default
+
+
+def _int(text: str) -> int:
+    return int(text, 10)
+
+
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _bool(text: str) -> bool:
+    return {"true": True, "false": False}[text.lower()]
+
+
+# section -> key -> (reader, default or _REQUIRED); each key names its
+# RunConfig field.  [forcing] takes mode_1, mode_2, ... instead.
+_KEYS = {
+    "grid": {"dim": (_int, _REQUIRED), "n": (_int, _REQUIRED),
+             "length": (_float, 2.0 * np.pi),
+             "dealias_fraction": (_float, 2.0 / 3.0)},
+    "model": {"kind": (str, _REQUIRED), "nu": (_float, _REQUIRED),
+              "nu2": (_float, None), "alpha": (_float, 0.0),
+              "theta": (_float, 0.25), "n_deconv": (_int, 0),
+              "unsafe_subcritical": (_bool, False)},
+    "forcing": {},
+    "initial": {"preset": (str, _REQUIRED), "seed": (_int, 0),
+                "slope": (_float, -2.0), "cutoff_shell": (_int, None),
+                "scale": (_float, 1.0), "seed_b": (_int, None),
+                "scale_b": (_float, None), "path": (str, None)},
+    "stepper": {"dt": (_float, _REQUIRED), "t_end": (_float, _REQUIRED),
+                "scheme": (str, "ifrk4"), "sample_every": (_int, 1),
+                "cfl_limit": (_float, 0.5)},
+    "output": {"directory": (str, None), "checkpoint_every": (_int, 0)},
+}
+
+
+def _tokenize(text: str) -> dict[tuple[str, str], tuple[int, str]]:
+    """(section, key) -> (line_no, value) after syntax validation."""
     section = None
-    seen: dict[tuple[str, str], int] = {}
+    entries: dict[tuple[str, str], tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,7 +174,7 @@ def _tokenize(text: str):
             if not line.endswith("]"):
                 raise ConfigSyntaxError(f"line {line_no}: malformed section header")
             section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
+            if section not in _KEYS:
                 raise UnknownKeyError(f"line {line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -158,63 +184,20 @@ def _tokenize(text: str):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigSyntaxError(f"line {line_no}: empty key")
-        known = _SECTIONS[section]
-        if known is None:
+        if section == "forcing":
             if not key.startswith("mode_"):
                 raise UnknownKeyError(
                     f"line {line_no}: unknown key '{key}' in [forcing] "
                     f"(forcing keys are mode_1, mode_2, ...)")
-        elif key not in known:
+        elif key not in _KEYS[section]:
             raise UnknownKeyError(
                 f"line {line_no}: unknown key '{key}' in [{section}]")
-        if (section, key) in seen:
+        if (section, key) in entries:
             raise ConfigSyntaxError(
                 f"duplicate key '{key}' in [{section}]: "
-                f"lines {seen[(section, key)]} and {line_no}")
-        seen[(section, key)] = line_no
-        yield line_no, section, key, value
-
-
-class _Values:
-    def __init__(self):
-        self.data: dict[tuple[str, str], tuple[int, str]] = {}
-
-    def put(self, line_no, section, key, value):
-        self.data[(section, key)] = (line_no, value)
-
-    def _fetch(self, section, key, conv, default, required):
-        entry = self.data.get((section, key))
-        if entry is None:
-            if required:
-                raise InvariantViolation(f"{key}: required key missing "
-                                         f"from [{section}]")
-            return default
-        line_no, raw = entry
-        try:
-            return conv(raw)
-        except (ValueError, KeyError):
-            raise InvariantViolation(
-                f"{key}: cannot interpret {raw!r} (line {line_no})") from None
-
-    def get_int(self, section, key, default=None, required=False):
-        return self._fetch(section, key, lambda s: int(s, 10), default, required)
-
-    def get_float(self, section, key, default=None, required=False):
-        return self._fetch(section, key, float, default, required)
-
-    def get_str(self, section, key, default=None, required=False):
-        return self._fetch(section, key, str, default, required)
-
-    def get_bool(self, section, key, default=False):
-        return self._fetch(
-            section, key,
-            lambda s: {"true": True, "false": False}[s.lower()],
-            default, False)
-
-    def forcing_items(self):
-        items = [(key, line_no, raw) for (sec, key), (line_no, raw)
-                 in self.data.items() if sec == "forcing"]
-        return sorted(items, key=lambda kv: kv[1])
+                f"lines {entries[(section, key)][0]} and {line_no}")
+        entries[(section, key)] = (line_no, value)
+    return entries
 
 
 def _parse_forcing_mode(key: str, line_no: int, raw: str, dim: int) -> ForcingMode:
@@ -224,11 +207,12 @@ def _parse_forcing_mode(key: str, line_no: int, raw: str, dim: int) -> ForcingMo
             f"{key}: expected 'a1 .. : re im pairs : decay' (line {line_no})")
     try:
         a = tuple(int(tok) for tok in parts[0].split())
-        flat = [float(tok) for tok in parts[1].split()]
-        decay = float(parts[2]) if len(parts) == 3 else 0.0
+        flat = [_float(tok) for tok in parts[1].split()]
+        decay = _float(parts[2]) if len(parts) == 3 else 0.0
     except ValueError:
         raise InvariantViolation(
-            f"{key}: non-numeric forcing entry (line {line_no})") from None
+            f"{key}: non-numeric or non-finite forcing entry "
+            f"(line {line_no})") from None
     if len(a) != dim or len(flat) != 2 * dim:
         raise InvariantViolation(
             f"{key}: wavevector needs {dim} integers and amplitude "
@@ -239,79 +223,61 @@ def _parse_forcing_mode(key: str, line_no: int, raw: str, dim: int) -> ForcingMo
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config; raises naming key and line."""
-    vals = _Values()
-    for item in _tokenize(text):
-        vals.put(*item)
+    entries = _tokenize(text)
+    values = {}
+    for section, keys in _KEYS.items():
+        for key, (read, default) in keys.items():
+            entry = entries.get((section, key))
+            if entry is None:
+                if default is _REQUIRED:
+                    raise InvariantViolation(f"{key}: required key missing "
+                                             f"from [{section}]")
+                values[key] = default
+                continue
+            line_no, raw = entry
+            try:
+                values[key] = read(raw)
+            except (ValueError, KeyError):
+                raise InvariantViolation(
+                    f"{key}: cannot interpret {raw!r} (line {line_no})") from None
 
-    dim = vals.get_int("grid", "dim", required=True)
-    n = vals.get_int("grid", "n", required=True)
+    dim, n = values["dim"], values["n"]
     if dim not in (2, 3):
         raise InvariantViolation(f"dim: must be 2 or 3, got {dim}")
     if n < 8 or n % 2:
         raise InvariantViolation(f"n: must be even and >= 8, got {n}")
-    length = vals.get_float("grid", "length", default=2.0 * np.pi)
-    if length <= 0:
+    if values["length"] <= 0:
         raise InvariantViolation("length: must be positive")
-    frac = vals.get_float("grid", "dealias_fraction", default=2.0 / 3.0)
-    if not 0.0 < frac <= 1.0:
+    if not 0.0 < values["dealias_fraction"] <= 1.0:
         raise InvariantViolation("dealias_fraction: must lie in (0, 1]")
-
-    kind_raw = vals.get_str("model", "kind", required=True)
-    if kind_raw not in _KINDS:
+    if values["kind"] not in _KINDS:
         raise InvariantViolation(
-            f"kind: unknown model kind {kind_raw!r} "
+            f"kind: unknown model kind {values['kind']!r} "
             f"(expected one of {sorted(_KINDS)})")
-    kind = _KINDS[kind_raw]
-    nu = vals.get_float("model", "nu", required=True)
-    nu2 = vals.get_float("model", "nu2")
-    alpha = vals.get_float("model", "alpha", default=0.0)
-    theta = vals.get_float("model", "theta", default=0.25)
-    n_deconv = vals.get_int("model", "n_deconv", default=0)
-    unsafe = vals.get_bool("model", "unsafe_subcritical")
+    values["kind"] = _KINDS[values["kind"]]
 
-    modes = tuple(_parse_forcing_mode(key, line_no, raw, dim)
-                  for key, line_no, raw in vals.forcing_items())
-    forcing = ForcingSpec(modes)
-    forcing.validate(dim)
+    values["forcing"] = ForcingSpec(tuple(  # entries keep the text order
+        _parse_forcing_mode(key, line_no, raw, dim)
+        for (section, key), (line_no, raw) in entries.items()
+        if section == "forcing"))
+    values["forcing"].validate(dim)
 
-    preset = vals.get_str("initial", "preset", required=True)
-    if preset not in ("taylor-green", "random", "checkpoint"):
-        raise InvariantViolation(f"preset: unknown preset {preset!r}")
-    seed = vals.get_int("initial", "seed", default=0)
-    slope = vals.get_float("initial", "slope", default=-2.0)
-    cutoff_shell = vals.get_int("initial", "cutoff_shell")
-    scale = vals.get_float("initial", "scale", default=1.0)
-    seed_b = vals.get_int("initial", "seed_b")
-    for key, value in (("seed", seed), ("seed_b", seed_b)):
-        if value is not None and value < 0:
-            raise InvariantViolation(f"{key}: must be >= 0, got {value}")
-    scale_b = vals.get_float("initial", "scale_b")
-    path = vals.get_str("initial", "path")
-    if preset == "checkpoint" and not path:
+    if values["preset"] not in ("taylor-green", "random", "checkpoint"):
+        raise InvariantViolation(f"preset: unknown preset {values['preset']!r}")
+    for key in ("seed", "seed_b"):
+        if values[key] is not None and values[key] < 0:
+            raise InvariantViolation(f"{key}: must be >= 0, got {values[key]}")
+    if values["preset"] == "checkpoint" and not values["path"]:
         raise InvariantViolation("path: required for the checkpoint preset")
-
-    dt = vals.get_float("stepper", "dt", required=True)
-    t_end = vals.get_float("stepper", "t_end", required=True)
-    scheme_raw = vals.get_str("stepper", "scheme", default="ifrk4")
-    if scheme_raw not in _SCHEMES:
-        raise InvariantViolation(f"scheme: unknown scheme {scheme_raw!r}")
-    sample_every = vals.get_int("stepper", "sample_every", default=1)
-    cfl_limit = vals.get_float("stepper", "cfl_limit", default=0.5)
-
-    directory = vals.get_str("output", "directory")
-    checkpoint_every = vals.get_int("output", "checkpoint_every", default=0)
-    if checkpoint_every < 0:
+    if values["scheme"] not in _SCHEMES:
+        raise InvariantViolation(f"scheme: unknown scheme {values['scheme']!r}")
+    values["scheme"] = _SCHEMES[values["scheme"]]
+    if values["checkpoint_every"] < 0:
         raise InvariantViolation("checkpoint_every: must be >= 0")
-
-    cfg = RunConfig(
-        dim=dim, n=n, length=length, dealias_fraction=frac,
-        kind=kind, nu=nu, nu2=nu2, alpha=alpha, theta=theta,
-        n_deconv=n_deconv, unsafe_subcritical=unsafe, forcing=forcing,
-        preset=preset, seed=seed, slope=slope, cutoff_shell=cutoff_shell,
-        scale=scale, seed_b=seed_b, scale_b=scale_b, checkpoint_path=path,
-        dt=dt, t_end=t_end, scheme=_SCHEMES[scheme_raw],
-        sample_every=sample_every, cfl_limit=cfl_limit,
-        directory=directory, checkpoint_every=checkpoint_every)
+    if values["n_deconv"] >= 2 ** 32:  # a u32 field of the checkpoint header
+        raise InvariantViolation(
+            f"n_deconv: must be below 2^32, got {values['n_deconv']}")
+    cfg = RunConfig(**values)
 
     # Re-validate every downstream invariant now, so errors carry key names.
     try:

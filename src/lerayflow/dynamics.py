@@ -31,6 +31,7 @@ Model kinds differ only in which velocity advects:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -125,8 +126,11 @@ class ModelConfig:
     unsafe_subcritical: bool = False
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise InvariantViolation(f"nu must be positive, got {self.nu}")
+        if not (self.nu > 0 and math.isfinite(self.nu)):
+            raise InvariantViolation(
+                f"nu must be positive and finite, got {self.nu}")
+        if self.nu2 is not None and not math.isfinite(self.nu2):
+            raise InvariantViolation(f"nu2 must be finite, got {self.nu2}")
         if self.kind is ModelKind.MHD_DECONV:
             if self.nu2 is None or self.nu2 <= 0:
                 raise InvariantViolation(

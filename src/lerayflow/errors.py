@@ -29,10 +29,6 @@ class TooFewSamples(LerayflowError):
     """A time-series diagnostic needs more samples than were supplied."""
 
 
-class UnsupportedModel(LerayflowError):
-    """The requested diagnostic is not defined for this model kind."""
-
-
 class NonMonotone(LerayflowError):
     """Sweep errors failed the required monotone decrease."""
 

@@ -15,6 +15,7 @@ applications and exists as the in-repo oracle for the closed-form multiplier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,18 @@ class FilterParams:
     n_deconv: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InvariantViolation(f"alpha must be >= 0, got {self.alpha}")
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
+            raise InvariantViolation(
+                f"alpha must be >= 0 and finite, got {self.alpha}")
         if not 0.0 <= self.theta <= 1.0:
             raise InvariantViolation(
                 f"theta must lie in [0, 1], got {self.theta}")
-        if self.n_deconv < 0 or int(self.n_deconv) != self.n_deconv:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float64(self.alpha) ** (2 * self.theta)):
+                raise InvariantViolation(
+                    f"alpha^(2 theta) overflows for alpha = {self.alpha}, "
+                    f"theta = {self.theta}")
+        if not (self.n_deconv >= 0 and self.n_deconv % 1 == 0):
             raise InvariantViolation(
                 f"n_deconv must be a nonnegative integer, got {self.n_deconv}")
 

@@ -70,8 +70,15 @@ class WaveGrid:
         self.descriptor = (dim, n, self.L, self.dealias_cutoff)
         self.shape = (n,) * dim
         self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
-        self.cell_volume = (self.L / n) ** dim
         self.k0 = 2.0 * np.pi / self.L  # fundamental wavenumber
+        with np.errstate(over="ignore", under="ignore"):
+            extremes = (np.float64(self.L / n) ** dim, np.float64(self.k0) ** 2,
+                        dim * np.float64(self.k0 * (n // 2)) ** 2)
+        if not all(0.0 < x < np.inf for x in extremes):
+            raise ValueError(
+                f"length L = {L} is out of range for n = {n}: the cell volume "
+                f"or |k|^2 is not a positive finite float")
+        self.cell_volume = (self.L / n) ** dim
 
         # Integer mode indices per axis: FFT layout, a_d >= 0 on the last.
         axis = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
@@ -109,8 +116,9 @@ class WaveGrid:
     def cached(self, key: tuple, build) -> np.ndarray:
         """The array stored under ``key``, made once by ``build()``.
 
-        The one cache of the grid's diagonal symbols: powers of |k|, filter
-        multipliers, viscous factors.  Treat returned arrays as read-only.
+        The one cache of the grid's diagonal symbols (powers of |k|, filter
+        multipliers, viscous factors) and of the samples of test functions.
+        Treat returned arrays as read-only.
         """
         value = self._symbols.get(key)
         if value is None:

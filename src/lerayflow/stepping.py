@@ -14,6 +14,7 @@ so reruns are bit-identical.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +45,10 @@ class StepperConfig:
     linear_only: bool = False  # verification knob: drop the nonlinear term
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "cfl_limit"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantViolation(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise InvariantViolation(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
@@ -53,7 +58,8 @@ class StepperConfig:
 
     def n_steps(self, t_start: float = 0.0) -> int:
         span = self.t_end - t_start
-        steps = int(round(span / self.dt))
+        ratio = span / self.dt
+        steps = int(round(ratio)) if math.isfinite(ratio) else 0
         if steps < 1 or abs(steps * self.dt - span) > 1e-9 * max(abs(span), self.dt):
             raise InvariantViolation(
                 f"t_end - t_start = {span} is not a positive integer "

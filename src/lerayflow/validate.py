@@ -10,6 +10,7 @@ table can fail.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 import time
@@ -200,27 +201,35 @@ def criterion_taylor_green() -> CriterionResult:
                            time.time() - t0)
 
 
-def _leray_budget_setup():
+@functools.cache
+def _budget_trajectory():
+    """Criterion 5's dt = 1e-3 run, which is also criterion 6's trajectory:
+    integrated once per process with an energy sample every step and a
+    state every 5 ms.  Callers must not modify the states it returns."""
     # smooth low-shell data keeps the space-truncation residue of the local
     # energy identity far below the time-quadrature error being measured
-    grid = WaveGrid(3, 32)
     cfg = ModelConfig(kind=ModelKind.LERAY_ALPHA, nu=0.15,
                       filter=FilterParams(alpha=0.1, theta=0.25),
                       forcing=_budget_forcing())
-    u0 = random_solenoidal(grid, 11, -2.5, 5)
-    return grid, cfg, u0
+    u0 = random_solenoidal(WaveGrid(3, 32), 11, -2.5, 5)
+    samples = []
+    states: list[SimState] = []
+    run(SimState(0.0, u0), cfg, StepperConfig(dt=1e-3, t_end=0.2),
+        samples.append, state_sink=states.append, state_every=5)
+    return cfg, tuple(samples), tuple(states)
+
+
+def _budget_residual(initial: SimState, cfg: ModelConfig, dt: float) -> float:
+    samples = []
+    run(initial, cfg, StepperConfig(dt=dt, t_end=0.2), samples.append)
+    return energy_budget_residual(samples, cfg)
 
 
 def criterion_energy_budget() -> CriterionResult:
     t0 = time.time()
-    _, cfg, u0 = _leray_budget_setup()
-    residuals = []
-    for dt in (1e-3, 5e-4):
-        samples = []
-        run(SimState(0.0, u0), cfg, StepperConfig(dt=dt, t_end=0.2),
-            samples.append)
-        residuals.append(energy_budget_residual(samples, cfg))
-    r1, r2 = residuals
+    cfg, samples, states = _budget_trajectory()
+    r1 = energy_budget_residual(samples, cfg)
+    r2 = _budget_residual(states[0], cfg, 5e-4)
     ratio = r1 / r2
     passed = r1 < 1e-4 and 3.0 <= ratio <= 5.0
     return CriterionResult(
@@ -237,10 +246,7 @@ def criterion_local_energy() -> CriterionResult:
     # 2^4, asserted within 25%.  Off the nodes that term returns and the
     # ratio is erratic, so misaligned ends fail the row on their own.
     t0 = time.time()
-    _, cfg, u0 = _leray_budget_setup()
-    states: list[SimState] = []
-    run(SimState(0.0, u0), cfg, StepperConfig(dt=1e-3, t_end=0.2),
-        state_sink=states.append, state_every=5)
+    cfg, _, states = _budget_trajectory()
     phi = BumpTestFunction.canonical(3, 0.2)
     coarse = states[::2]
     coarse_times = np.array([s.t for s in coarse])
@@ -321,13 +327,8 @@ def criterion_mhd() -> CriterionResult:
                       filter=FilterParams(alpha=0.1, theta=0.25, n_deconv=1))
     u0 = random_solenoidal(grid, 11, -2.0, 6)
     b0 = random_solenoidal(grid, 12, -2.0, 6)
-    residuals = []
-    for dt in (1e-3, 5e-4):
-        samples = []
-        run(SimState(0.0, u0, b0), cfg, StepperConfig(dt=dt, t_end=0.2),
-            samples.append)
-        residuals.append(energy_budget_residual(samples, cfg))
-    r1, r2 = residuals
+    r1, r2 = (_budget_residual(SimState(0.0, u0, b0), cfg, dt)
+              for dt in (1e-3, 5e-4))
     ratio = r1 / r2
 
     worst_cancel = 0.0
@@ -363,10 +364,7 @@ theta = 0.25
 mode_1 = 1 2 : 0.2 0.0 -0.1 0.0 : 0.0
 
 [initial]
-preset = random
-seed = 9
-slope = -2.0
-cutoff_shell = 8
+{initial}
 
 [stepper]
 dt = 0.001
@@ -374,45 +372,23 @@ t_end = 0.1
 
 [output]
 directory = {outdir}
-checkpoint_every = 50
+checkpoint_every = {checkpoint_every}
 """
 
-_RESUME_CONFIG = """
-[grid]
-dim = 2
-n = 64
 
-[model]
-kind = leray-alpha
-nu = 0.02
-alpha = 0.2
-theta = 0.25
-
-[forcing]
-mode_1 = 1 2 : 0.2 0.0 -0.1 0.0 : 0.0
-
-[initial]
-preset = checkpoint
-path = {ckpt}
-
-[stepper]
-dt = 0.001
-t_end = 0.1
-
-[output]
-directory = {outdir}
-"""
+def _persistence_run(outdir: str, initial: str, checkpoint_every: int = 0):
+    return execute_run(parse_config(_PERSISTENCE_CONFIG.format(
+        initial=initial, outdir=outdir, checkpoint_every=checkpoint_every)))
 
 
 def criterion_persistence() -> CriterionResult:
     t0 = time.time()
+    fresh = "preset = random\nseed = 9\nslope = -2.0\ncutoff_shell = 8"
     with tempfile.TemporaryDirectory() as tmp:
         dir_a = os.path.join(tmp, "a")
         dir_b = os.path.join(tmp, "b")
-        final_a, _ = execute_run(parse_config(
-            _PERSISTENCE_CONFIG.format(outdir=dir_a)))
-        final_b, _ = execute_run(parse_config(
-            _PERSISTENCE_CONFIG.format(outdir=dir_b)))
+        final_a, _ = _persistence_run(dir_a, fresh, checkpoint_every=50)
+        _persistence_run(dir_b, fresh, checkpoint_every=50)
         with open(os.path.join(dir_a, "energy.csv"), "rb") as fh:
             bytes_a = fh.read()
         with open(os.path.join(dir_b, "energy.csv"), "rb") as fh:
@@ -426,9 +402,8 @@ def criterion_persistence() -> CriterionResult:
 
         # resuming from the midpoint reproduces the uninterrupted trajectory
         ckpt = os.path.join(dir_a, "checkpoint_000050.lfck")
-        dir_c = os.path.join(tmp, "c")
-        final_c, _ = execute_run(parse_config(
-            _RESUME_CONFIG.format(ckpt=ckpt, outdir=dir_c)))
+        final_c, _ = _persistence_run(os.path.join(tmp, "c"),
+                                      f"preset = checkpoint\npath = {ckpt}")
         dev = float(np.abs(final_c.u.coeffs - final_a.u.coeffs).max()
                     / np.abs(final_a.u.coeffs).max())
         resumed = dev <= 1e-13

@@ -114,6 +114,26 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert "seed" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("dt = 0.001", "dt = nan", "dt"),
+        ("t_end = 0.01", "t_end = inf", "t_end"),
+        ("nu = 0.01", "nu = nan", "nu"),
+        ("t_end = 0.01", "t_end = 0.01\ncfl_limit = nan", "cfl_limit"),
+        (": 0.2 0.0", ": nan 0.0", "mode_1"),
+        (": 0.5", ": inf", "mode_1"),
+    ])
+    def test_non_finite_value(self, tmp_path, capsys, old, new, key):
+        forced = SWEEP_BASE.replace(
+            "[initial]", "[forcing]\nmode_1 = 1 2 : 0.2 0.0 -0.1 0.0 : 0.5\n"
+            "\n[initial]")
+        assert old in forced
+        cfg = write_cfg(tmp_path, forced.replace(old, new),
+                        outdir=os.path.join(tmp_path, "o"))
+        assert main(["run", cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert key in err and "line" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command,option,value", [
         ("sweep-alpha", "--alphas", "0.4,x"),
         ("sweep-n", "--orders", "0,x"),

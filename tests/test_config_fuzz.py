@@ -1,0 +1,120 @@
+"""Property test of config text: a mutated valid config either parses into a
+RunConfig whose builders work, or fails with a one-line ConfigError that the
+CLI maps to its documented exit code."""
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+from lerayflow.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_SYNTAX,
+                           EXIT_UNKNOWN_KEY, main)
+from lerayflow.config import _KEYS, parse_config
+from lerayflow.errors import (ConfigError, ConfigSyntaxError,
+                              InvariantViolation, LerayflowError,
+                              UnknownKeyError)
+
+BASE = {
+    "grid": {"dim": "2", "n": "16"},
+    "model": {"kind": "leray-alpha", "nu": "0.02", "alpha": "0.2",
+              "theta": "0.25"},
+    "forcing": {"mode_1": "1 2 : 0.2 0.0 -0.1 0.0 : 0.5"},
+    "initial": {"preset": "random", "seed": "9", "cutoff_shell": "4"},
+    "stepper": {"dt": "0.001", "t_end": "0.01"},
+    "output": {"directory": "out", "checkpoint_every": "5"},
+}
+
+KEYS = sorted((section, key) for section, keys in _KEYS.items()
+              for key in keys) + [("forcing", "mode_1"), ("forcing", "mode_2")]
+
+# Small ints keep every grid that parses at desk scale; ints beyond int64
+# are what "huge" means here.
+TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from([
+        "nan", "inf", "-inf", "NaN", "1e400", "-0.0", "5e-324", "1e308",
+        str(10 ** 30), str(-2 ** 64), "9" * 400, "", "x", "true", "False",
+        "0x10", "1_000", "ifrk4", "ifeuler", "nse", "mhd-deconv",
+        "checkpoint", "taylor-green", "1 2 : nan 0 0 0", "1 2 : 1 0 -0.5 0 : inf",
+        "1 : 0 0", "0 0 : 0 0 0 0"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+            max_size=6),
+)
+
+MALFORMED = ["[grid", "novalue", "= 3", "[nosuch]", "[]", "key = 1"]
+
+EXIT_FOR = {None: EXIT_OK, ConfigSyntaxError: EXIT_SYNTAX,
+            UnknownKeyError: EXIT_UNKNOWN_KEY,
+            InvariantViolation: EXIT_INVARIANT}
+
+
+def render(sections) -> list[str]:
+    lines = []
+    for section, entries in sections.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value}" for key, value in entries.items())
+    return lines
+
+
+@st.composite
+def config_texts(draw):
+    sections = {section: dict(entries) for section, entries in BASE.items()}
+    for _ in range(draw(st.integers(1, 3))):
+        section, key = draw(st.sampled_from(KEYS))
+        sections[section][key] = draw(TOKENS)
+    lines = render(sections)
+    edit = draw(st.sampled_from([None] * 6 + ["unknown", "duplicate",
+                                              "malformed"]))
+    if edit is not None:
+        at = draw(st.integers(0, len(lines)))
+        if edit == "unknown":
+            line = f"{draw(st.from_regex(r'[a-z_]{1,8}', fullmatch=True))} = 1"
+        elif edit == "duplicate":
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+        else:
+            line = draw(st.sampled_from(MALFORMED))
+        lines.insert(at, line)
+    return "\n".join(lines) + "\n"
+
+
+def test_base_config_parses():
+    assert parse_config("\n".join(render(BASE))).n == 16
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(config_texts())
+def test_config_text_parses_or_fails_with_one_line(text):
+    with warnings.catch_warnings():
+        # advisory warnings (a subcritical theta with the unsafe flag) are
+        # not failures of the config
+        warnings.simplefilter("ignore")
+        try:
+            rc = parse_config(text)
+            error = None
+        except ConfigError as exc:
+            rc, error = None, type(exc)
+            assert "\n" not in str(exc)
+        if rc is not None:
+            grid = rc.build_grid()
+            rc.build_filter()
+            rc.build_model()
+            try:
+                rc.build_stepper().n_steps()
+                if rc.preset != "checkpoint":  # that one reads a file
+                    rc.build_initial(grid)
+            except LerayflowError:
+                pass
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["multiplier-table", path])
+    assert code == EXIT_FOR[error], err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1

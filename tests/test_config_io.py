@@ -149,6 +149,15 @@ t_end = 0.01
         with pytest.raises(InvariantViolation, match="cutoff_shell"):
             parse_config(text)
 
+    @pytest.mark.parametrize("order", [2 ** 32, 10 ** 400],
+                             ids=["2^32", "10^400"])
+    def test_deconvolution_order_fits_the_checkpoint(self, order):
+        text = MINIMAL.replace("theta = 0.25",
+                               f"theta = 0.25\nn_deconv = {order}")
+        with pytest.raises(InvariantViolation, match="n_deconv"):
+            parse_config(text)
+        parse_config(text.replace(str(order), str(2 ** 32 - 1)))
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n" + MINIMAL.replace(
             "nu = 0.01", "nu = 0.01   # viscosity")

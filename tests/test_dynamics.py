@@ -263,6 +263,14 @@ class TestModelConfig:
             ModelConfig(kind=ModelKind.NSE, nu=0.1, nu2=0.2,
                         filter=FilterParams(alpha=0.0))
 
+    @pytest.mark.parametrize("nu,nu2", [
+        (float("nan"), 0.1), (float("inf"), 0.1), (0.1, float("nan")),
+        (0.1, float("inf"))])
+    def test_non_finite_viscosities(self, nu, nu2):
+        with pytest.raises(InvariantViolation, match="nu"):
+            ModelConfig(kind=ModelKind.MHD_DECONV, nu=nu, nu2=nu2,
+                        filter=FilterParams(alpha=0.1, theta=0.25))
+
 
 class TestForcingSpec:
     def test_orthogonality_enforced(self):

@@ -186,6 +186,19 @@ class TestFilterParamsValidation:
         with pytest.raises(InvariantViolation):
             FilterParams(alpha=0.1, n_deconv=-1)
 
+    @pytest.mark.parametrize("field", ["alpha", "n_deconv"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values(self, field, value):
+        with pytest.raises(InvariantViolation, match=field):
+            FilterParams(**{"alpha": 0.1, field: value})
+
+    def test_filter_scale_overflow(self):
+        # alpha^(2 theta) is the symbol's scale; a float overflow there
+        # would surface as a bare OverflowError in every filter evaluation
+        with pytest.raises(InvariantViolation, match="alpha"):
+            FilterParams(alpha=1e308, theta=1.0)
+        FilterParams(alpha=1e308, theta=0.25)
+
 
 def test_multiplier_table_rows():
     p = FilterParams(alpha=1.0, theta=0.25, n_deconv=1)

@@ -271,6 +271,12 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             WaveGrid(3, 4)
 
+    @pytest.mark.parametrize("dim,L", [(3, 2.1e155), (2, 7.1e-242),
+                                       (2, 1e300), (3, 5e-324)])
+    def test_length_out_of_float_range(self, dim, L):
+        with pytest.raises(ValueError, match="length"):
+            WaveGrid(dim, 16, L=L)
+
     def test_custom_length_wavevectors(self):
         grid = WaveGrid(2, 16, L=4.0 * np.pi)
         assert grid.k[0][1, 0] == pytest.approx(0.5)

@@ -317,3 +317,17 @@ class TestStepperConfigValidation:
     def test_sample_every_positive(self):
         with pytest.raises(InvariantViolation):
             StepperConfig(dt=0.1, t_end=1.0, sample_every=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dt", float("nan")), ("dt", float("inf")), ("t_end", float("nan")),
+        ("t_end", float("inf")), ("cfl_limit", float("nan")),
+        ("cfl_limit", float("inf"))])
+    def test_non_finite_values(self, field, value):
+        kwargs = {"dt": 0.1, "t_end": 1.0, field: value}
+        with pytest.raises(InvariantViolation, match=field):
+            StepperConfig(**kwargs)
+
+    def test_step_count_overflow(self):
+        sc = StepperConfig(dt=1e-300, t_end=1e300)
+        with pytest.raises(InvariantViolation, match="multiple of dt"):
+            sc.n_steps()
