@@ -138,7 +138,7 @@ def load_checkpoint(path: str) -> tuple[SimState, dict]:
             raise InvariantViolation(
                 f"{path}: mirror modes are not the conjugates of the kept "
                 f"ones (deviation {mirror:.3e})")
-        fields.append(SpectralVectorField(grid, half, solenoidal=True))
+        fields.append(SpectralVectorField(grid, half))
     meta = {"grid": grid, "kind": kind, "nu": nu, "nu2": nu2 if has_b else None,
             "alpha": alpha, "theta": theta, "n_deconv": n_deconv}
     return SimState(t, fields[0], fields[1] if has_b else None), meta

@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import parse_config_file
 from .errors import (ConfigSyntaxError, CriticalityViolation,
                      InvariantViolation, LerayflowError, NonFinite,
@@ -128,7 +130,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        # Overflow is reported by the finite checks, as one line.
+        with np.errstate(all="ignore"):
+            return _dispatch(args)
     except ConfigSyntaxError as exc:
         print(f"config syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

@@ -89,22 +89,19 @@ class RunConfig:
     def build_initial(self, grid: WaveGrid) -> SimState:
         if self.preset == "taylor-green":
             u = taylor_green_state_field(grid, self.nu, 0.0)
-            if self.scale != 1.0:
-                u = SpectralVectorField(grid, u.coeffs * self.scale, True)
+            u = SpectralVectorField(grid, u.coeffs * self.scale)
             return SimState(0.0, u)
         if self.preset == "random":
             cutoff = (self.cutoff_shell if self.cutoff_shell is not None
                       else grid.dealias_cutoff)
             u = random_solenoidal(grid, self.seed, self.slope, cutoff)
-            if self.scale != 1.0:
-                u = SpectralVectorField(grid, u.coeffs * self.scale, True)
+            u = SpectralVectorField(grid, u.coeffs * self.scale)
             b = None
             if self.kind is ModelKind.MHD_DECONV:
                 seed_b = self.seed_b if self.seed_b is not None else self.seed + 1
                 scale_b = self.scale_b if self.scale_b is not None else self.scale
                 b = random_solenoidal(grid, seed_b, self.slope, cutoff)
-                if scale_b != 1.0:
-                    b = SpectralVectorField(grid, b.coeffs * scale_b, True)
+                b = SpectralVectorField(grid, b.coeffs * scale_b)
             return SimState(0.0, u, b)
         if self.preset == "checkpoint":
             from .checkpoint import load_checkpoint

@@ -317,10 +317,7 @@ def alpha_sweep(u_ref: SpectralVectorField, p: FilterParams,
 
 def _support_k_max(u: SpectralVectorField) -> float:
     amp = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=0))
-    peak = amp.max()
-    if peak == 0.0:
-        return 0.0
-    return float(u.grid.k_mag[amp > 1e-13 * peak].max())
+    return float(u.grid.k_mag[amp > 1e-13 * amp.max()].max())
 
 
 def n_sweep(u_ref: SpectralVectorField, p: FilterParams,

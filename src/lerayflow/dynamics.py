@@ -111,7 +111,7 @@ class ForcingSpec:
                 coeffs[(slice(None),) + pos] += amp
             if neg[-1] <= grid.n // 2:
                 coeffs[(slice(None),) + neg] += np.conj(amp)
-        return SpectralVectorField(grid, coeffs, solenoidal=True)
+        return SpectralVectorField(grid, coeffs)
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ class Tendency:
 
 
 def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
-               dealias: bool = True, peaks: list | None = None
-               ) -> list[SpectralVectorField]:
+               peaks: list | None = None) -> list[SpectralVectorField]:
     """Dealiased half spectra of signed sums of ``w . grad v``, one field per
     row, Leray-projected when ``project`` is set.
 
@@ -182,8 +181,7 @@ def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
     Each term is taken in divergence form, ``ik_j (w_j v_q)^``: one inverse
     transform of the fields, the flux products (only ``j <= q`` for a row
     ``w . grad w``, whose flux is symmetric), one forward transform of all
-    products, then the contraction with ``ik_j`` masked to the dealias band
-    (to every retained mode when ``dealias`` is off: negative controls only).
+    products, then the contraction with ``ik_j`` masked to the dealias band.
     When ``peaks`` is a list, the largest physical |component| of the
     transported fields is appended to it.
     """
@@ -214,8 +212,7 @@ def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
             out -= phys[m, j] * phys[r, q]
     hat = from_physical(g, prods)
 
-    ik = g.cached(("masked_ik", dealias), lambda: g.ik * (
-        g.dealias_weight if dealias else g.mode_weight))
+    ik = g.cached(("masked_ik",), lambda: g.ik * g.dealias_weight)
     rows_hat = np.empty((len(rows), d) + g.spectral_shape, dtype=complex)
     acc = np.empty(g.spectral_shape, dtype=complex)
     for row_hat, pos in zip(rows_hat, index):
@@ -237,14 +234,15 @@ def _gradient_potential(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def advect(w: SpectralVectorField, v: SpectralVectorField, *,
-           project: bool = True, dealias: bool = True,
+           project: bool = True,
            peaks: list | None = None) -> SpectralVectorField:
-    """Transport term w . grad v, dealiased and (by default) Leray-projected.
+    """Transport term w . grad v, truncated to the grid's dealias band and
+    (by default) Leray-projected.
 
-    ``w`` must be solenoidal.  ``dealias=False`` exists for negative controls
-    in the verification suite; production callers never disable it.
-    ``peaks`` receives the largest physical |component| of v (see
-    :func:`rhs`).
+    ``w`` must be solenoidal.  On a grid whose dealias cutoff is n/2 - 1 no
+    product is truncated, so products alias (the negative control of the
+    verification suite).  ``peaks`` receives the largest physical
+    |component| of v (see :func:`rhs`).
     """
     g = w.grid
     if not g.same_as(v.grid):
@@ -253,8 +251,7 @@ def advect(w: SpectralVectorField, v: SpectralVectorField, *,
         fields, rows = (v.coeffs,), (((0, 0),),)
     else:
         fields, rows = (w.coeffs, v.coeffs), (((0, 1),),)
-    return _transport(g, fields, rows, project=project, dealias=dealias,
-                      peaks=peaks)[0]
+    return _transport(g, fields, rows, project=project, peaks=peaks)[0]
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
@@ -297,7 +294,7 @@ def rhs(state: SimState, cfg: ModelConfig, *,
     np.negative(coeffs, out=coeffs)
     if not cfg.forcing.is_zero():
         coeffs += cfg.forcing.evaluate(u.grid, state.t).coeffs
-    return Tendency(du=SpectralVectorField(u.grid, coeffs, solenoidal=True))
+    return Tendency(du=SpectralVectorField(u.grid, coeffs))
 
 
 def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:

@@ -92,7 +92,7 @@ def filter_apply(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField
     g = u.grid
     mult = g.cached(("filter", p.alpha, p.theta),
                     lambda: 1.0 / helmholtz_multiplier(g.k_mag, p))
-    return SpectralVectorField(g, u.coeffs * mult, u.solenoidal)
+    return SpectralVectorField(g, u.coeffs * mult)
 
 
 def deconvolve(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
@@ -106,7 +106,7 @@ def deconvolve(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
     g = u.grid
     mult = g.cached(("deconvolve", p.alpha, p.theta, p.n_deconv),
                     lambda: deconvolution_multiplier(g.k_mag, p))
-    return SpectralVectorField(g, u.coeffs * mult, u.solenoidal)
+    return SpectralVectorField(g, u.coeffs * mult)
 
 
 def van_cittert_series(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
@@ -119,9 +119,9 @@ def van_cittert_series(u: SpectralVectorField, p: FilterParams) -> SpectralVecto
     acc = term.coeffs.copy()
     for _ in range(p.n_deconv):
         term = SpectralVectorField(
-            u.grid, term.coeffs - filter_apply(term, p).coeffs, u.solenoidal)
+            u.grid, term.coeffs - filter_apply(term, p).coeffs)
         acc += term.coeffs
-    return SpectralVectorField(u.grid, acc, u.solenoidal)
+    return SpectralVectorField(u.grid, acc)
 
 
 def multiplier_table(p: FilterParams, k_values) -> list[tuple[float, float, float]]:

@@ -99,12 +99,9 @@ class WaveGrid:
         self.mode_mask = np.all(abs_a < n // 2, axis=0)
         self.dealias_mask = self.mode_mask & np.all(
             abs_a <= self.dealias_cutoff, axis=0)
-        # Float masks that close every nonlinear term, zero at the mean mode:
-        # the dealias band, and every retained mode (negative controls only).
+        # The dealias band that closes every nonlinear term, 0 at the mean.
         self.dealias_weight = self.dealias_mask.astype(np.float64)
-        self.mode_weight = self.mode_mask.astype(np.float64)
-        for w in (self.dealias_weight, self.mode_weight):
-            w[(0,) * dim] = 0.0
+        self.dealias_weight[(0,) * dim] = 0.0
         self.plane_weight = np.full(self.spectral_shape, 2.0)
         self.plane_weight[..., 0] = self.plane_weight[..., n // 2] = 1.0
 

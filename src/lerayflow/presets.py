@@ -48,7 +48,7 @@ def taylor_green_state_field(grid: WaveGrid, nu: float = 0.0,
     """Spectral Taylor-Green velocity, exactly solenoidal and band-limited."""
     s = forward_transform(taylor_green_velocity(grid, nu, t))
     coeffs = np.where(grid.dealias_mask, s.coeffs, 0.0)
-    return SpectralVectorField(grid, coeffs, solenoidal=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 def taylor_green_pressure(grid: WaveGrid, nu: float, t: float) -> np.ndarray:

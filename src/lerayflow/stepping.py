@@ -3,9 +3,10 @@
 The semi-discrete system is ``d uhat/dt = -nu |k|^2 uhat + N(u, t)`` per mode
 (``nu2`` for the magnetic field).  Substituting ``w = exp(nu |k|^2 t) uhat``
 removes the stiff diagonal part exactly, and the remaining system is advanced
-with classical RK4 (or forward Euler).  With the nonlinear term switched off
-the per-mode decay is exact for arbitrarily large dt, which is what the tight
-energy-budget tolerances downstream rely on.
+with classical RK4 (or forward Euler).  Where the nonlinear term vanishes the
+per-mode decay is exact for arbitrarily large dt, which is what the tight
+energy-budget tolerances downstream rely on.  The stepper reads its CFL
+number off the peak |u| (and |b|) of stage 1's own transform.
 
 The step size is fixed; ``t_end`` must be an integer multiple of ``dt``.
 Sample times are ``i * dt`` computed by multiplication, never accumulation,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 from .diagnostics import EnergyRecord, measure_energy
 from .dynamics import ModelConfig, ModelKind, SimState, Tendency, rhs
 from .errors import CFLExceeded, InvariantViolation, NonFinite, SymmetryViolation
-from .fields import SpectralVectorField, to_physical
+from .fields import SpectralVectorField
 
 __all__ = ["StepperScheme", "StepperConfig", "step", "run"]
 
@@ -42,7 +43,6 @@ class StepperConfig:
     scheme: StepperScheme = StepperScheme.IFRK4
     sample_every: int = 1
     cfl_limit: float = 0.5
-    linear_only: bool = False  # verification knob: drop the nonlinear term
 
     def __post_init__(self):
         for name in ("dt", "t_end", "cfl_limit"):
@@ -97,32 +97,20 @@ class _Stepper:
 
     def _tendency(self, arrays: list[np.ndarray], t: float,
                   peaks: list | None = None) -> list[np.ndarray]:
-        if self.sc.linear_only:
-            return [np.zeros_like(a) for a in arrays]
-        u = SpectralVectorField(self.grid, arrays[0], solenoidal=True)
-        b = (SpectralVectorField(self.grid, arrays[1], solenoidal=True)
-             if self.is_mhd else None)
+        u = SpectralVectorField(self.grid, arrays[0])
+        b = SpectralVectorField(self.grid, arrays[1]) if self.is_mhd else None
         out: Tendency = rhs(SimState(t, u, b), self.cfg, peaks=peaks)
-        arrs = [out.du.coeffs]
-        if self.is_mhd:
-            arrs.append(out.db.coeffs)
-        return arrs
+        return [out.du.coeffs] + ([out.db.coeffs] if self.is_mhd else [])
 
-    def _check_cfl(self, state: SimState, peaks: list[float]) -> None:
+    def _check_cfl(self, t: float, umax: float) -> None:
         """Warn once when the advective CFL number exceeds the limit.  The
-        peak |u| (and |b|) is stage 1's, from the transport kernel; only
-        without a nonlinear term is it transformed here."""
-        if peaks:
-            umax = peaks[0]
-        else:
-            umax = max(float(np.abs(to_physical(self.grid, f.coeffs)).max())
-                       for f in (state.u, state.b) if f is not None)
+        peak |u| (and |b|) is stage 1's, read off the transport kernel."""
         cfl = umax * self.sc.dt / self.dx
         self.max_cfl = max(self.max_cfl, cfl)
         if cfl > self.sc.cfl_limit and not self._cfl_warned:
             warnings.warn(CFLExceeded(
                 f"advective CFL {cfl:.3f} exceeds limit {self.sc.cfl_limit} "
-                f"at t = {state.t:.6g}"), stacklevel=2)
+                f"at t = {t:.6g}"), stacklevel=2)
             self._cfl_warned = True
 
     def advance(self, state: SimState) -> SimState:
@@ -134,7 +122,7 @@ class _Stepper:
         # are fresh arrays, and k1 ends up holding the new state.
         peaks: list[float] = []
         k1 = self._tendency(y, t, peaks)
-        self._check_cfl(state, peaks)
+        self._check_cfl(t, peaks[0])
         if self.sc.scheme is StepperScheme.IFEULER:
             for yi, ki, ef in zip(y, k1, self.e_full):  # ef (y + h k1)
                 ki *= h
@@ -177,9 +165,8 @@ class _Stepper:
             if not np.isfinite(peak):
                 raise NonFinite(f"non-finite solution after step from t = {t:.6g}")
 
-        u = SpectralVectorField(self.grid, k1[0], solenoidal=True)
-        b = (SpectralVectorField(self.grid, k1[1], solenoidal=True)
-             if self.is_mhd else None)
+        u = SpectralVectorField(self.grid, k1[0])
+        b = SpectralVectorField(self.grid, k1[1]) if self.is_mhd else None
         return SimState(t + h, u, b)
 
 
@@ -193,41 +180,41 @@ def run(initial: SimState, cfg: ModelConfig, sc: StepperConfig,
         sink: Optional[Callable[[EnergyRecord], None]] = None, *,
         state_sink: Optional[Callable[[SimState], None]] = None,
         state_every: Optional[int] = None) -> SimState:
-    """Integrate to t_end, delivering energy samples along the way.
+    """Integrate to t_end, delivering samples along the way.
 
     ``sink`` receives an :class:`EnergyRecord` at t = 0, every
-    ``sample_every`` steps and at the final time (no duplicates).
-    ``state_sink``, when given, receives state snapshots on the
-    ``state_every`` cadence (plus first and last) for trajectory diagnostics.
-    Deterministic for fixed inputs.
+    ``sample_every`` steps and at the final time (no duplicates); a record
+    that is not finite raises :class:`NonFinite` instead.  ``state_sink``
+    receives copies of the first and the last state, and of every
+    ``state_every``-th one when that is given, for trajectory diagnostics.
+    The first, the last and every delivered state pass the Hermitian check
+    first.  Deterministic for fixed inputs.
     """
     t_start = initial.t
     n_steps = sc.n_steps(t_start)
     stepper = _Stepper(cfg, sc, initial.u.grid)
-    state = initial.copy()
-
-    def emit(i: int, s: SimState) -> None:
-        res = s.u.hermitian_residual()
-        if s.b is not None:
-            res = max(res, s.b.hermitian_residual())
+    state = initial
+    for i in range(n_steps + 1):
+        if i > 0:
+            state = stepper.advance(state)
+            state.t = t_start + i * sc.dt  # avoid accumulated addition error
+        end = i == 0 or i == n_steps
+        to_sink = sink is not None and (end or i % sc.sample_every == 0)
+        to_states = state_sink is not None and (
+            end or (state_every is not None and i % state_every == 0))
+        if not (end or to_sink or to_states):
+            continue
+        res = max(f.hermitian_residual() for f in (state.u, state.b)
+                  if f is not None)
         if res > 1e-10:
             raise SymmetryViolation(
-                f"Hermitian residual {res:.3e} at t = {s.t:.6g}")
-        if sink is not None and (i == 0 or i == n_steps
-                                 or i % sc.sample_every == 0):
-            sink(measure_energy(s, cfg))
-        if (state_sink is not None and state_every is not None
-                and (i == 0 or i == n_steps or i % state_every == 0)):
-            state_sink(s.copy())
-
-    emit(0, state)
-    for i in range(1, n_steps + 1):
-        state = stepper.advance(state)
-        state.t = t_start + i * sc.dt  # avoid accumulated addition error
-        if i < n_steps and (
-                (sink is not None and i % sc.sample_every == 0)
-                or (state_sink is not None and state_every is not None
-                    and i % state_every == 0)):
-            emit(i, state)
-    emit(n_steps, state)
+                f"Hermitian residual {res:.3e} at t = {state.t:.6g}")
+        if to_sink:
+            record = measure_energy(state, cfg)
+            if not all(map(math.isfinite, astuple(record))):
+                raise NonFinite(
+                    f"non-finite energy sample at t = {state.t:.6g}")
+            sink(record)
+        if to_states:
+            state_sink(state.copy())
     return state

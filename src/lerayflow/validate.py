@@ -93,7 +93,7 @@ def _budget_forcing() -> ForcingSpec:
 def _single_shell_field(grid: WaveGrid, seed: int, a_sq: int) -> SpectralVectorField:
     base = random_solenoidal(grid, seed, -1.0, int(np.ceil(np.sqrt(a_sq))) + 1)
     coeffs = np.where(grid.a_sq == a_sq, base.coeffs, 0.0)
-    return SpectralVectorField(grid, coeffs, solenoidal=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 def criterion_filter_bounds() -> CriterionResult:
@@ -158,19 +158,16 @@ def criterion_advection(fault: str | None = None) -> CriterionResult:
             diff = l2_norm(SpectralVectorField(grid, fast.coeffs - oracle.coeffs))
             worst_conv = max(worst_conv, diff / l2_norm(oracle))
 
-    # Skew symmetry: with the fault injected the 2/3 truncation is dropped,
-    # products alias back into the retained band and the identity breaks.
-    if fault == "skew-no-dealias":
-        g = WaveGrid(3, 32, dealias_cutoff=15)
-        dealias = False
-    else:
-        g = WaveGrid(3, 32)
-        dealias = True
+    # Skew symmetry: with the fault injected the grid's dealias cutoff is
+    # n/2 - 1, so no product is truncated, products alias back into the
+    # retained band and the identity breaks.
+    g = WaveGrid(3, 32, dealias_cutoff=15 if fault == "skew-no-dealias"
+                 else None)
     worst_skew = 0.0
     for seed in range(5):
         w = random_solenoidal(g, seed, -1.0, g.dealias_cutoff)
         v = random_solenoidal(g, 100 + seed, -1.0, g.dealias_cutoff)
-        transported = advect(w, v, dealias=dealias)
+        transported = advect(w, v)
         scale = l2_norm(w) * l2_norm(v) * sobolev_norm(v, 1.0)
         worst_skew = max(worst_skew, abs(l2_inner(transported, v)) / scale)
     passed = worst_conv <= 1e-12 and worst_skew <= 1e-11

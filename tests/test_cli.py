@@ -1,14 +1,19 @@
 """End-to-end CLI: exit codes, artifacts, analytic content of energy.csv."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
 import lerayflow.cli
 from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_INVARIANT,
-                           EXIT_OK, EXIT_SYNTAX, EXIT_UNKNOWN_KEY, main)
+                           EXIT_IO, EXIT_NONFINITE, EXIT_OK, EXIT_SYNTAX,
+                           EXIT_UNKNOWN_KEY, main)
 from lerayflow.presets import taylor_green_energy
-from lerayflow.validate import criterion_advection
+from lerayflow.validate import CriterionResult, criterion_advection, run_all
+
+SRC = os.path.dirname(os.path.dirname(lerayflow.cli.__file__))
 
 TG_RUN = """
 [grid]
@@ -147,6 +152,14 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert option in err and len(err.strip().splitlines()) == 1
 
+    def test_output_directory_under_a_file(self, tmp_path, capsys):
+        blocker = os.path.join(tmp_path, "file")
+        open(blocker, "w").close()
+        cfg = write_cfg(tmp_path, TG_RUN, outdir=os.path.join(blocker, "out"))
+        assert main(["run", cfg]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and len(err.splitlines()) == 1
+
     def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("boom")
@@ -154,6 +167,31 @@ class TestErrorExitCodes:
         assert main(["validate"]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert "boom" in err and len(err.strip().splitlines()) == 1
+
+
+class TestExtremeFiniteValues:
+    """Overflow from extreme but finite values is reported by the finite
+    checks alone: stderr holds no numpy warning, at most the error line."""
+
+    @pytest.mark.parametrize("old,new,code", [
+        ("slope = -1.0", "slope = -1.0\nscale = 1e308", EXIT_NONFINITE),
+        ("slope = -1.0", "slope = 1e308", EXIT_NONFINITE),
+        ("nu = 0.01", "nu = 1e308", EXIT_OK),
+    ], ids=["scale", "slope", "nu"])
+    def test_stderr_has_no_numpy_warning(self, tmp_path, old, new, code):
+        text = SWEEP_BASE.replace("n = 64", "n = 16").replace(old, new)
+        cfg = write_cfg(tmp_path, text, outdir=os.path.join(tmp_path, "o"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lerayflow.cli", "run", cfg],
+            capture_output=True, text=True, env=dict(os.environ,
+                                                     PYTHONPATH=SRC))
+        assert proc.returncode == code, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        if code == EXIT_OK:
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.splitlines() == [
+                "numerical failure: non-finite energy sample at t = 0"]
 
 
 class TestSweepCommands:
@@ -207,6 +245,34 @@ class TestMultiplierTable:
         dest = os.path.join(tmp_path, "table.csv")
         assert main(["multiplier-table", cfg, "--output", dest]) == EXIT_OK
         assert open(dest).read().startswith("k,helmholtz")
+
+
+class TestValidateCommand:
+    @pytest.mark.parametrize("last_passed,code", [(True, EXIT_OK),
+                                                  (False, EXIT_CHECK_FAILED)])
+    def test_table_timings_and_exit_code(self, monkeypatch, capsys,
+                                         last_passed, code):
+        faults = []
+
+        def run_all(fault=None):
+            faults.append(fault)
+            return [CriterionResult(1, "filter-bound", True, "ratio 0.5", 1.3),
+                    CriterionResult(10, "persistence", last_passed,
+                                    "dev 0.00e+00", 2.0)]
+        monkeypatch.setattr(lerayflow.cli, "run_all", run_all)
+        assert main(["validate"]) == code
+        out, err = capsys.readouterr()
+        status = "PASS" if last_passed else "FAIL"
+        assert out == (" 1  filter-bound  PASS  ratio 0.5\n"
+                       f"10  persistence   {status}  dev 0.00e+00\n"
+                       f"{1 + last_passed}/2 criteria passed\n")
+        assert err == "criterion runtimes: 1=1.3s 10=2.0s (total 3.3s)\n"
+        main(["validate", "--inject-fault", "skew-no-dealias"])
+        assert faults == [None, "skew-no-dealias"]
+
+    def test_unknown_fault_is_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            run_all(fault="bogus")
 
 
 class TestValidateNegativeControl:

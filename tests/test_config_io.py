@@ -163,6 +163,21 @@ t_end = 0.01
             "nu = 0.01", "nu = 0.01   # viscosity")
         assert parse_config(text).nu == 0.01
 
+    def test_scales_multiply_the_unscaled_fields(self):
+        mhd = MINIMAL.replace("kind = leray-alpha", "kind = mhd-deconv\n"
+                              "nu2 = 0.01").replace("preset = taylor-green",
+                                                    "preset = random")
+        for text, factors in ((MINIMAL, (2.0,)), (mhd, (2.0, 3.0))):
+            rc = parse_config(text)
+            grid = rc.build_grid()
+            plain = rc.build_initial(grid)
+            scaled = parse_config(text.replace(
+                "[stepper]", "scale = 2\nscale_b = 3\n[stepper]")
+            ).build_initial(grid)
+            for f, g, factor in zip((scaled.u, scaled.b), (plain.u, plain.b),
+                                    factors):
+                assert np.array_equal(f.coeffs, factor * g.coeffs)
+
 
 class TestCheckpoint:
     def make_state(self, tmp_path, mhd=False):

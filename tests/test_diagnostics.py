@@ -44,8 +44,7 @@ class TestEnergyRecord:
 class TestEnergyBudget:
     def test_zero_state_zero_residual(self, grid3):
         zero = SpectralVectorField(
-            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
-            solenoidal=True)
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex))
         samples = [measure_energy(SimState(t, zero), leray_cfg())
                    for t in (0.0, 0.1, 0.2, 0.3)]
         assert energy_budget_residual(samples, leray_cfg()) == 0.0
@@ -150,8 +149,7 @@ class TestBumpTestFunction:
 class TestLocalEnergy:
     def test_zero_trajectory(self, grid3):
         zero = SpectralVectorField(
-            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
-            solenoidal=True)
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex))
         cfg = leray_cfg()
         states = [SimState(t, zero.copy()) for t in np.linspace(0, 0.2, 9)]
         pressures = [pressure_solve(s, cfg) for s in states]
@@ -183,8 +181,8 @@ class TestLocalEnergy:
                                               n_deconv=1))
         u0 = random_solenoidal(grid, 11, -2.5, 5)
         b0 = random_solenoidal(grid, 12, -2.5, 5)
-        u0 = SpectralVectorField(grid, 0.5 * u0.coeffs, solenoidal=True)
-        b0 = SpectralVectorField(grid, 0.5 * b0.coeffs, solenoidal=True)
+        u0 = SpectralVectorField(grid, 0.5 * u0.coeffs)
+        b0 = SpectralVectorField(grid, 0.5 * b0.coeffs)
         states = []
         run(SimState(0.0, u0, b0), cfg, StepperConfig(dt=1e-3, t_end=0.2),
             state_sink=states.append, state_every=5)

@@ -101,7 +101,7 @@ def spec_variant_taylor_green(grid):
                                         -np.cos(x) * np.sin(y)]))
     s = forward_transform(r)
     return SpectralVectorField(
-        grid, np.where(grid.dealias_mask, s.coeffs, 0.0), solenoidal=True)
+        grid, np.where(grid.dealias_mask, s.coeffs, 0.0))
 
 
 class TestAdvect:
@@ -114,8 +114,7 @@ class TestAdvect:
 
     def test_zero_advecting_field(self, grid3):
         w = SpectralVectorField(
-            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
-            solenoidal=True)
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex))
         v = single_mode_field(grid3, (1, 2, 0), (2.0, -1.0, 0.0))
         assert np.abs(advect(w, v).coeffs).max() == 0.0
 
@@ -171,7 +170,7 @@ class TestAdvect:
         w = random_solenoidal(grid3, 3, -1.0, grid3.dealias_cutoff)
         v = random_solenoidal(grid3, 4, -1.0, grid3.dealias_cutoff)
         out = advect(w, v)
-        assert out.solenoidal and out.divergence_residual() <= 1e-12
+        assert out.divergence_residual() <= 1e-12
         assert out.in_dealias_band()
 
     def test_grid_mismatch(self, grid3, grid2):
@@ -325,8 +324,7 @@ class TestRhs:
 
     def test_zero_state_zero_tendency(self, grid3):
         zero = SpectralVectorField(
-            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
-            solenoidal=True)
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex))
         cfg = ModelConfig(kind=ModelKind.MHD_DECONV, nu=0.1, nu2=0.1,
                           filter=FilterParams(alpha=0.1, theta=0.25))
         out = rhs(SimState(0.0, zero, zero.copy()), cfg)
@@ -388,8 +386,7 @@ class TestRhs:
 class TestPressure:
     def test_zero_velocity_zero_pressure(self, grid3):
         zero = SpectralVectorField(
-            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
-            solenoidal=True)
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex))
         cfg = ModelConfig(ModelKind.NSE, 0.1, FilterParams(alpha=0.0))
         p = pressure_solve(SimState(0.0, zero), cfg)
         assert np.abs(p.coeffs).max() == 0.0

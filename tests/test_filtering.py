@@ -74,10 +74,6 @@ class TestFilterApply:
                 bound = p.alpha ** (-beta) * sobolev_norm(u, s)
                 assert sobolev_norm(ub, s + beta) <= bound * (1 + 1e-12)
 
-    def test_preserves_solenoidal_flag(self, grid3):
-        u = random_solenoidal(grid3, 1, -1.0, 5)
-        assert filter_apply(u, FilterParams(alpha=0.5)).solenoidal
-
 
 class TestDeconvolve:
     def test_n0_equals_filter_bitwise(self, grid3):

@@ -9,6 +9,8 @@ from lerayflow import (CFLExceeded, FilterParams, ForcingMode, ForcingSpec,
                        SimState, SpectralVectorField, StepperConfig,
                        StepperScheme, WaveGrid, inverse_transform, l2_norm,
                        random_solenoidal, run, step)
+import lerayflow.stepping
+from lerayflow.dynamics import Tendency
 from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field, taylor_green_velocity
 from lerayflow.stepping import _Stepper
@@ -22,14 +24,24 @@ def nse_cfg(nu: float, forcing=None) -> ModelConfig:
                        forcing=forcing or ForcingSpec.zero())
 
 
+@pytest.fixture
+def zero_tendency(monkeypatch):
+    """The stepper's rhs replaced by a zero tendency with a peak |u| of 0."""
+    def rhs(state, cfg, *, peaks=None):
+        if peaks is not None:
+            peaks.append(0.0)
+        return Tendency(SpectralVectorField(state.u.grid,
+                                            np.zeros_like(state.u.coeffs)))
+    monkeypatch.setattr(lerayflow.stepping, "rhs", rhs)
+
+
 class TestStepBasics:
-    def test_pure_decay_is_exact(self, grid3):
+    def test_pure_decay_is_exact(self, grid3, zero_tendency):
         # nonlinear term disabled: one step is exactly the viscous factor,
         # even for a large dt
-        raw = single_mode_field(grid3, (1, 2, 0), (2.0, -1.0, 0.0))
-        u = SpectralVectorField(grid3, raw.coeffs, solenoidal=True)
+        u = single_mode_field(grid3, (1, 2, 0), (2.0, -1.0, 0.0))
         nu, dt = 0.3, 2.5
-        sc = StepperConfig(dt=dt, t_end=dt, linear_only=True, cfl_limit=1e9)
+        sc = StepperConfig(dt=dt, t_end=dt)
         out = step(SimState(0.0, u), nse_cfg(nu), sc)
         expected = u.coeffs * np.exp(-nu * grid3.k_sq * dt)
         assert np.abs(out.u.coeffs - expected).max() <= 1e-15
@@ -48,10 +60,10 @@ class TestStepBasics:
         assert grid._symbols.keys() == factors.keys()
         assert all(grid._symbols[k] is v for k, v in factors.items())
 
-    def test_linear_subsystem_multi_step(self, grid3):
+    def test_linear_subsystem_multi_step(self, grid3, zero_tendency):
         u = random_solenoidal(grid3, 0, -1.0, 4)
         nu = 0.12
-        sc = StepperConfig(dt=0.5, t_end=5.0, linear_only=True, cfl_limit=1e9)
+        sc = StepperConfig(dt=0.5, t_end=5.0)
         final = run(SimState(0.0, u), nse_cfg(nu), sc)
         expected = u.coeffs * np.exp(-nu * grid3.k_sq * 5.0)
         scale = np.abs(u.coeffs).max()
@@ -59,8 +71,7 @@ class TestStepBasics:
 
     def test_zero_state_stays_zero(self, grid3):
         zero = SpectralVectorField(
-            grid3, np.zeros((3,) + grid3.spectral_shape, complex),
-            solenoidal=True)
+            grid3, np.zeros((3,) + grid3.spectral_shape, complex))
         final = run(SimState(0.0, zero), nse_cfg(0.1),
                     StepperConfig(dt=0.01, t_end=0.1))
         assert np.abs(final.u.coeffs).max() == 0.0
@@ -165,7 +176,7 @@ class TestRunContracts:
     def test_cfl_warning(self, grid2):
         u0 = random_solenoidal(grid2, 7, -1.0, 4)
         scale = 10.0 / max(np.abs(inverse_transform(u0).data).max(), 1e-30)
-        big = SpectralVectorField(grid2, u0.coeffs * scale, solenoidal=True)
+        big = SpectralVectorField(grid2, u0.coeffs * scale)
         with pytest.warns(CFLExceeded):
             run(SimState(0.0, big), nse_cfg(1e-4),
                 StepperConfig(dt=0.05, t_end=0.1, cfl_limit=0.5))
@@ -173,7 +184,7 @@ class TestRunContracts:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_aborts_with_time(self, grid2):
         u0 = random_solenoidal(grid2, 8, -1.0, 4)
-        bad = SpectralVectorField(grid2, u0.coeffs * np.inf, solenoidal=True)
+        bad = SpectralVectorField(grid2, u0.coeffs * np.inf)
         with pytest.raises(NonFinite):
             step(SimState(0.0, bad), nse_cfg(0.1),
                  StepperConfig(dt=0.01, t_end=0.01))
@@ -185,6 +196,27 @@ class TestRunContracts:
             StepperConfig(dt=0.01, t_end=0.1), state_sink=states.append,
             state_every=4)
         assert [round(s.t, 10) for s in states] == [0.0, 0.04, 0.08, 0.1]
+
+    def test_state_sink_without_cadence_gets_first_and_last(self, grid3):
+        u0 = random_solenoidal(grid3, 1, -1.0, 4)
+        states, samples = [], []
+        run(SimState(0.0, u0), nse_cfg(0.1),
+            StepperConfig(dt=0.01, t_end=0.1, sample_every=3), samples.append,
+            state_sink=states.append)
+        assert [round(s.t, 10) for s in states] == [0.0, 0.1]
+        assert [round(r.t, 10) for r in samples] == [0.0, 0.03, 0.06, 0.09,
+                                                     0.1]
+
+    def test_nonfinite_sample_aborts_before_delivery(self, grid2):
+        # finite coefficients whose energy overflows: the first sample fails
+        u0 = random_solenoidal(grid2, 8, -1.0, 4)
+        huge = SpectralVectorField(grid2, u0.coeffs * 1e308)
+        samples = []
+        with np.errstate(all="ignore"), pytest.raises(NonFinite,
+                                                      match="t = 0"):
+            run(SimState(0.0, huge), nse_cfg(0.1),
+                StepperConfig(dt=0.01, t_end=0.01), samples.append)
+        assert samples == []
 
 
 def model_state(dim: int, kind: ModelKind, n: int = 16):
@@ -199,29 +231,23 @@ def model_state(dim: int, kind: ModelKind, n: int = 16):
 
 
 class TestCFL:
-    # IF-RK4 with the nonlinear term: TestRunContracts::test_cfl_warning
-    @pytest.mark.parametrize("scheme,linear_only", [
-        (StepperScheme.IFEULER, False), (StepperScheme.IFRK4, True),
-        (StepperScheme.IFEULER, True)])
-    def test_warning_fires(self, grid2, scheme, linear_only):
+    # IF-RK4: TestRunContracts::test_cfl_warning
+    def test_warning_fires_under_ifeuler(self, grid2):
         u0 = random_solenoidal(grid2, 7, -1.0, 4)
         scale = 10.0 / max(np.abs(inverse_transform(u0).data).max(), 1e-30)
-        big = SpectralVectorField(grid2, u0.coeffs * scale, solenoidal=True)
+        big = SpectralVectorField(grid2, u0.coeffs * scale)
         with pytest.warns(CFLExceeded):
             run(SimState(0.0, big), nse_cfg(1e-4),
                 StepperConfig(dt=0.05, t_end=0.1, cfl_limit=0.5,
-                              scheme=scheme, linear_only=linear_only))
+                              scheme=StepperScheme.IFEULER))
 
     @pytest.mark.parametrize("dim,kind", [(2, ModelKind.NSE),
                                           (3, ModelKind.LERAY_ALPHA),
                                           (3, ModelKind.MHD_DECONV)])
     @pytest.mark.parametrize("scheme", list(StepperScheme))
-    @pytest.mark.parametrize("linear_only", [False, True])
-    def test_value_matches_a_direct_transform(self, dim, kind, scheme,
-                                              linear_only):
+    def test_value_matches_a_direct_transform(self, dim, kind, scheme):
         cfg, state = model_state(dim, kind)
-        sc = StepperConfig(dt=1e-3, t_end=1e-3, scheme=scheme,
-                           linear_only=linear_only)
+        sc = StepperConfig(dt=1e-3, t_end=1e-3, scheme=scheme)
         stepper = _Stepper(cfg, sc, state.u.grid)
         stepper.advance(state)
         umax = max(float(np.abs(to_physical(f.grid, f.coeffs)).max())
