@@ -254,12 +254,12 @@ class TestValidateCommand:
                                          last_passed, code):
         faults = []
 
-        def run_all(fault=None):
+        def fake_run_all(fault=None):
             faults.append(fault)
             return [CriterionResult(1, "filter-bound", True, "ratio 0.5", 1.3),
                     CriterionResult(10, "persistence", last_passed,
                                     "dev 0.00e+00", 2.0)]
-        monkeypatch.setattr(lerayflow.cli, "run_all", run_all)
+        monkeypatch.setattr(lerayflow.cli, "run_all", fake_run_all)
         assert main(["validate"]) == code
         out, err = capsys.readouterr()
         status = "PASS" if last_passed else "FAIL"

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import lerayflow.stepping
 from lerayflow import (CFLExceeded, FilterParams, ForcingMode, ForcingSpec,
                        InvariantViolation, ModelConfig, ModelKind, NonFinite,
                        SimState, SpectralVectorField, StepperConfig,
                        StepperScheme, WaveGrid, inverse_transform, l2_norm,
                        random_solenoidal, run, step)
-import lerayflow.stepping
 from lerayflow.dynamics import Tendency
 from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field, taylor_green_velocity
