@@ -17,6 +17,7 @@ parses is a RunConfig that runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,9 +272,6 @@ def parse_config(text: str) -> RunConfig:
     values["scheme"] = _SCHEMES[values["scheme"]]
     if values["checkpoint_every"] < 0:
         raise InvariantViolation("checkpoint_every: must be >= 0")
-    if values["n_deconv"] >= 2 ** 32:  # a u32 field of the checkpoint header
-        raise InvariantViolation(
-            f"n_deconv: must be below 2^32, got {values['n_deconv']}")
     cfg = RunConfig(**values)
 
     # Re-validate every downstream invariant now, so errors carry key names.
@@ -291,6 +289,19 @@ def parse_config(text: str) -> RunConfig:
             f"{grid.dealias_cutoff}")
     if cfg.preset == "taylor-green" and dim != 2:
         raise InvariantViolation("preset: taylor-green requires dim = 2")
+    if cfg.preset != "checkpoint":
+        # Energy samples at t = 0 are below n^dim (A max(1, k0 n))^2, with
+        # A = |scale| (k0 j)^slope, j in [1, cutoff] (|scale| for Taylor-Green)
+        room = (math.log(sys.float_info.max) - dim * math.log(n)) / 2 \
+            - max(0.0, math.log(grid.k0 * n))
+        cutoff = (grid.dealias_cutoff if cfg.cutoff_shell is None
+                  else cfg.cutoff_shell)
+        peak = max((cfg.slope * math.log(grid.k0 * j) for j in (1, cutoff)
+                    if cfg.preset == "random" and cutoff >= 1), default=0.0)
+        for key, scale in (("slope", 1.0), ("scale", cfg.scale), ("scale_b",
+                           cfg.kind is ModelKind.MHD_DECONV and cfg.scale_b)):
+            if scale and math.log(abs(scale)) + peak > room:
+                raise InvariantViolation(f"{key}: overflows the initial field")
     return cfg
 
 

@@ -12,7 +12,10 @@ with 2/3 dealiasing every quadratic product is alias-free there (Orszag
 whenever the inputs live inside the dealias band.  Everything the energy
 verification machinery asserts rests on this.  The divergence form
 inverse-transforms the fields alone, not all d^2 derivatives of v, and
-needs only d(d+1)/2 products when w is v.
+needs only d(d+1)/2 products when w is v.  A projected term drops ``F_ll I``
+from its flux F (l the last axis; Basdevant, J. Comput. Phys. 50, 1983), as
+``P(ik c) = 0`` for any scalar c and the dealias mask is a scalar per mode;
+an unprojected term keeps it, its gradient part being the pressure.
 
 One kernel evaluates every transport term: the RHS, the MHD tendencies, the
 pressure and the local-energy diagnostics.  The pressure is the potential of
@@ -31,6 +34,8 @@ Model kinds differ only in which velocity advects:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -171,6 +176,29 @@ class Tendency:
     db: SpectralVectorField | None = None
 
 
+@functools.cache
+def _flux_plan(d: int, rows: tuple, project: bool):
+    """:func:`_transport`'s bookkeeping per (d, rows, project): moved fields,
+    products as ``(ufunc, a, b)`` terms, ``(j, product)`` contraction pairs."""
+    l, products, sums = d - 1, [], []
+    for row in rows:
+        pos = {}
+        for j, q in itertools.product(range(d), repeat=2):
+            if len(row) == 1 and row[0][0] == row[0][1] and q < j:
+                pos[j, q] = pos[q, j]
+            elif not (project and j == q == l):  # F_ll is never formed
+                pos[j, q] = len(products)
+                # + first term - other terms; a projected F_jj - F_ll
+                signs = [(j, q, 1)] + [(l, l, -1)] * (project and j == q)
+                products.append([(np.add if (s > 0) == (n == 0)
+                                  else np.subtract, (i, a), (p, b))
+                                 for a, b, s in signs
+                                 for n, (i, p) in enumerate(row)])
+        sums.append([[(j, pos[j, q]) for j in range(d) if (j, q) in pos]
+                     for q in range(d)])
+    return sorted({p for row in rows for _, p in row}), products, sums
+
+
 def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
                peaks: list | None = None) -> list[SpectralVectorField]:
     """Dealiased half spectra of signed sums of ``w . grad v``, one field per
@@ -179,47 +207,36 @@ def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
     ``fields`` are distinct spectra; each row lists ``(i, p)`` terms
     ``fields[i] . grad fields[p]``, the first added, the others subtracted.
     Each term is taken in divergence form, ``ik_j (w_j v_q)^``: one inverse
-    transform of the fields, the flux products (only ``j <= q`` for a row
-    ``w . grad w``, whose flux is symmetric), one forward transform of all
-    products, then the contraction with ``ik_j`` masked to the dealias band.
-    When ``peaks`` is a list, the largest physical |component| of the
-    transported fields is appended to it.
+    transform of the fields, the flux products of :func:`_flux_plan`, one
+    forward transform of all products, then the contraction with ``ik_j``
+    masked to the dealias band.  A projected row drops ``F_ll I``, which the
+    projection removes exactly; an unprojected row keeps the trace for the
+    pressure (module notes).  When ``peaks`` is a list, the largest physical
+    |component| of the transported fields is appended to it.
     """
     d = g.dim
+    moved, products, sums = _flux_plan(d, rows, project)
     stack = fields[0] if len(fields) == 1 else np.concatenate(fields)
     phys = to_physical(g, stack).reshape((len(fields), d) + g.shape)
     if peaks is not None:
-        moved = phys[sorted({p for row in rows for _, p in row})]
-        peaks.append(float(max(moved.max(), -moved.min())))
+        peaks.append(float(max(max(phys[p].max(), -phys[p].min())
+                               for p in moved)))
 
-    index = []   # per row: (j, q) -> position of w_j v_q among the products
-    terms = []   # per product: its row's terms and (j, q)
-    for row in rows:
-        symmetric = len(row) == 1 and row[0][0] == row[0][1]
-        pos = {}
-        for j in range(d):
-            for q in range(d):
-                if symmetric and q < j:
-                    pos[j, q] = pos[q, j]
-                else:
-                    pos[j, q] = len(terms)
-                    terms.append((row, j, q))
-        index.append(pos)
-    prods = np.empty((len(terms),) + g.shape)
-    for out, (((i, p), *minus), j, q) in zip(prods, terms):
-        np.multiply(phys[i, j], phys[p, q], out=out)
-        for m, r in minus:
-            out -= phys[m, j] * phys[r, q]
+    prods = np.empty((len(products),) + g.shape)
+    for out, ((_, a, b), *rest) in zip(prods, products):
+        np.multiply(phys[a], phys[b], out=out)
+        for op, a, b in rest:
+            op(out, phys[a] * phys[b], out=out)
     hat = from_physical(g, prods)
 
     ik = g.cached(("masked_ik",), lambda: g.ik * g.dealias_weight)
     rows_hat = np.empty((len(rows), d) + g.spectral_shape, dtype=complex)
     acc = np.empty(g.spectral_shape, dtype=complex)
-    for row_hat, pos in zip(rows_hat, index):
-        for q in range(d):
-            np.multiply(ik[0], hat[pos[0, q]], out=row_hat[q])
-            for j in range(1, d):
-                row_hat[q] += np.multiply(ik[j], hat[pos[j, q]], out=acc)
+    for row_hat, row_sums in zip(rows_hat, sums):
+        for out, ((j, n), *rest) in zip(row_hat, row_sums):
+            np.multiply(ik[j], hat[n], out=out)
+            for j, n in rest:
+                out += np.multiply(ik[j], hat[n], out=acc)
     # Project while the work arrays are alive: freeing them first leaves a
     # large free block on top of the heap, which the allocator returns to
     # the system and every later call page-faults back in.
@@ -288,8 +305,7 @@ def rhs(state: SimState, cfg: ModelConfig, *,
     """
     u = state.u
     if cfg.kind is ModelKind.MHD_DECONV:
-        du, db = _mhd_rows(state, cfg, project=True, peaks=peaks)
-        return Tendency(du=du, db=db)
+        return Tendency(*_mhd_rows(state, cfg, project=True, peaks=peaks))
     coeffs = advect(advecting_field(u, cfg), u, peaks=peaks).coeffs
     np.negative(coeffs, out=coeffs)
     if not cfg.forcing.is_zero():
@@ -311,7 +327,6 @@ def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
             * g.dealias_weight
     else:
-        transport = advect(advecting_field(state.u, cfg), state.u,
-                           project=False)
-        p_hat = -_gradient_potential(g, transport.coeffs)
+        p_hat = -_gradient_potential(g, advect(
+            advecting_field(state.u, cfg), state.u, project=False).coeffs)
     return SpectralScalarField(g, p_hat)

@@ -55,9 +55,9 @@ class FilterParams:
                 raise InvariantViolation(
                     f"alpha^(2 theta) overflows for alpha = {self.alpha}, "
                     f"theta = {self.theta}")
-        if not (self.n_deconv >= 0 and self.n_deconv % 1 == 0):
-            raise InvariantViolation(
-                f"n_deconv must be a nonnegative integer, got {self.n_deconv}")
+        if not (0 <= self.n_deconv < 2 ** 32 and self.n_deconv % 1 == 0):
+            raise InvariantViolation(  # 2^32: a u32 in checkpoint headers
+                f"n_deconv must be an integer in [0, 2^32), got {self.n_deconv}")
 
 
 def helmholtz_multiplier(k_mag, p: FilterParams):

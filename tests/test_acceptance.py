@@ -39,6 +39,24 @@ def test_criterion_06_local_energy_equality():
     _check(V.criterion_local_energy())
 
 
+def test_criterion_06_fails_a_window_off_the_coarse_nodes(monkeypatch):
+    # Ends at 0.025 and 0.175 are fine (5 ms) sample times but not coarse
+    # (10 ms) ones; the row must fail before any pressure is solved.  It
+    # reuses the trajectory cached by criteria 5 and 6.
+    monkeypatch.setattr(
+        V.BumpTestFunction, "canonical",
+        classmethod(lambda cls, dim, t_end: cls(center=(3.0,) * dim,
+                                                width=0.8, t0=0.025,
+                                                t1=0.175)))
+    solved = []
+    monkeypatch.setattr(V, "pressure_solve",
+                        lambda *args: solved.append(args))
+    result = V.criterion_local_energy()
+    assert not result.passed
+    assert "0.025, 0.175 off the coarse sample times" in result.detail
+    assert solved == []
+
+
 def test_criterion_07_convergence_sweeps():
     _check(V.criterion_sweeps())
 

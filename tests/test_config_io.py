@@ -3,6 +3,7 @@
 import os
 import struct
 import zlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lerayflow.checkpoint import (_HEADER_FMT, MAGIC, load_checkpoint,
                                   save_checkpoint)
 from lerayflow.cli import EXIT_INVARIANT, main
 from lerayflow.config import parse_config
-from lerayflow.diagnostics import EnergyRecord
+from lerayflow.diagnostics import EnergyRecord, measure_energy
 from lerayflow.fields import full_layout
 from lerayflow.output import energy_csv_text, format_g17
 
@@ -157,6 +158,26 @@ t_end = 0.01
         with pytest.raises(InvariantViolation, match="n_deconv"):
             parse_config(text)
         parse_config(text.replace(str(order), str(2 ** 32 - 1)))
+
+    @pytest.mark.parametrize("kind,initial,key,within", [
+        ("leray-alpha", "preset = random\nslope = 1e308", "slope", "100"),
+        ("leray-alpha", "preset = random\nscale = 1e308", "scale", "1e100"),
+        ("leray-alpha", "preset = taylor-green\nscale = 1e200", "scale",
+         "1e100"),
+        ("mhd-deconv\nnu2 = 0.01", "preset = random\nscale_b = 1e200",
+         "scale_b", "1e100"),
+    ], ids=["slope", "scale", "taylor-green", "scale_b"])
+    def test_initial_field_must_be_finite(self, kind, initial, key, within):
+        text = MINIMAL.replace("kind = leray-alpha", f"kind = {kind}").replace(
+            "preset = taylor-green", initial)
+        with pytest.raises(InvariantViolation, match=f"^{key}: "):
+            parse_config(text)
+        # a large value inside the bound parses, and the energy sample of
+        # its initial field is finite
+        rc = parse_config(text.replace(initial.split(" = ")[-1], within))
+        state = rc.build_initial(rc.build_grid())
+        assert all(map(np.isfinite, astuple(measure_energy(
+            state, rc.build_model()))))
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n" + MINIMAL.replace(

@@ -1,10 +1,11 @@
-"""Property tests of the inputs other than config text: checkpoint bytes and
-the LERAY_THREADS environment variable.
+"""Property tests of the inputs other than config text: checkpoint bytes, the
+LERAY_THREADS environment variable and the sweep lists.
 
 A corrupted checkpoint either loads or fails with a one-line
 InvariantViolation, and resuming it from the CLI exits 0 or 4 with at most
 one stderr line.  Any LERAY_THREADS string gives a worker count in
-[1, CPU count]."""
+[1, CPU count].  Any --alphas or --orders list either runs the sweep (exit 0
+or 6) or exits 4 with at most one stderr line."""
 
 import contextlib
 import io
@@ -22,7 +23,8 @@ from lerayflow import (FilterParams, InvariantViolation, ModelConfig,
                        random_solenoidal)
 from lerayflow.checkpoint import (_HEADER_FMT, _HEADER_SIZE, load_checkpoint,
                                   save_checkpoint)
-from lerayflow.cli import EXIT_INVARIANT, EXIT_OK, main
+from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INVARIANT, EXIT_OK,
+                           EXIT_SYNTAX, main)
 from lerayflow.grid import worker_count
 
 # A 2D 8^2 leray-alpha state at t = 0.5, small enough to stay linear: the
@@ -143,3 +145,74 @@ def test_checkpoint_bytes_load_or_fail_with_one_line(blob):
 def test_any_thread_count_is_clamped(raw):
     with mock.patch.dict(os.environ, {"LERAY_THREADS": raw}):
         assert 1 <= worker_count() <= (os.cpu_count() or 1)
+
+
+SWEEP = """[grid]
+dim = 2
+n = 16
+[model]
+kind = leray-alpha
+nu = 0.02
+alpha = 0.5
+[initial]
+preset = random
+seed = 3
+slope = -1.0
+cutoff_shell = 4
+[stepper]
+dt = 0.001
+t_end = 0.01
+[output]
+directory = {outdir}
+"""
+LIST_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats().map(repr),
+    st.sampled_from([
+        "nan", "inf", "-inf", "1e400", "-1e400", "1e308", "5e-324", "-0.0",
+        str(2 ** 32), str(2 ** 64), str(10 ** 30), "9" * 400, "-" + "9" * 400,
+        "", " ", "x", "0x10", "1_000", "1e", "--"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+            max_size=5),
+)
+
+
+@st.composite
+def sweep_lists(draw):
+    """A command and its list: any drawn tokens, or numbers in the order the
+    sweep asks for, so that both outcomes are reached."""
+    command, option, numbers, descending = draw(st.sampled_from([
+        ("sweep-alpha", "--alphas", st.floats(0.0, 2.0), True),
+        ("sweep-n", "--orders", st.integers(0, 12), False)]))
+    if draw(st.booleans()):
+        tokens = map(repr, sorted(draw(st.lists(numbers, min_size=2,
+                                                max_size=5, unique=True)),
+                                  reverse=descending))
+    else:
+        tokens = draw(st.lists(LIST_TOKENS, max_size=5))
+    return command, option, ",".join(tokens)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(sweep_lists())
+@example(("sweep-n", "--orders", "0,1," + str(10 ** 400)))
+@example(("sweep-n", "--orders", "0,1," + str(2 ** 64)))
+@example(("sweep-alpha", "--alphas", "1e300,1e299,1e298"))
+def test_sweep_lists_run_or_fail_with_one_line(case):
+    command, option, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "sweep.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(SWEEP.format(outdir=os.path.join(tmp, "out")))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, cfg, option, text])
+            except SystemExit as exc:  # argparse reads "-..." as an option
+                code = exc.code
+    if code == EXIT_SYNTAX:
+        assert text.startswith("-"), err.getvalue()
+        return
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVARIANT), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= (code == EXIT_INVARIANT)

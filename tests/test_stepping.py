@@ -10,7 +10,7 @@ from lerayflow import (CFLExceeded, FilterParams, ForcingMode, ForcingSpec,
                        SimState, SpectralVectorField, StepperConfig,
                        StepperScheme, WaveGrid, inverse_transform, l2_norm,
                        random_solenoidal, run, step)
-from lerayflow.dynamics import Tendency
+from lerayflow.dynamics import Tendency, pressure_solve
 from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field, taylor_green_velocity
 from lerayflow.stepping import _Stepper
@@ -258,28 +258,41 @@ class TestCFL:
 
 class TestTransformCounts:
     """Transforms per IF-RK4 step: calls, and the scalar fields they
-    transform, for each kind (one inverse and one forward call per stage)."""
+    transform, for each kind (one inverse and one forward call per stage).
+    The projected rows drop the trace of their flux, so each row transforms
+    one product fewer; the unprojected pressure row keeps all of them."""
 
-    @pytest.mark.parametrize("dim,kind,inverse,forward", [
-        (2, ModelKind.NSE, 8, 12),
-        (3, ModelKind.NSE, 12, 24),
-        (3, ModelKind.LERAY_ALPHA, 24, 36),
-        (3, ModelKind.LERAY_DECONV, 24, 36),
-        (3, ModelKind.MHD_DECONV, 48, 72),
-    ])
-    def test_per_step(self, monkeypatch, dim, kind, inverse, forward):
-        cfg, state = model_state(dim, kind, n=8)
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """(calls, fields) per real-FFT direction, keyed by name."""
         counts = {}
         for name in ("irfftn", "rfftn"):
             def counted(x, *args, _name=name, _fn=getattr(scipy.fft, name),
                         **kwargs):
                 calls, fields = counts.get(_name, (0, 0))
+                dim = len(kwargs["axes"])
                 counts[_name] = (calls + 1,
                                  fields + x.size // np.prod(x.shape[-dim:]))
                 return _fn(x, *args, **kwargs)
             monkeypatch.setattr(scipy.fft, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("dim,kind,inverse,forward", [
+        (2, ModelKind.NSE, 8, 8),
+        (3, ModelKind.NSE, 12, 20),
+        (3, ModelKind.LERAY_ALPHA, 24, 32),
+        (3, ModelKind.LERAY_DECONV, 24, 32),
+        (3, ModelKind.MHD_DECONV, 48, 64),
+    ])
+    def test_per_step(self, counts, dim, kind, inverse, forward):
+        cfg, state = model_state(dim, kind, n=8)
         step(state, cfg, StepperConfig(dt=1e-3, t_end=1e-3))
         assert counts == {"irfftn": (4, inverse), "rfftn": (4, forward)}
+
+    def test_pressure_solve_keeps_the_trace(self, counts):
+        cfg, state = model_state(3, ModelKind.LERAY_ALPHA, n=8)
+        pressure_solve(state, cfg)
+        assert counts == {"irfftn": (1, 6), "rfftn": (1, 9)}
 
 
 class TestModelFamilyTrajectories:
