@@ -277,16 +277,20 @@ class TestTransformCounts:
             monkeypatch.setattr(scipy.fft, name, counted)
         return counts
 
-    @pytest.mark.parametrize("dim,kind,inverse,forward", [
-        (2, ModelKind.NSE, 8, 8),
-        (3, ModelKind.NSE, 12, 20),
-        (3, ModelKind.LERAY_ALPHA, 24, 32),
-        (3, ModelKind.LERAY_DECONV, 24, 32),
-        (3, ModelKind.MHD_DECONV, 48, 64),
+    # products: the flux products of every row per step, trace included
+    # (what the unprojected pressure row transforms).
+    @pytest.mark.parametrize("dim,kind,inverse,products", [
+        (2, ModelKind.NSE, 8, 12),
+        (3, ModelKind.NSE, 12, 24),
+        (3, ModelKind.LERAY_ALPHA, 24, 36),
+        (3, ModelKind.LERAY_DECONV, 24, 36),
+        (3, ModelKind.MHD_DECONV, 48, 72),
     ])
-    def test_per_step(self, counts, dim, kind, inverse, forward):
+    def test_per_step(self, counts, dim, kind, inverse, products):
         cfg, state = model_state(dim, kind, n=8)
+        rows = 1 if state.b is None else 2
         step(state, cfg, StepperConfig(dt=1e-3, t_end=1e-3))
+        forward = products - 4 * rows
         assert counts == {"irfftn": (4, inverse), "rfftn": (4, forward)}
 
     def test_pressure_solve_keeps_the_trace(self, counts):
