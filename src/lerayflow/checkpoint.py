@@ -32,9 +32,7 @@ uninterrupted trajectories.  Every malformed file raises
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
@@ -43,6 +41,7 @@ from .dynamics import ModelConfig, ModelKind, SimState
 from .errors import InvariantViolation
 from .fields import SpectralVectorField, full_layout
 from .grid import WaveGrid
+from .output import atomic_write
 
 __all__ = ["save_checkpoint", "load_checkpoint", "FORMAT_VERSION"]
 
@@ -56,7 +55,7 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 def _payload_bytes(state: SimState) -> bytes:
     return b"".join(full_layout(f.grid, f.coeffs).astype("<c16").tobytes()
-                    for f in (state.u, state.b) if f is not None)
+                    for f in state.fields)
 
 
 def save_checkpoint(path: str, state: SimState, cfg: ModelConfig) -> None:
@@ -65,24 +64,14 @@ def save_checkpoint(path: str, state: SimState, cfg: ModelConfig) -> None:
     payload = _payload_bytes(state)
     header_wo_crc = struct.pack(
         _HEADER_FMT, MAGIC, FORMAT_VERSION, grid.dim,
-        1 if state.b is not None else 0, grid.n, grid.L,
+        len(state.fields) - 1, grid.n, grid.L,
         grid.dealias_cutoff, KIND_ORDER.index(cfg.kind), cfg.nu,
         cfg.nu2 if cfg.nu2 is not None else 0.0, cfg.filter.alpha,
         cfg.filter.theta, cfg.filter.n_deconv, state.t, len(payload), 0)
     crc = zlib.crc32(payload, zlib.crc32(header_wo_crc))
     header = header_wo_crc[:-4] + struct.pack("<I", crc)
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, header, payload)
 
 
 def load_checkpoint(path: str) -> tuple[SimState, dict]:
@@ -141,4 +130,4 @@ def load_checkpoint(path: str) -> tuple[SimState, dict]:
         fields.append(SpectralVectorField(grid, half))
     meta = {"grid": grid, "kind": kind, "nu": nu, "nu2": nu2 if has_b else None,
             "alpha": alpha, "theta": theta, "n_deconv": n_deconv}
-    return SimState(t, fields[0], fields[1] if has_b else None), meta
+    return SimState(t, *fields), meta

@@ -24,7 +24,7 @@ from .config import parse_config_file
 from .errors import (ConfigSyntaxError, CriticalityViolation,
                      InvariantViolation, LerayflowError, NonFinite,
                      UnknownKeyError)
-from .output import atomic_write_text
+from .output import atomic_write
 from .runner import (execute_run, execute_sweep_alpha, execute_sweep_n,
                      multiplier_table_text)
 from .validate import FAULTS, format_table, format_timings, run_all
@@ -113,7 +113,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         rc = parse_config_file(args.config)
         text = multiplier_table_text(rc)
         if args.output:
-            atomic_write_text(args.output, text)
+            atomic_write(args.output, text.encode())
         else:
             sys.stdout.write(text)
         return EXIT_OK

@@ -17,6 +17,7 @@ parses is a RunConfig that runs.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -244,6 +245,12 @@ def parse_config(text: str) -> RunConfig:
         raise InvariantViolation(f"dim: must be 2 or 3, got {dim}")
     if n < 8 or n % 2:
         raise InvariantViolation(f"n: must be even and >= 8, got {n}")
+    field_bytes = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if field_bytes > memory:
+        raise InvariantViolation(
+            f"n: one spectral field at n = {n} takes {field_bytes} bytes, "
+            f"more than the {memory} bytes of physical memory")
     if values["length"] <= 0:
         raise InvariantViolation("length: must be positive")
     if not 0.0 < values["dealias_fraction"] <= 1.0:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (ModelConfig, ModelKind, SimState, _gradient_potential,
-                       _mhd_rows, advecting_field)
+from .dynamics import (ModelConfig, SimState, _gradient_potential,
+                       _kind_table, _transport)
 from .errors import InvariantViolation, NonMonotone, TooFewSamples
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
                      inverse_transform_scalar, l2_inner, l2_norm, sobolev_norm,
@@ -64,15 +64,11 @@ class EnergyRecord:
 
 def measure_energy(state: SimState, cfg: ModelConfig) -> EnergyRecord:
     u = state.u
-    e_kin = 0.5 * l2_norm(u) ** 2
-    grad_u = sobolev_norm(u, 1.0) ** 2
+    norms = [(0.5 * l2_norm(f) ** 2, sobolev_norm(f, 1.0) ** 2)
+             for f in state.fields]
+    (e_kin, grad_u), (e_mag, grad_b) = (norms + [(0.0, 0.0)])[:2]
     h_half = sobolev_norm(u, 0.5) ** 2
-    div_res = u.divergence_residual()
-    e_mag = grad_b = 0.0
-    if state.b is not None:
-        e_mag = 0.5 * l2_norm(state.b) ** 2
-        grad_b = sobolev_norm(state.b, 1.0) ** 2
-        div_res = max(div_res, state.b.divergence_residual())
+    div_res = max(f.divergence_residual() for f in state.fields)
     inject = 0.0
     if not cfg.forcing.is_zero():
         inject = l2_inner(cfg.forcing.evaluate(u.grid, state.t), u)
@@ -199,8 +195,6 @@ def local_energy_residual(states: list[SimState],
     grid = states[0].u.grid
     g, grad_g, lap_g = phi.spatial_fields(grid)
     vol = grid.cell_volume
-    is_mhd = cfg.kind is ModelKind.MHD_DECONV
-    nu2 = cfg.nu2 if cfg.nu2 is not None else 0.0
 
     times = np.array([s.t for s in states])
     lhs_vals = np.empty(len(states))
@@ -213,45 +207,40 @@ def local_energy_residual(states: list[SimState],
             lhs_vals[i] = rhs_vals[i] = 0.0
             continue
 
-        u_phys = to_physical(grid, state.u.coeffs)
-        u_sq = np.sum(u_phys * u_phys, axis=0)
-        grad_u_sq = _phys_grad_sq(state.u)
-        adv_phys = to_physical(grid, advecting_field(state.u, cfg).coeffs)
+        phys = [to_physical(grid, f.coeffs) for f in state.fields]
+        squares = [np.sum(f * f, axis=0) for f in phys]
+        lhs = rhs = 0.0
+        for f, f_sq, nu in zip(state.fields, squares, (cfg.nu, cfg.nu2)):
+            lhs += 2.0 * nu * w * np.sum(_phys_grad_sq(f) * g)
+            rhs += np.sum(f_sq * (w_dt * g + nu * w * lap_g))
+
+        # The flux of |u|^2 (+ |b|^2): advection by row 0's advecting
+        # field Hu and the pressure work on u; with b, the work of the
+        # dealiased magnetic pressure on u and of the induction
+        # pseudo-pressure q on b (the mixed deconvolved transport is not
+        # curl-like for alpha > 0), and the Lorentz exchange carried by Hb.
+        spectra, rows = _kind_table(state, cfg)
+        u_phys = phys[0]
+        adv_phys = to_physical(grid, spectra[rows[0][0][0]])
         p_phys = inverse_transform_scalar(p_hat)
-
-        lhs = 2.0 * cfg.nu * w * np.sum(grad_u_sq * g)
-        rhs = np.sum(u_sq * (w_dt * g + cfg.nu * w * lap_g))
-
-        if is_mhd:
-            b_phys = to_physical(grid, state.b.coeffs)
-            b_sq = np.sum(b_phys * b_phys, axis=0)
-            grad_b_sq = _phys_grad_sq(state.b)
-            hb_phys = to_physical(grid, deconvolve(state.b, cfg.filter).coeffs)
-
-            # total pressure (fluid + dealiased magnetic) drives the u-flux
-            mag_hat = from_physical(grid, 0.5 * b_sq) * grid.dealias_weight
-            # pseudo-pressure removed by projecting the induction tendency:
-            # the mixed deconvolved transport is not curl-like for alpha > 0
-            q_hat = _gradient_potential(grid, _mhd_rows(state, cfg)[1].coeffs)
-            p_tot, q_phys = to_physical(grid, np.stack([mag_hat, q_hat]))
-            p_tot += p_phys
-
-            lhs += 2.0 * nu2 * w * np.sum(grad_b_sq * g)
-            rhs += np.sum(b_sq * (w_dt * g + nu2 * w * lap_g))
-            rhs += w * np.sum(
-                ((u_sq + b_sq) * np.sum(adv_phys * grad_g, axis=0))
-                + 2.0 * p_tot * np.sum(u_phys * grad_g, axis=0)
-                + 2.0 * q_phys * np.sum(b_phys * grad_g, axis=0)
-                - 2.0 * np.sum(u_phys * b_phys, axis=0)
-                * np.sum(hb_phys * grad_g, axis=0))
-        else:
-            flux = u_sq[np.newaxis] * adv_phys \
-                + 2.0 * p_phys[np.newaxis] * u_phys
-            rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
-            if not cfg.forcing.is_zero():
-                f_phys = to_physical(
-                    grid, cfg.forcing.evaluate(grid, state.t).coeffs)
-                rhs += 2.0 * w * np.sum(np.sum(f_phys * u_phys, axis=0) * g)
+        flux = sum(squares)[np.newaxis] * adv_phys \
+            + 2.0 * p_phys[np.newaxis] * u_phys
+        if state.b is not None:
+            b_phys = phys[1]
+            hb_phys = to_physical(grid, spectra[rows[0][1][0]])
+            mag_hat = from_physical(grid, 0.5 * squares[1]) \
+                * grid.dealias_weight
+            q_hat = -_gradient_potential(
+                grid, _transport(grid, spectra, rows[1:])[0].coeffs)
+            mag_phys, q_phys = to_physical(grid, np.stack([mag_hat, q_hat]))
+            flux += 2.0 * mag_phys * u_phys + 2.0 * q_phys * b_phys \
+                - 2.0 * np.sum(u_phys * b_phys, axis=0) * hb_phys
+        del spectra  # frees Hu before the next state's gradients
+        rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
+        if not cfg.forcing.is_zero():
+            f_phys = to_physical(
+                grid, cfg.forcing.evaluate(grid, state.t).coeffs)
+            rhs += 2.0 * w * np.sum(np.sum(f_phys * u_phys, axis=0) * g)
 
         lhs_vals[i] = vol * lhs
         rhs_vals[i] = vol * rhs

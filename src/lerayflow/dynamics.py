@@ -18,18 +18,19 @@ from its flux F (l the last axis; Basdevant, J. Comput. Phys. 50, 1983), as
 an unprojected term keeps it, its gradient part being the pressure.
 
 One kernel evaluates every transport term: the RHS, the MHD tendencies, the
-pressure and the local-energy diagnostics.  The pressure is the potential of
-the gradient part that the projection removes from the same unprojected
-momentum tendency, ``p = -i k . N / |k|^2``; for MHD the induction row gives
-the pseudo-pressure ``q`` the same way.
+pressure and the local-energy diagnostics.  The kind table
+(:func:`_kind_table`) is the one place where model kinds differ; it gives
+the rows N of ``d/dt fields = -P N + f`` as flux tensors F, ``N = ik . F``:
 
-Model kinds differ only in which velocity advects:
+* NSE: ``u (x) u``; LerayAlpha, LerayDeconv: ``Hu (x) u``, H the filter or
+  the order-N deconvolution (N = 0 equals LerayAlpha);
+* MHDDeconv: fields (u, b), H the deconvolution, ``Hu (x) u - Hb (x) b`` and
+  ``Hu (x) b - Hb (x) u``.
 
-* NSE          : u itself
-* LerayAlpha   : the filtered velocity
-* LerayDeconv  : the order-N deconvolved velocity (N = 0 equals LerayAlpha)
-* MHDDeconv    : coupled velocity/magnetic system advected by the deconvolved
-  fields; the magnetic-pressure gradient is absorbed by the projection.
+The pressure ``p = i k . N_u / |k|^2`` is the potential of the gradient part
+that the projection removes from the momentum row, less the magnetic
+pressure |b|^2/2 when b is present; the induction row gives the MHD
+pseudo-pressure ``q`` the same way.
 """
 
 from __future__ import annotations
@@ -163,9 +164,13 @@ class SimState:
     u: SpectralVectorField
     b: SpectralVectorField | None = None
 
+    @property
+    def fields(self) -> list[SpectralVectorField]:
+        """[u], or [u, b] when a magnetic field is present."""
+        return [self.u] if self.b is None else [self.u, self.b]
+
     def copy(self) -> "SimState":
-        return SimState(self.t, self.u.copy(),
-                        None if self.b is None else self.b.copy())
+        return SimState(self.t, *(f.copy() for f in self.fields))
 
 
 @dataclass
@@ -250,25 +255,32 @@ def _gradient_potential(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
     return -1j * np.sum(g.k * coeffs, axis=0) / g.k_sq_safe
 
 
+def _indexed(terms) -> tuple[list[np.ndarray], tuple]:
+    """The distinct spectra of rows of ``(w, v)`` terms ``w . grad v``, and
+    the rows as :func:`_transport` takes them: a field that appears twice
+    (as in ``u . grad u``) is transformed once."""
+    index: dict = {}  # id(coeffs) -> (position, coeffs), in first-use order
+
+    def at(f: SpectralVectorField) -> int:
+        return index.setdefault(id(f.coeffs), (len(index), f.coeffs))[0]
+
+    rows = tuple(tuple((at(w), at(v)) for w, v in row) for row in terms)
+    return [c for _, c in index.values()], rows
+
+
 def advect(w: SpectralVectorField, v: SpectralVectorField, *,
-           project: bool = True,
-           peaks: list | None = None) -> SpectralVectorField:
+           project: bool = True) -> SpectralVectorField:
     """Transport term w . grad v, truncated to the grid's dealias band and
     (by default) Leray-projected.
 
     ``w`` must be solenoidal.  On a grid whose dealias cutoff is n/2 - 1 no
     product is truncated, so products alias (the negative control of the
-    verification suite).  ``peaks`` receives the largest physical
-    |component| of v (see :func:`rhs`).
+    verification suite).
     """
     g = w.grid
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
-    if w.coeffs is v.coeffs:
-        fields, rows = (v.coeffs,), (((0, 0),),)
-    else:
-        fields, rows = (w.coeffs, v.coeffs), (((0, 1),),)
-    return _transport(g, fields, rows, project=project, peaks=peaks)[0]
+    return _transport(g, *_indexed([[(w, v)]]), project=project)[0]
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
@@ -280,18 +292,19 @@ def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorF
     return deconvolve(u, cfg.filter)
 
 
-def _mhd_rows(state: SimState, cfg: ModelConfig, project: bool = False,
-              peaks: list | None = None) -> list[SpectralVectorField]:
-    """MHD tendencies: momentum ``Hb.grad b - Hu.grad u`` and induction
-    ``Hb.grad u - Hu.grad b``, with H the deconvolution; their fluxes are
-    ``Hb (x) b - Hu (x) u`` and ``Hb (x) u - Hu (x) b``."""
-    if state.b is None:
-        raise MissingMagneticField("MHD model needs a magnetic field")
+def _kind_table(state: SimState, cfg: ModelConfig) -> tuple[list, tuple]:
+    """The transport rows N of ``d/dt state.fields = -P N + f``, with their
+    distinct spectra (module notes); the one place where model kinds differ."""
     u, b = state.u, state.b
-    fields = (deconvolve(u, cfg.filter).coeffs,
-              deconvolve(b, cfg.filter).coeffs, u.coeffs, b.coeffs)
-    return _transport(u.grid, fields, (((1, 3), (0, 2)), ((1, 2), (0, 3))),
-                      project=project, peaks=peaks)
+    if cfg.kind is not ModelKind.MHD_DECONV:
+        if b is not None:
+            raise InvariantViolation(
+                f"model kind {cfg.kind.value} has no magnetic field")
+        return _indexed([[(advecting_field(u, cfg), u)]])
+    if b is None:
+        raise MissingMagneticField("MHD model needs a magnetic field")
+    hu, hb = deconvolve(u, cfg.filter), deconvolve(b, cfg.filter)
+    return _indexed([[(hu, u), (hb, b)], [(hu, b), (hb, u)]])
 
 
 def rhs(state: SimState, cfg: ModelConfig, *,
@@ -303,30 +316,28 @@ def rhs(state: SimState, cfg: ModelConfig, *,
     is appended to it, read off the transport kernel's own inverse
     transform; the stepper's CFL check uses it.
     """
-    u = state.u
-    if cfg.kind is ModelKind.MHD_DECONV:
-        return Tendency(*_mhd_rows(state, cfg, project=True, peaks=peaks))
-    coeffs = advect(advecting_field(u, cfg), u, peaks=peaks).coeffs
-    np.negative(coeffs, out=coeffs)
+    g = state.u.grid
+    rows = _transport(g, *_kind_table(state, cfg), project=True, peaks=peaks)
+    for row in rows:
+        np.negative(row.coeffs, out=row.coeffs)
     if not cfg.forcing.is_zero():
-        coeffs += cfg.forcing.evaluate(u.grid, state.t).coeffs
-    return Tendency(du=SpectralVectorField(u.grid, coeffs))
+        rows[0].coeffs += cfg.forcing.evaluate(g, state.t).coeffs
+    return Tendency(*rows)
 
 
 def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     """The zero-mean pressure of the projected dynamics.
 
-    It is the potential of the gradient part that the projection removes
-    from the unprojected momentum tendency; for MHD the magnetic pressure
-    |b|^2/2 is subtracted, so the result is the fluid pressure.
+    It is minus the potential of the gradient part that the projection
+    removes from the unprojected momentum row N_u; with a magnetic field the
+    magnetic pressure |b|^2/2 is subtracted, so the result is the fluid
+    pressure.
     """
     g = state.u.grid
-    if cfg.kind is ModelKind.MHD_DECONV:
-        p_hat = _gradient_potential(g, _mhd_rows(state, cfg)[0].coeffs)
+    p_hat = -_gradient_potential(
+        g, _transport(g, *_kind_table(state, cfg))[0].coeffs)
+    if state.b is not None:
         b_phys = to_physical(g, state.b.coeffs)
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
             * g.dealias_weight
-    else:
-        p_hat = -_gradient_potential(g, advect(
-            advecting_field(state.u, cfg), state.u, project=False).coeffs)
     return SpectralScalarField(g, p_hat)

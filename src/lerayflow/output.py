@@ -12,7 +12,7 @@ import tempfile
 
 from .diagnostics import EnergyRecord, SweepReport
 
-__all__ = ["format_g17", "atomic_write_text", "energy_csv_text",
+__all__ = ["format_g17", "atomic_write", "energy_csv_text",
            "write_energy_csv", "sweep_csv_text", "write_sweep_csv",
            "write_summary"]
 
@@ -21,12 +21,15 @@ def format_g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write(path: str, *chunks: bytes) -> None:
+    """Write the chunks to path through a temp file in the same directory
+    and ``os.replace``, so readers see the old file or the whole new one."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -43,7 +46,7 @@ def energy_csv_text(records: list[EnergyRecord]) -> str:
 
 
 def write_energy_csv(path: str, records: list[EnergyRecord]) -> None:
-    atomic_write_text(path, energy_csv_text(records))
+    atomic_write(path, energy_csv_text(records).encode())
 
 
 def sweep_csv_text(report: SweepReport) -> str:
@@ -63,7 +66,7 @@ def sweep_csv_text(report: SweepReport) -> str:
 
 
 def write_sweep_csv(path: str, report: SweepReport) -> None:
-    atomic_write_text(path, sweep_csv_text(report))
+    atomic_write(path, sweep_csv_text(report).encode())
 
 
 def write_summary(path: str, entries: list[tuple[str, object]]) -> None:
@@ -73,4 +76,4 @@ def write_summary(path: str, entries: list[tuple[str, object]]) -> None:
             lines.append(f"{name} = {format_g17(value)}")
         else:
             lines.append(f"{name} = {value}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())

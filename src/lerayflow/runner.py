@@ -80,22 +80,24 @@ def _sweep_reference(rc: RunConfig):
     return rc.build_initial(grid).u
 
 
-def execute_sweep_alpha(rc: RunConfig, alphas: list[float], s_norm: float,
-                        target_slope: float | None = None):
-    report = alpha_sweep(_sweep_reference(rc), rc.build_filter(), alphas,
-                         s_norm, target_slope=target_slope)
+def _sweep_output(rc: RunConfig, report):
+    """Write sweep.csv into the output directory, when one is configured."""
     if rc.directory:
         os.makedirs(rc.directory, exist_ok=True)
         write_sweep_csv(os.path.join(rc.directory, "sweep.csv"), report)
     return report
+
+
+def execute_sweep_alpha(rc: RunConfig, alphas: list[float], s_norm: float,
+                        target_slope: float | None = None):
+    return _sweep_output(rc, alpha_sweep(
+        _sweep_reference(rc), rc.build_filter(), alphas, s_norm,
+        target_slope=target_slope))
 
 
 def execute_sweep_n(rc: RunConfig, orders: list[int], s_norm: float):
-    report = n_sweep(_sweep_reference(rc), rc.build_filter(), orders, s_norm)
-    if rc.directory:
-        os.makedirs(rc.directory, exist_ok=True)
-        write_sweep_csv(os.path.join(rc.directory, "sweep.csv"), report)
-    return report
+    return _sweep_output(rc, n_sweep(_sweep_reference(rc), rc.build_filter(),
+                                     orders, s_norm))
 
 
 def multiplier_table_text(rc: RunConfig) -> str:

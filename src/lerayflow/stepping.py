@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import EnergyRecord, measure_energy
-from .dynamics import ModelConfig, ModelKind, SimState, Tendency, rhs
+from .dynamics import ModelConfig, SimState, Tendency, rhs
 from .errors import CFLExceeded, InvariantViolation, NonFinite, SymmetryViolation
 from .fields import SpectralVectorField
 
@@ -80,8 +80,7 @@ class _Stepper:
         self.cfg = cfg
         self.sc = sc
         self.grid = grid
-        self.is_mhd = cfg.kind is ModelKind.MHD_DECONV
-        nus = [cfg.nu] + ([cfg.nu2] if self.is_mhd else [])
+        nus = [cfg.nu] if cfg.nu2 is None else [cfg.nu, cfg.nu2]
         self.e_half = [_viscous_factor(grid, nu, 0.5 * sc.dt) for nu in nus]
         self.e_full = [_viscous_factor(grid, nu, sc.dt) for nu in nus]
         self.h_e_half = [sc.dt * eh for eh in self.e_half]
@@ -97,10 +96,12 @@ class _Stepper:
 
     def _tendency(self, arrays: list[np.ndarray], t: float,
                   peaks: list | None = None) -> list[np.ndarray]:
-        u = SpectralVectorField(self.grid, arrays[0])
-        b = SpectralVectorField(self.grid, arrays[1]) if self.is_mhd else None
-        out: Tendency = rhs(SimState(t, u, b), self.cfg, peaks=peaks)
-        return [out.du.coeffs] + ([out.db.coeffs] if self.is_mhd else [])
+        out: Tendency = rhs(self._state(t, arrays), self.cfg, peaks=peaks)
+        return [f.coeffs for f in (out.du, out.db) if f is not None]
+
+    def _state(self, t: float, arrays: list[np.ndarray]) -> SimState:
+        return SimState(t, *(SpectralVectorField(self.grid, a)
+                             for a in arrays))
 
     def _check_cfl(self, t: float, umax: float) -> None:
         """Warn once when the advective CFL number exceeds the limit.  The
@@ -116,7 +117,7 @@ class _Stepper:
     def advance(self, state: SimState) -> SimState:
         h = self.sc.dt
         t = state.t
-        y = [state.u.coeffs] + ([state.b.coeffs] if self.is_mhd else [])
+        y = [f.coeffs for f in state.fields]
 
         # Each combination keeps the operation order of its formula; k1..k4
         # are fresh arrays, and k1 ends up holding the new state.
@@ -165,9 +166,7 @@ class _Stepper:
             if not np.isfinite(peak):
                 raise NonFinite(f"non-finite solution after step from t = {t:.6g}")
 
-        u = SpectralVectorField(self.grid, k1[0])
-        b = SpectralVectorField(self.grid, k1[1]) if self.is_mhd else None
-        return SimState(t + h, u, b)
+        return self._state(t + h, k1)
 
 
 def step(state: SimState, cfg: ModelConfig, sc: StepperConfig) -> SimState:
@@ -204,8 +203,7 @@ def run(initial: SimState, cfg: ModelConfig, sc: StepperConfig,
             end or (state_every is not None and i % state_every == 0))
         if not (end or to_sink or to_states):
             continue
-        res = max(f.hermitian_residual() for f in (state.u, state.b)
-                  if f is not None)
+        res = max(f.hermitian_residual() for f in state.fields)
         if res > 1e-10:
             raise SymmetryViolation(
                 f"Hermitian residual {res:.3e} at t = {state.t:.6g}")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import lerayflow.cli
+import lerayflow.config
 from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_INVARIANT,
                            EXIT_IO, EXIT_NONFINITE, EXIT_OK, EXIT_SYNTAX,
                            EXIT_UNKNOWN_KEY, main)
@@ -151,6 +152,17 @@ class TestErrorExitCodes:
         assert main([command, cfg, option, value]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert option in err and len(err.strip().splitlines()) == 1
+
+    def test_grid_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # rejected from n alone: the grid is never built, nothing allocated
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+        monkeypatch.setattr(lerayflow.config, "WaveGrid", no_grid)
+        big = SWEEP_BASE.replace("dim = 2\nn = 64", f"dim = 3\nn = {2**20}")
+        cfg = write_cfg(tmp_path, big, outdir=os.path.join(tmp_path, "o"))
+        assert main(["multiplier-table", cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "n:" in err and len(err.strip().splitlines()) == 1
 
     def test_output_directory_under_a_file(self, tmp_path, capsys):
         blocker = os.path.join(tmp_path, "file")

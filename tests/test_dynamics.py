@@ -473,3 +473,51 @@ class TestPressure:
                           FilterParams(alpha=0.1, theta=0.25))
         p = pressure_solve(SimState(0.0, u), cfg)
         assert p.coeffs[0, 0, 0] == 0.0
+
+
+class TestKindTable:
+    """The kinds differ only in their fields and advecting velocities, so
+    ``mhd-deconv`` with b = 0 is ``leray-deconv``, bit for bit."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_mhd_with_zero_b_is_leray_deconv(self, dim, n):
+        from lerayflow import StepperConfig, run
+        from lerayflow.diagnostics import (BumpTestFunction,
+                                           local_energy_residual)
+        grid = WaveGrid(dim, n)
+        u = random_solenoidal(grid, 21, -1.5, grid.dealias_cutoff)
+        zero = SpectralVectorField(grid, np.zeros_like(u.coeffs))
+        p = FilterParams(alpha=0.2, theta=0.25, n_deconv=2)
+        mhd = ModelConfig(ModelKind.MHD_DECONV, 0.05, p, nu2=0.05)
+        ld = ModelConfig(ModelKind.LERAY_DECONV, 0.05, p)
+        with_b, without = SimState(0.1, u, zero), SimState(0.1, u)
+
+        a, b = rhs(with_b, mhd), rhs(without, ld)
+        assert np.array_equal(a.du.coeffs, b.du.coeffs)
+        assert np.all(a.db.coeffs == 0)
+        assert np.array_equal(pressure_solve(with_b, mhd).coeffs,
+                              pressure_solve(without, ld).coeffs)
+
+        sc = StepperConfig(dt=1e-3, t_end=0.02)
+        runs = []
+        for state, cfg in ((with_b, mhd), (without, ld)):
+            states = []
+            start = SimState(0.0, state.u, state.b)
+            final = run(start, cfg, sc, state_sink=states.append,
+                        state_every=2)
+            pressures = [pressure_solve(s, cfg) for s in states]
+            phi = BumpTestFunction.canonical(dim, states[-1].t)
+            runs.append((final, local_energy_residual(states, pressures,
+                                                      phi, cfg)))
+        (fa, ra), (fb, rb) = runs
+        assert np.array_equal(fa.u.coeffs, fb.u.coeffs)
+        assert np.all(fa.b.coeffs == 0)
+        assert ra == rb
+
+    def test_fields_must_match_the_kind(self, grid3):
+        u = random_solenoidal(grid3, 1, -1.0, 4)
+        cfg = ModelConfig(ModelKind.LERAY_ALPHA, 0.1,
+                          FilterParams(alpha=0.1, theta=0.25))
+        for solve in (rhs, pressure_solve):
+            with pytest.raises(InvariantViolation, match="magnetic"):
+                solve(SimState(0.0, u, u.copy()), cfg)
