@@ -7,10 +7,9 @@ from .errors import (CFLExceeded, ConfigError, ConfigSyntaxError,
                      UnknownKeyError)
 from .grid import WaveGrid, worker_count
 from .fields import (RealVectorField, SpectralScalarField, SpectralVectorField,
-                     forward_transform, fractional_laplacian, galerkin_project,
-                     inverse_transform, inverse_transform_scalar, l2_inner,
-                     l2_norm, leray_project, random_solenoidal, sobolev_inner,
-                     sobolev_norm)
+                     forward_transform, inverse_transform,
+                     inverse_transform_scalar, l2_inner, l2_norm,
+                     leray_project, random_solenoidal, sobolev_norm)
 from .filtering import (FilterParams, deconvolution_multiplier, deconvolve,
                         filter_apply, helmholtz_multiplier, multiplier_table,
                         van_cittert_series)
@@ -20,9 +19,7 @@ from .dynamics import (ForcingMode, ForcingSpec, ModelConfig, ModelKind,
 from .stepping import StepperConfig, StepperScheme, run, step
 from .diagnostics import (BumpTestFunction, EnergyRecord, SweepReport,
                           alpha_sweep, energy_budget_residual, fit_loglog,
-                          local_energy_residual, measure_energy, n_sweep,
-                          shell_spectrum)
-from .presets import (taylor_green_energy, taylor_green_pressure,
-                      taylor_green_state_field, taylor_green_velocity)
+                          local_energy_residual, measure_energy, n_sweep)
+from .presets import taylor_green_state_field, taylor_green_velocity
 
 __version__ = "0.1.0"

@@ -314,4 +314,9 @@ def parse_config(text: str) -> RunConfig:
 
 def parse_config_file(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigSyntaxError(
+                f"byte {exc.start}: not valid UTF-8") from None
+    return parse_config(text)

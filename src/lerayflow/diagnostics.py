@@ -11,6 +11,10 @@ order in the sample spacing.  ``local_energy_residual`` checks the
 space-localized version against a smooth nonnegative test function that
 vanishes at both ends of the time interval; for the regularized models it is
 an equality, for plain NSE only the one-sided inequality is meaningful.
+Its dissipation term comes from ``u . lap u = lap(|u|^2/2) - |grad u|^2``,
+so each state in the window needs the Laplacians of its fields, not their
+d^2 gradients, and one inverse transform of one stack serves the whole state
+(with b, the kernel call for q and the dealiased |b|^2/2 add their own).
 
 The sweeps quantify the two convergence directions of the filter family:
 error in alpha at fixed N (rate alpha^{2 theta}) and error in N at fixed
@@ -27,16 +31,14 @@ from .dynamics import (ModelConfig, SimState, _gradient_potential,
                        _kind_table, _transport)
 from .errors import InvariantViolation, NonMonotone, TooFewSamples
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
-                     inverse_transform_scalar, l2_inner, l2_norm, sobolev_norm,
-                     to_physical)
+                     l2_inner, l2_norm, sobolev_norm, to_physical)
 from .filtering import FilterParams, deconvolve, filter_apply
 from .grid import WaveGrid
 
 __all__ = [
     "EnergyRecord", "measure_energy", "energy_budget_residual",
     "BumpTestFunction", "local_energy_residual",
-    "SweepReport", "alpha_sweep", "n_sweep",
-    "shell_spectrum", "fit_loglog",
+    "SweepReport", "alpha_sweep", "n_sweep", "fit_loglog",
 ]
 
 
@@ -161,15 +163,59 @@ class BumpTestFunction:
         return phys[0], phys[2:], phys[1]
 
 
-def _phys_grad_sq(field: SpectralVectorField) -> np.ndarray:
-    """Pointwise |grad u|^2 = sum_ij (d_j u_i)^2 in physical space."""
-    g = field.grid
-    d = g.dim
-    stack = np.empty((d * d,) + g.spectral_shape, dtype=complex)
-    for j in range(d):
-        stack[j * d: (j + 1) * d] = g.ik[j] * field.coeffs
-    der = to_physical(g, stack)
-    return np.sum(der * der, axis=0)
+def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
+                        cfg: ModelConfig, bump, w: float,
+                        w_dt: float) -> tuple[float, float]:
+    """Both sides of the localized energy identity at one state.  Every
+    array made here is freed on return, before the next state's transform."""
+    grid = state.u.grid
+    g, grad_g, lap_g = bump
+    d, m = grid.dim, len(state.fields)
+    forced = not cfg.forcing.is_zero()
+
+    # One inverse transform: the fields, their Laplacians, row 0's
+    # advecting fields (Hu, and Hb with b), the pressure, the induction
+    # pseudo-pressure q with b (the mixed deconvolved transport is not
+    # curl-like for alpha > 0) and the force.
+    spectra, rows = _kind_table(state, cfg)
+    parts = [f.coeffs for f in state.fields] \
+        + [-grid.k_sq * f.coeffs for f in state.fields] \
+        + [spectra[a] for a, _ in rows[0]] + [p_hat.coeffs[np.newaxis]]
+    if state.b is not None:
+        parts.append(-_gradient_potential(grid, _transport(
+            grid, spectra, rows[1:])[0].coeffs)[np.newaxis])
+    if forced:
+        parts.append(cfg.forcing.evaluate(grid, state.t).coeffs)
+    phys = to_physical(grid, np.concatenate(parts))
+    n_vec = 3 * m * d
+    f_phys, lap_phys, adv_phys = phys[:n_vec].reshape((3, m, d) + grid.shape)
+    p_phys = phys[n_vec]
+
+    # 2 int |grad f|^2 g = int |f|^2 lap g - 2 int g f . lap f
+    squares = [np.sum(f * f, axis=0) for f in f_phys]
+    lhs = rhs = 0.0
+    for f, lap_f, f_sq, nu in zip(f_phys, lap_phys, squares,
+                                  (cfg.nu, cfg.nu2)):
+        lhs += nu * w * np.sum(
+            f_sq * lap_g - 2.0 * g * np.sum(f * lap_f, axis=0))
+        rhs += np.sum(f_sq * (w_dt * g + nu * w * lap_g))
+
+    # The flux of |u|^2 (+ |b|^2): advection by Hu and the pressure work on
+    # u; with b, the work of the dealiased magnetic pressure on u and of q on
+    # b, and the Lorentz exchange carried by Hb.
+    u_phys = f_phys[0]
+    flux = sum(squares)[np.newaxis] * adv_phys[0] \
+        + 2.0 * p_phys[np.newaxis] * u_phys
+    if state.b is not None:
+        b_phys, q_phys = f_phys[1], phys[n_vec + 1]
+        mag_phys = to_physical(grid, from_physical(
+            grid, 0.5 * squares[1]) * grid.dealias_weight)
+        flux += 2.0 * mag_phys * u_phys + 2.0 * q_phys * b_phys \
+            - 2.0 * np.sum(u_phys * b_phys, axis=0) * adv_phys[1]
+    rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
+    if forced:
+        rhs += 2.0 * w * np.sum(np.sum(phys[-d:] * u_phys, axis=0) * g)
+    return grid.cell_volume * lhs, grid.cell_volume * rhs
 
 
 def local_energy_residual(states: list[SimState],
@@ -192,58 +238,16 @@ def local_energy_residual(states: list[SimState],
     if len(states) != len(pressures):
         raise InvariantViolation("one pressure field per checkpoint required")
 
-    grid = states[0].u.grid
-    g, grad_g, lap_g = phi.spatial_fields(grid)
-    vol = grid.cell_volume
-
+    bump = phi.spatial_fields(states[0].u.grid)
     times = np.array([s.t for s in states])
-    lhs_vals = np.empty(len(states))
-    rhs_vals = np.empty(len(states))
-
+    lhs_vals = np.zeros(len(states))
+    rhs_vals = np.zeros(len(states))
     for i, (state, p_hat) in enumerate(zip(states, pressures)):
         w = phi.time_weight(state.t)
         w_dt = phi.time_weight_dt(state.t)
-        if w == 0.0 and w_dt == 0.0:
-            lhs_vals[i] = rhs_vals[i] = 0.0
-            continue
-
-        phys = [to_physical(grid, f.coeffs) for f in state.fields]
-        squares = [np.sum(f * f, axis=0) for f in phys]
-        lhs = rhs = 0.0
-        for f, f_sq, nu in zip(state.fields, squares, (cfg.nu, cfg.nu2)):
-            lhs += 2.0 * nu * w * np.sum(_phys_grad_sq(f) * g)
-            rhs += np.sum(f_sq * (w_dt * g + nu * w * lap_g))
-
-        # The flux of |u|^2 (+ |b|^2): advection by row 0's advecting
-        # field Hu and the pressure work on u; with b, the work of the
-        # dealiased magnetic pressure on u and of the induction
-        # pseudo-pressure q on b (the mixed deconvolved transport is not
-        # curl-like for alpha > 0), and the Lorentz exchange carried by Hb.
-        spectra, rows = _kind_table(state, cfg)
-        u_phys = phys[0]
-        adv_phys = to_physical(grid, spectra[rows[0][0][0]])
-        p_phys = inverse_transform_scalar(p_hat)
-        flux = sum(squares)[np.newaxis] * adv_phys \
-            + 2.0 * p_phys[np.newaxis] * u_phys
-        if state.b is not None:
-            b_phys = phys[1]
-            hb_phys = to_physical(grid, spectra[rows[0][1][0]])
-            mag_hat = from_physical(grid, 0.5 * squares[1]) \
-                * grid.dealias_weight
-            q_hat = -_gradient_potential(
-                grid, _transport(grid, spectra, rows[1:])[0].coeffs)
-            mag_phys, q_phys = to_physical(grid, np.stack([mag_hat, q_hat]))
-            flux += 2.0 * mag_phys * u_phys + 2.0 * q_phys * b_phys \
-                - 2.0 * np.sum(u_phys * b_phys, axis=0) * hb_phys
-        del spectra  # frees Hu before the next state's gradients
-        rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
-        if not cfg.forcing.is_zero():
-            f_phys = to_physical(
-                grid, cfg.forcing.evaluate(grid, state.t).coeffs)
-            rhs += 2.0 * w * np.sum(np.sum(f_phys * u_phys, axis=0) * g)
-
-        lhs_vals[i] = vol * lhs
-        rhs_vals[i] = vol * rhs
+        if w != 0.0 or w_dt != 0.0:
+            lhs_vals[i], rhs_vals[i] = _local_energy_sides(
+                state, p_hat, cfg, bump, w, w_dt)
 
     lhs_int = float(np.trapezoid(lhs_vals, times))
     rhs_int = float(np.trapezoid(rhs_vals, times))
@@ -354,16 +358,3 @@ def n_sweep(u_ref: SpectralVectorField, p: FilterParams,
     passed = all(r <= bound + ratio_margin for r in ratios)
     return SweepReport(tuple(float(n) for n in n_values), tuple(errors),
                        None, None, ratio, bound, passed)
-
-
-def shell_spectrum(u: SpectralVectorField) -> list[tuple[int, float]]:
-    """Per-shell spectral energy sum_{|k| in shell j} |uhat_k|^2.
-
-    Shells partition the retained modes, so the energies sum to the squared
-    L2 norm of the field.
-    """
-    g = u.grid
-    energy_density = g.plane_weight * np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    totals = np.bincount(g.shell.ravel(), weights=energy_density.ravel(),
-                         minlength=g.max_shell + 1)
-    return [(j, float(totals[j])) for j in range(g.max_shell + 1)]

@@ -1,5 +1,12 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "LerayflowError", "SymmetryViolation", "GridMismatch",
+    "CriticalityViolation", "MissingMagneticField", "NonFinite",
+    "TooFewSamples", "NonMonotone", "ConfigError", "ConfigSyntaxError",
+    "UnknownKeyError", "InvariantViolation", "CFLExceeded",
+]
+
 
 class LerayflowError(Exception):
     """Base class for all package-specific errors."""

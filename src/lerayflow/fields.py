@@ -25,8 +25,7 @@ from .grid import WaveGrid, worker_count
 __all__ = [
     "SpectralVectorField", "RealVectorField", "SpectralScalarField",
     "forward_transform", "inverse_transform", "inverse_transform_scalar",
-    "leray_project", "fractional_laplacian", "galerkin_project",
-    "sobolev_norm", "sobolev_inner", "l2_inner", "l2_norm",
+    "leray_project", "sobolev_norm", "l2_inner", "l2_norm",
     "hermitian_reflection", "full_layout", "random_solenoidal",
     "to_physical", "from_physical",
 ]
@@ -74,9 +73,6 @@ class SpectralVectorField:
             return 0.0
         div = np.sum(self.grid.k * self.coeffs, axis=0)
         return float(np.abs(div).max() / norm)
-
-    def in_dealias_band(self) -> bool:
-        return bool(np.all(self.coeffs[:, ~self.grid.dealias_mask] == 0.0))
 
 
 @dataclass
@@ -182,41 +178,11 @@ def leray_project(s: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(g, coeffs)
 
 
-def fractional_laplacian(s: SpectralVectorField, theta: float) -> SpectralVectorField:
-    """Multiply coefficients by |k|^(2*theta); the zero mode stays zero."""
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    if theta == 0.0:
-        return s.copy()
-    mult = s.grid.k_power(2.0 * theta)
-    return SpectralVectorField(s.grid, s.coeffs * mult)
-
-
-def galerkin_project(s: SpectralVectorField, m: int) -> SpectralVectorField:
-    """Keep modes on the spherical ball |k| <= m * (2*pi/L), zero the rest.
-
-    The comparison is done on exact integer mode indices, so shell membership
-    never depends on floating-point rounding.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    mask = s.grid.a_sq <= m * m
-    return SpectralVectorField(s.grid, np.where(mask, s.coeffs, 0.0))
-
-
 def sobolev_norm(s: SpectralVectorField, sexp: float) -> float:
     """H^s norm over the mean-free modes: sqrt(sum |k|^{2s} |uhat|^2)."""
     w = s.grid.plane_weight * s.grid.k_power(2.0 * sexp)
     total = np.sum(w * np.sum(np.abs(s.coeffs) ** 2, axis=0))
     return float(np.sqrt(total))
-
-
-def sobolev_inner(u: SpectralVectorField, v: SpectralVectorField, sexp: float) -> float:
-    """Real V^s pairing sum |k|^{2s} uhat_k . conj(vhat_k)."""
-    if not u.grid.same_as(v.grid):
-        raise GridMismatch("inner product requires a common grid")
-    w = u.grid.plane_weight * u.grid.k_power(2.0 * sexp)
-    return float(np.real(np.sum(w * np.sum(u.coeffs * np.conj(v.coeffs), axis=0))))
 
 
 def l2_inner(u: SpectralVectorField, v: SpectralVectorField) -> float:

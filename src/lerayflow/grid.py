@@ -107,7 +107,6 @@ class WaveGrid:
 
         # Integer shell index |k| in units of k0, rounded to nearest shell.
         self.shell = np.rint(np.sqrt(self.a_sq.astype(np.float64))).astype(np.int64)
-        self.max_shell = int(self.shell[self.mode_mask].max())
         self._symbols: dict[tuple, np.ndarray] = {}
 
     def cached(self, key: tuple, build) -> np.ndarray:

@@ -20,10 +20,7 @@ from .errors import InvariantViolation
 from .fields import RealVectorField, SpectralVectorField, forward_transform
 from .grid import WaveGrid
 
-__all__ = [
-    "taylor_green_velocity", "taylor_green_state_field",
-    "taylor_green_pressure", "taylor_green_energy",
-]
+__all__ = ["taylor_green_velocity", "taylor_green_state_field"]
 
 
 def _check_grid(grid: WaveGrid) -> None:
@@ -49,15 +46,3 @@ def taylor_green_state_field(grid: WaveGrid, nu: float = 0.0,
     s = forward_transform(taylor_green_velocity(grid, nu, t))
     coeffs = np.where(grid.dealias_mask, s.coeffs, 0.0)
     return SpectralVectorField(grid, coeffs)
-
-
-def taylor_green_pressure(grid: WaveGrid, nu: float, t: float) -> np.ndarray:
-    """Physical-space Taylor-Green pressure (zero mean) at time t."""
-    _check_grid(grid)
-    x, y = grid.mesh()
-    return -0.25 * (np.cos(2 * x) + np.cos(2 * y)) * np.exp(-4.0 * nu * t)
-
-
-def taylor_green_energy(nu: float, t: float) -> float:
-    """Kinetic energy (1/2) mean |u|^2 of the Taylor-Green flow at time t."""
-    return 0.25 * np.exp(-4.0 * nu * t)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from lerayflow import WaveGrid
 
@@ -17,6 +18,22 @@ def grid2() -> WaveGrid:
 @pytest.fixture(scope="session")
 def grid2_64() -> WaveGrid:
     return WaveGrid(2, 64)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """(calls, fields) per real-FFT direction, keyed by name."""
+    counts = {}
+    for name in ("irfftn", "rfftn"):
+        def counted(x, *args, _name=name, _fn=getattr(scipy.fft, name),
+                    **kwargs):
+            calls, fields = counts.get(_name, (0, 0))
+            dim = len(kwargs["axes"])
+            counts[_name] = (calls + 1,
+                             fields + x.size // np.prod(x.shape[-dim:]))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return counts
 
 
 def single_mode_field(grid, a, amplitude):

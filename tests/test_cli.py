@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lerayflow.cli
@@ -11,7 +12,6 @@ import lerayflow.config
 from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_INVARIANT,
                            EXIT_IO, EXIT_NONFINITE, EXIT_OK, EXIT_SYNTAX,
                            EXIT_UNKNOWN_KEY, main)
-from lerayflow.presets import taylor_green_energy
 from lerayflow.validate import CriterionResult, criterion_advection, run_all
 
 SRC = os.path.dirname(os.path.dirname(lerayflow.cli.__file__))
@@ -60,6 +60,11 @@ t_end = 0.01
 [output]
 directory = {outdir}
 """
+
+
+def taylor_green_energy(nu, t):
+    """Kinetic energy (1/2) mean |u|^2 of the Taylor-Green flow at time t."""
+    return 0.25 * np.exp(-4.0 * nu * t)
 
 
 def write_cfg(tmp_path, text, name="run.cfg", **kw):
@@ -163,6 +168,16 @@ class TestErrorExitCodes:
         assert main(["multiplier-table", cfg]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert "n:" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "multiplier-table"])
+    def test_config_not_utf8(self, tmp_path, capsys, command):
+        path = os.path.join(tmp_path, "bad.cfg")
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe[grid]\n")
+        assert main([command, path]) == EXIT_SYNTAX
+        err = capsys.readouterr().err
+        assert err.startswith("config syntax error:") and "byte 0" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_output_directory_under_a_file(self, tmp_path, capsys):
         blocker = os.path.join(tmp_path, "file")

@@ -11,6 +11,7 @@ from lerayflow import (BumpTestFunction, EnergyRecord, FilterParams,
                        filter_apply, local_energy_residual, measure_energy,
                        n_sweep, pressure_solve, random_solenoidal, run,
                        sobolev_norm)
+from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field
 
 from conftest import single_mode_field
@@ -206,6 +207,49 @@ class TestLocalEnergy:
         phi = BumpTestFunction.canonical(2, 0.2)
         residual = local_energy_residual(states, pressures, phi, cfg)
         assert residual <= 1e-3
+
+    def test_dissipation_identity(self):
+        # sum g |grad u|^2 = sum (|u|^2 lap g / 2 - g u . lap u): the residual
+        # takes its dissipation from d transformed fields lap u, not from the
+        # d^2 gradients.  Pinned at 32^3 on criterion 6's initial field; at
+        # 16^3 the bump's spectrum is cut at n/2, which leaves 3.5e-9 here.
+        grid = WaveGrid(3, 32)
+        u = random_solenoidal(grid, 11, -2.5, 5)
+        g, _, lap_g = BumpTestFunction.canonical(3, 0.2).spatial_fields(grid)
+        grad_u = to_physical(grid, grid.ik[:, np.newaxis] * u.coeffs)
+        u_phys, lap_u = to_physical(grid, np.stack([u.coeffs,
+                                                    -grid.k_sq * u.coeffs]))
+        lhs = np.sum(g * np.sum(grad_u * grad_u, axis=(0, 1)))
+        rhs = np.sum(0.5 * np.sum(u_phys * u_phys, axis=0) * lap_g
+                     - g * np.sum(u_phys * lap_u, axis=0))
+        assert rhs == pytest.approx(lhs, rel=1e-14)
+
+    @pytest.mark.parametrize("kind,expected", [
+        (ModelKind.LERAY_ALPHA, {"irfftn": (1, 13)}),
+        (ModelKind.MHD_DECONV, {"irfftn": (3, 33), "rfftn": (2, 10)}),
+    ], ids=["leray-alpha", "mhd-deconv"])
+    def test_transform_counts(self, counts, kind, expected):
+        # one state inside the window (0.02, 0.18): one inverse transform of
+        # u, lap u, Hu, p and the force; with b, the unprojected kernel call
+        # for q and the dealiased |b|^2/2 round trip add theirs
+        grid = WaveGrid(3, 16)
+        mhd = kind is ModelKind.MHD_DECONV
+        if mhd:
+            cfg = ModelConfig(kind=kind, nu=0.1, nu2=0.1,
+                              filter=FilterParams(alpha=0.15, theta=0.25,
+                                                  n_deconv=1))
+        else:
+            cfg = leray_cfg(forcing=ForcingSpec(
+                (ForcingMode((1, 2, 0), (0.2, -0.1, 0.0)),)))
+        u = random_solenoidal(grid, 11, -2.5, 5)
+        b = random_solenoidal(grid, 12, -2.5, 5) if mhd else None
+        states = [SimState(t, u, b) for t in (0.0, 0.1, 0.2)]
+        pressures = [pressure_solve(s, cfg) for s in states]
+        phi = BumpTestFunction.canonical(3, 0.2)
+        phi.spatial_fields(grid)  # made once per grid, not per state
+        counts.clear()
+        local_energy_residual(states, pressures, phi, cfg)
+        assert counts == expected
 
     def test_too_few_checkpoints(self, grid3):
         u = random_solenoidal(grid3, 0, -1.0, 4)

@@ -14,8 +14,7 @@ from lerayflow import (CriticalityViolation, FilterParams, ForcingMode,
                        leray_project, pressure_solve, random_solenoidal,
                        rhs, sobolev_norm)
 from lerayflow.fields import from_physical, to_physical
-from lerayflow.presets import (taylor_green_pressure,
-                               taylor_green_state_field)
+from lerayflow.presets import taylor_green_state_field
 from lerayflow.validate import convolution_advect_oracle
 
 from conftest import single_mode_field
@@ -87,6 +86,13 @@ def convective_rhs_and_pressure(state, cfg):
             * g.dealias_weight
     return [leray_project(SpectralVectorField(g, r)).coeffs
             for r in rows], p_hat
+
+
+def taylor_green_pressure(grid, nu, t):
+    """Physical-space Taylor-Green pressure (zero mean) at time t, on the
+    2*pi box: -(cos 2x + cos 2y) / 4 * exp(-4 nu t)."""
+    x, y = grid.mesh()
+    return -0.25 * (np.cos(2 * x) + np.cos(2 * y)) * np.exp(-4.0 * nu * t)
 
 
 def relative_gap(a, ref):
@@ -171,7 +177,7 @@ class TestAdvect:
         v = random_solenoidal(grid3, 4, -1.0, grid3.dealias_cutoff)
         out = advect(w, v)
         assert out.divergence_residual() <= 1e-12
-        assert out.in_dealias_band()
+        assert np.all(out.coeffs[:, ~grid3.dealias_mask] == 0.0)
 
     def test_grid_mismatch(self, grid3, grid2):
         w = random_solenoidal(grid3, 0, -1.0, 4)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from lerayflow import (RealVectorField, SpectralVectorField, SymmetryViolation,
-                       WaveGrid, forward_transform, fractional_laplacian,
-                       galerkin_project, inverse_transform, l2_inner,
-                       leray_project, random_solenoidal, sobolev_inner,
-                       sobolev_norm)
-from lerayflow.diagnostics import fit_loglog, shell_spectrum
+                       WaveGrid, forward_transform, inverse_transform,
+                       leray_project, random_solenoidal, sobolev_norm)
+from lerayflow.diagnostics import fit_loglog
 
 from conftest import single_mode_field
 
@@ -96,68 +94,6 @@ class TestLerayProjection:
             <= 1e-14 * np.abs(once.coeffs).max()
 
 
-class TestFractionalLaplacian:
-    def test_theta_zero_identity(self, grid3):
-        u = random_solenoidal(grid3, 3, -1.0, 4)
-        out = fractional_laplacian(u, 0.0)
-        assert np.array_equal(out.coeffs, u.coeffs)
-
-    def test_one_shell_doubling(self, grid3):
-        # theta = 1: multiplier |k|^2 = 2 on the (1,1,0) mode
-        u = single_mode_field(grid3, (1, 1, 0), (1.0, -1.0, 0.0))
-        out = fractional_laplacian(u, 1.0)
-        assert np.allclose(out.coeffs, 2.0 * u.coeffs, atol=1e-15)
-
-    def test_quarter_power(self, grid3):
-        # theta = 1/4 at |k| = 4: scale 4^(1/2) = 2
-        u = single_mode_field(grid3, (4, 0, 0), (0.0, 1.0, 0.0))
-        out = fractional_laplacian(u, 0.25)
-        assert out.coeffs[1, 4, 0, 0] == pytest.approx(2.0, rel=1e-14)
-
-    def test_semigroup_composition(self, grid3):
-        u = random_solenoidal(grid3, 4, -1.0, 5)
-        a = fractional_laplacian(fractional_laplacian(u, 0.3), 0.45)
-        b = fractional_laplacian(u, 0.75)
-        assert np.abs(a.coeffs - b.coeffs).max() \
-            <= 1e-12 * np.abs(b.coeffs).max()
-
-    def test_negative_theta_rejected(self, grid3):
-        u = random_solenoidal(grid3, 4, -1.0, 4)
-        with pytest.raises(ValueError):
-            fractional_laplacian(u, -0.5)
-
-
-class TestGalerkinProjection:
-    def test_full_retention_identity(self, grid3):
-        u = random_solenoidal(grid3, 6, -1.0, grid3.dealias_cutoff)
-        m = int(np.ceil(grid3.n / 2 * np.sqrt(3)))
-        out = galerkin_project(u, m)
-        assert np.array_equal(out.coeffs, u.coeffs)
-
-    def test_lowest_shell_unchanged(self, grid3):
-        u = single_mode_field(grid3, (1, 0, 0), (0.0, 1.0, 0.0))
-        assert np.array_equal(galerkin_project(u, 1).coeffs, u.coeffs)
-        with pytest.raises(ValueError):
-            galerkin_project(u, 0)
-
-    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0])
-    def test_norm_nonincreasing(self, grid3, s):
-        u = random_solenoidal(grid3, 7, -1.0, grid3.dealias_cutoff)
-        for m in (1, 2, 3, 4):
-            assert sobolev_norm(galerkin_project(u, m), s) \
-                <= sobolev_norm(u, s) * (1 + 1e-14)
-
-    def test_idempotent_and_self_adjoint(self, grid3):
-        u = random_solenoidal(grid3, 8, -1.0, grid3.dealias_cutoff)
-        v = random_solenoidal(grid3, 9, -1.0, grid3.dealias_cutoff)
-        pm_u = galerkin_project(u, 3)
-        assert np.array_equal(galerkin_project(pm_u, 3).coeffs, pm_u.coeffs)
-        for s in (-1.0, 0.0, 0.5, 1.0):
-            lhs = sobolev_inner(pm_u, v, s)
-            rhs = sobolev_inner(u, galerkin_project(v, 3), s)
-            assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
-
-
 class TestSobolevNorms:
     def test_zero_field(self, grid3):
         u = SpectralVectorField(
@@ -181,7 +117,8 @@ class TestSobolevNorms:
     def test_norm_equivalence_with_laplacian_power(self, grid3, s):
         u = random_solenoidal(grid3, 10, -1.0, 5)
         direct = sobolev_norm(u, s)
-        via_power = sobolev_norm(fractional_laplacian(u, s / 2.0), 0.0)
+        via_power = sobolev_norm(
+            SpectralVectorField(grid3, grid3.k_power(s) * u.coeffs), 0.0)
         assert direct == pytest.approx(via_power, rel=1e-12)
 
 
@@ -199,7 +136,7 @@ class TestRandomSolenoidal:
         u = random_solenoidal(grid3, 2, -2.0, 5)
         assert u.hermitian_residual() <= 1e-13
         assert np.abs(u.coeffs[:, 0, 0, 0]).max() == 0.0
-        assert u.in_dealias_band()
+        assert np.all(u.coeffs[:, ~grid3.dealias_mask] == 0.0)
 
     def test_spectrum_slope(self):
         # shell-averaged energy follows |k|^(2*slope); fit on shells 2..8
@@ -214,20 +151,6 @@ class TestRandomSolenoidal:
     def test_cutoff_enforced(self, grid3):
         with pytest.raises(ValueError):
             random_solenoidal(grid3, 0, -2.0, grid3.dealias_cutoff + 1)
-
-
-class TestShellSpectrum:
-    def test_single_mode(self, grid3):
-        u = single_mode_field(grid3, (2, 2, 1), (0.0, 1.0, -2.0))
-        spec = shell_spectrum(u)
-        total = sum(e for _, e in spec)
-        assert spec[3][0] == 3  # |k| = 3
-        assert spec[3][1] == pytest.approx(total, rel=1e-14)
-
-    def test_partition_sums_to_energy(self, grid3):
-        u = random_solenoidal(grid3, 12, -1.5, grid3.dealias_cutoff)
-        total = sum(e for _, e in shell_spectrum(u))
-        assert total == pytest.approx(sobolev_norm(u, 0.0) ** 2, rel=1e-12)
 
 
 class TestWorkerCount:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import lerayflow.stepping
 from lerayflow import (CFLExceeded, FilterParams, ForcingMode, ForcingSpec,
@@ -261,21 +260,6 @@ class TestTransformCounts:
     transform, for each kind (one inverse and one forward call per stage).
     The projected rows drop the trace of their flux, so each row transforms
     one product fewer; the unprojected pressure row keeps all of them."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        """(calls, fields) per real-FFT direction, keyed by name."""
-        counts = {}
-        for name in ("irfftn", "rfftn"):
-            def counted(x, *args, _name=name, _fn=getattr(scipy.fft, name),
-                        **kwargs):
-                calls, fields = counts.get(_name, (0, 0))
-                dim = len(kwargs["axes"])
-                counts[_name] = (calls + 1,
-                                 fields + x.size // np.prod(x.shape[-dim:]))
-                return _fn(x, *args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counted)
-        return counts
 
     # products: the flux products of every row per step, trace included
     # (what the unprojected pressure row transforms).
