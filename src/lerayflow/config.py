@@ -30,7 +30,7 @@ from .fields import SpectralVectorField, random_solenoidal
 from .filtering import FilterParams
 from .grid import WaveGrid
 from .presets import taylor_green_state_field
-from .stepping import StepperConfig, StepperScheme
+from .stepping import StepperConfig, StepperScheme, working_set
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file"]
 
@@ -245,12 +245,6 @@ def parse_config(text: str) -> RunConfig:
         raise InvariantViolation(f"dim: must be 2 or 3, got {dim}")
     if n < 8 or n % 2:
         raise InvariantViolation(f"n: must be even and >= 8, got {n}")
-    field_bytes = 16 * dim * n ** (dim - 1) * (n // 2 + 1)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if field_bytes > memory:
-        raise InvariantViolation(
-            f"n: one spectral field at n = {n} takes {field_bytes} bytes, "
-            f"more than the {memory} bytes of physical memory")
     if values["length"] <= 0:
         raise InvariantViolation("length: must be positive")
     if not 0.0 < values["dealias_fraction"] <= 1.0:
@@ -260,6 +254,12 @@ def parse_config(text: str) -> RunConfig:
             f"kind: unknown model kind {values['kind']!r} "
             f"(expected one of {sorted(_KINDS)})")
     values["kind"] = _KINDS[values["kind"]]
+    run_bytes = working_set(dim, n, values["kind"])
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if run_bytes > memory:
+        raise InvariantViolation(
+            f"n: a {values['kind'].value} run at n = {n} needs about "
+            f"{run_bytes} bytes, more than the {memory} of physical memory")
 
     values["forcing"] = ForcingSpec(tuple(  # entries keep the text order
         _parse_forcing_mode(key, line_no, raw, dim)

@@ -12,9 +12,8 @@ space-localized version against a smooth nonnegative test function that
 vanishes at both ends of the time interval; for the regularized models it is
 an equality, for plain NSE only the one-sided inequality is meaningful.
 Its dissipation term comes from ``u . lap u = lap(|u|^2/2) - |grad u|^2``,
-so each state in the window needs the Laplacians of its fields, not their
-d^2 gradients, and one inverse transform of one stack serves the whole state
-(with b, the kernel call for q and the dealiased |b|^2/2 add their own).
+so one inverse transform of the fields, their Laplacians, Hu, p and f
+serves a state (with b, the kernel's q and the dealiased |b|^2/2 add theirs).
 
 The sweeps quantify the two convergence directions of the filter family:
 error in alpha at fixed N (rate alpha^{2 theta}) and error in N at fixed
@@ -27,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (ModelConfig, SimState, _gradient_potential,
-                       _kind_table, _transport)
+from .dynamics import ModelConfig, SimState, _kind_table, _transport
 from .errors import InvariantViolation, NonMonotone, TooFewSamples
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
                      l2_inner, l2_norm, sobolev_norm, to_physical)
@@ -48,8 +46,7 @@ class EnergyRecord:
 
     e_kin/e_mag are halves of squared L2 norms, grad_* are squared H^1
     seminorms, inject is the forcing power (f, u), h_half the squared H^{1/2}
-    norm, div_residual the worst relative divergence of the fields.
-    """
+    norm, div_residual the worst relative divergence of the fields."""
 
     t: float
     e_kin: float
@@ -66,11 +63,13 @@ class EnergyRecord:
 
 def measure_energy(state: SimState, cfg: ModelConfig) -> EnergyRecord:
     u = state.u
-    norms = [(0.5 * l2_norm(f) ** 2, sobolev_norm(f, 1.0) ** 2)
-             for f in state.fields]
+    energies = [np.sum(np.abs(f.coeffs) ** 2, axis=0) for f in state.fields]
+    l2 = [l2_norm(f, e) for f, e in zip(state.fields, energies)]
+    norms = [(0.5 * n ** 2, sobolev_norm(f, 1.0, e) ** 2)
+             for f, e, n in zip(state.fields, energies, l2)]
     (e_kin, grad_u), (e_mag, grad_b) = (norms + [(0.0, 0.0)])[:2]
-    h_half = sobolev_norm(u, 0.5) ** 2
-    div_res = max(f.divergence_residual() for f in state.fields)
+    h_half = sobolev_norm(u, 0.5, energies[0]) ** 2
+    div_res = max(f.divergence_residual(n) for f, n in zip(state.fields, l2))
     inject = 0.0
     if not cfg.forcing.is_zero():
         inject = l2_inner(cfg.forcing.evaluate(u.grid, state.t), u)
@@ -82,8 +81,7 @@ def energy_budget_residual(samples: list[EnergyRecord], cfg: ModelConfig) -> flo
     """Worst relative defect of the energy identity over interior samples.
 
     Time derivatives use centered differences on the (uniform) sample grid,
-    so a smooth trajectory gives a residual that is O(spacing^2).
-    """
+    so a smooth trajectory gives a residual that is O(spacing^2)."""
     if len(samples) < 3:
         raise TooFewSamples("energy budget needs at least 3 samples")
     t = np.array([s.t for s in samples])
@@ -109,8 +107,7 @@ class BumpTestFunction:
     and t1.
 
     The spatial profile is synthesized from its exact Fourier coefficients,
-    so its gradient and Laplacian are spectrally consistent with it.
-    """
+    so its gradient and Laplacian are spectrally consistent with it."""
 
     def __init__(self, center: tuple[float, ...], width: float,
                  t0: float, t1: float):
@@ -165,25 +162,24 @@ class BumpTestFunction:
 
 def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
                         cfg: ModelConfig, bump, w: float,
-                        w_dt: float) -> tuple[float, float]:
-    """Both sides of the localized energy identity at one state.  Every
-    array made here is freed on return, before the next state's transform."""
+                        w_dt: float) -> tuple[float, float, np.ndarray]:
+    """Both sides of the localized energy identity at one state, and the
+    samples of its one inverse transform."""
     grid = state.u.grid
     g, grad_g, lap_g = bump
     d, m = grid.dim, len(state.fields)
     forced = not cfg.forcing.is_zero()
 
-    # One inverse transform: the fields, their Laplacians, row 0's
-    # advecting fields (Hu, and Hb with b), the pressure, the induction
-    # pseudo-pressure q with b (the mixed deconvolved transport is not
-    # curl-like for alpha > 0) and the force.
-    spectra, rows = _kind_table(state, cfg)
+    # One inverse transform: the fields, their Laplacians, row 0's advecting
+    # fields (Hu, and Hb with b), p, the induction potential q with b (the
+    # mixed deconvolved transport is not curl-like for alpha > 0) and f.
+    sources, rows = _kind_table(state, cfg)
     parts = [f.coeffs for f in state.fields] \
         + [-grid.k_sq * f.coeffs for f in state.fields] \
-        + [spectra[a] for a, _ in rows[0]] + [p_hat.coeffs[np.newaxis]]
+        + [c if h is None else c * h for c, h in (sources[a] for a, _ in rows[0])] \
+        + [p_hat.coeffs[np.newaxis]]
     if state.b is not None:
-        parts.append(-_gradient_potential(grid, _transport(
-            grid, spectra, rows[1:])[0].coeffs)[np.newaxis])
+        parts.append(_transport(grid, sources, rows[1:], "potential")[0])
     if forced:
         parts.append(cfg.forcing.evaluate(grid, state.t).coeffs)
     phys = to_physical(grid, np.concatenate(parts))
@@ -215,7 +211,7 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
     if forced:
         rhs += 2.0 * w * np.sum(np.sum(phys[-d:] * u_phys, axis=0) * g)
-    return grid.cell_volume * lhs, grid.cell_volume * rhs
+    return grid.cell_volume * lhs, grid.cell_volume * rhs, phys
 
 
 def local_energy_residual(states: list[SimState],
@@ -231,8 +227,7 @@ def local_energy_residual(states: list[SimState],
     checkpoints (the window and its first two derivatives vanish there, so
     the h^2 Euler-Maclaurin term drops out).
     For plain NSE only ``residual <= tol`` (the inequality direction) is
-    asserted by callers.
-    """
+    asserted by callers."""
     if len(states) < 3:
         raise TooFewSamples("local energy residual needs >= 3 checkpoints")
     if len(states) != len(pressures):
@@ -242,11 +237,14 @@ def local_energy_residual(states: list[SimState],
     times = np.array([s.t for s in states])
     lhs_vals = np.zeros(len(states))
     rhs_vals = np.zeros(len(states))
+    # A state's samples are freed once the next state's exist: freed first,
+    # they leave a free block on top of the heap, which the allocator returns
+    # to the system and every next state faults back in.
     for i, (state, p_hat) in enumerate(zip(states, pressures)):
         w = phi.time_weight(state.t)
         w_dt = phi.time_weight_dt(state.t)
         if w != 0.0 or w_dt != 0.0:
-            lhs_vals[i], rhs_vals[i] = _local_energy_sides(
+            lhs_vals[i], rhs_vals[i], _held = _local_energy_sides(
                 state, p_hat, cfg, bump, w, w_dt)
 
     lhs_int = float(np.trapezoid(lhs_vals, times))
@@ -282,8 +280,7 @@ def alpha_sweep(u_ref: SpectralVectorField, p: FilterParams,
 
     The fitted log-log slope is compared against the theoretical rate
     2*theta (or an explicit ``target_slope``); alpha = 0 entries give an
-    exactly zero error and are excluded from the fit.
-    """
+    exactly zero error and are excluded from the fit."""
     if len(alphas) < 3:
         raise InvariantViolation("alpha sweep needs at least 3 values")
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
@@ -320,8 +317,7 @@ def n_sweep(u_ref: SpectralVectorField, p: FilterParams,
 
     The per-unit-N geometric ratio must stay below x/(1+x) evaluated at the
     largest wavenumber in the support of u (plus a small margin); errors that
-    fall under the 1e-12 relative floor are excluded from the ratio fit.
-    """
+    fall under the 1e-12 relative floor are excluded from the ratio fit."""
     if len(n_values) < 2:
         raise InvariantViolation("n sweep needs at least 2 orders")
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):

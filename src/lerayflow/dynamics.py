@@ -1,36 +1,33 @@
 """Model right-hand sides: projected transport and the regularized families.
 
-The bilinear transport term ``B(w, v) = P_sigma(w . grad v)`` is evaluated
+The transport term ``B(w, v) = P_sigma(w . grad v)`` is evaluated
 pseudo-spectrally in divergence form, ``ik_j (w_j v_q)^``: inverse-transform
-w and v, multiply pointwise into the flux tensor ``w (x) v``, transform the
-products back, contract with ``ik``, truncate to the dealias band, project.
-It equals the convective form ``(w_j d_j v_q)^`` in the retained band: the
-two differ by ``v div w``, which is zero for a spectrally solenoidal w, and
-with 2/3 dealiasing every quadratic product is alias-free there (Orszag
-1971; Zang 1991).  So the discrete skew-symmetry identities
-``(B(w, v), v) = 0`` and ``(B(w, v), z) = -(B(w, z), v)`` hold to roundoff
-whenever the inputs live inside the dealias band.  Everything the energy
-verification machinery asserts rests on this.  The divergence form
-inverse-transforms the fields alone, not all d^2 derivatives of v, and
-needs only d(d+1)/2 products when w is v.  A projected term drops ``F_ll I``
-from its flux F (l the last axis; Basdevant, J. Comput. Phys. 50, 1983), as
-``P(ik c) = 0`` for any scalar c and the dealias mask is a scalar per mode;
-an unprojected term keeps it, its gradient part being the pressure.
+w and v, multiply pointwise into the flux ``w (x) v``, transform back,
+contract with ``ik``, truncate to the dealias band, project.  In the retained
+band it equals the convective form ``(w_j d_j v_q)^``: the two differ by
+``v div w``, zero for a spectrally solenoidal w, and with 2/3 dealiasing
+every quadratic product is alias-free there (Orszag 1971; Zang 1991).  So
+the skew-symmetry identities ``(B(w, v), v) = 0`` and ``(B(w, v), z) =
+-(B(w, z), v)``, on which the energy verification rests, hold to roundoff
+for inputs inside the dealias band.  The fields alone are transformed, not
+the d^2 derivatives of v.  A projected term drops ``F_ll I`` from its flux F
+(l the last axis; Basdevant, J. Comput. Phys. 50, 1983), as ``P(ik c) = 0``
+for any scalar c and the dealias mask is a scalar per mode.
 
 One kernel evaluates every transport term: the RHS, the MHD tendencies, the
-pressure and the local-energy diagnostics.  The kind table
-(:func:`_kind_table`) is the one place where model kinds differ; it gives
-the rows N of ``d/dt fields = -P N + f`` as flux tensors F, ``N = ik . F``:
+pressure and the local-energy diagnostics.  The kind table ``_KIND_ROWS`` is
+the one place where model kinds differ; it gives the rows N of
+``d/dt fields = -P N + f`` as flux tensors F, ``N = ik . F``:
 
 * NSE: ``u (x) u``; LerayAlpha, LerayDeconv: ``Hu (x) u``, H the filter or
   the order-N deconvolution (N = 0 equals LerayAlpha);
 * MHDDeconv: fields (u, b), H the deconvolution, ``Hu (x) u - Hb (x) b`` and
   ``Hu (x) b - Hb (x) u``.
 
-The pressure ``p = i k . N_u / |k|^2`` is the potential of the gradient part
-that the projection removes from the momentum row, less the magnetic
-pressure |b|^2/2 when b is present; the induction row gives the MHD
-pseudo-pressure ``q`` the same way.
+The gradient part that the projection removes from a row is ``-grad p``
+with ``p = -k_j k_q F_jq / |k|^2``, which reads only the symmetric part of
+F.  From the momentum row it is the pressure (less the magnetic pressure
+|b|^2/2 when b is present), from the induction row the MHD pseudo-pressure q.
 """
 
 from __future__ import annotations
@@ -47,8 +44,9 @@ import numpy as np
 from .errors import (CriticalityViolation, GridMismatch, InvariantViolation,
                      MissingMagneticField)
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
-                     leray_project, to_physical)
-from .filtering import CRITICAL_THETA, FilterParams, deconvolve, filter_apply
+                     project_in_place, to_physical)
+from .filtering import (CRITICAL_THETA, FilterParams, deconvolve, filter_apply,
+                        smoothing_symbol)
 from .grid import WaveGrid
 
 __all__ = [
@@ -67,10 +65,8 @@ class ModelKind(Enum):
 @dataclass(frozen=True)
 class ForcingMode:
     """One spectral forcing mode: integer wavevector index, complex amplitude
-    per component, optional exponential decay rate in time.
-
-    The conjugate partner at -a is added automatically so the force is real.
-    """
+    per component, optional exponential decay rate in time.  The conjugate
+    partner at -a is added automatically so the force is real."""
 
     a: tuple[int, ...]
     amplitude: tuple[complex, ...]
@@ -182,47 +178,58 @@ class Tendency:
 
 
 @functools.cache
-def _flux_plan(d: int, rows: tuple, project: bool):
-    """:func:`_transport`'s bookkeeping per (d, rows, project): moved fields,
-    products as ``(ufunc, a, b)`` terms, ``(j, product)`` contraction pairs."""
+def _flux_plan(d: int, rows: tuple, mode: str):
+    """:func:`_transport`'s bookkeeping per (d, rows, mode): moved fields,
+    products as ``(ufunc, a, b)`` terms, and per row and output component
+    the ``(symbol, product)`` pairs of its contraction."""
     l, products, sums = d - 1, [], []
+    potential = mode == "potential"
+    pairs = list(itertools.combinations_with_replacement(range(d), 2))
     for row in rows:
         pos = {}
-        for j, q in itertools.product(range(d), repeat=2):
-            if len(row) == 1 and row[0][0] == row[0][1] and q < j:
+        for j, q in pairs if potential else itertools.product(range(d), repeat=2):
+            if not potential and len(row) == 1 and row[0][0] == row[0][1] and q < j:
                 pos[j, q] = pos[q, j]
-            elif not (project and j == q == l):  # F_ll is never formed
+            elif not (mode == "project" and j == q == l):  # F_ll is never formed
+                # + first term - other terms: F_jq + F_qj (j <= q) for the
+                # potential, F_jj - F_ll on a projected diagonal, else F_jq
+                signs = [(j, q, 1)] + ([(q, j, 1)] * (j != q) if potential else
+                                       [(l, l, -1)] * (mode == "project" and j == q))
                 pos[j, q] = len(products)
-                # + first term - other terms; a projected F_jj - F_ll
-                signs = [(j, q, 1)] + [(l, l, -1)] * (project and j == q)
-                products.append([(np.add if (s > 0) == (n == 0)
-                                  else np.subtract, (i, a), (p, b))
-                                 for a, b, s in signs
-                                 for n, (i, p) in enumerate(row)])
-        sums.append([[(j, pos[j, q]) for j in range(d) if (j, q) in pos]
+                products.append([(np.add if (s > 0) == (n == 0) else np.subtract,
+                                  (i, a), (p, b))
+                                 for a, b, s in signs for n, (i, p) in enumerate(row)])
+        sums.append([list(enumerate(pos.values()))] if potential else
+                    [[(j, pos[j, q]) for j in range(d) if (j, q) in pos]
                      for q in range(d)])
     return sorted({p for row in rows for _, p in row}), products, sums
 
 
-def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
-               peaks: list | None = None) -> list[SpectralVectorField]:
-    """Dealiased half spectra of signed sums of ``w . grad v``, one field per
-    row, Leray-projected when ``project`` is set.
+def _transport(g: WaveGrid, sources, rows, mode: str,
+               peaks: list | None = None) -> np.ndarray:
+    """Dealiased half spectra of signed sums of ``-w . grad v`` (the
+    tendency's sign), one per row, Leray-projected in mode ``"project"``,
+    not in ``"full"``; in ``"potential"`` the scalar p of the module notes.
 
-    ``fields`` are distinct spectra; each row lists ``(i, p)`` terms
-    ``fields[i] . grad fields[p]``, the first added, the others subtracted.
-    Each term is taken in divergence form, ``ik_j (w_j v_q)^``: one inverse
-    transform of the fields, the flux products of :func:`_flux_plan`, one
-    forward transform of all products, then the contraction with ``ik_j``
-    masked to the dealias band.  A projected row drops ``F_ll I``, which the
-    projection removes exactly; an unprojected row keeps the trace for the
-    pressure (module notes).  When ``peaks`` is a list, the largest physical
-    |component| of the transported fields is appended to it.
-    """
+    ``sources`` are ``(coeffs, symbol)``: spectra times smoothing symbols
+    (None for 1), written straight into the inverse transform's stack; row
+    terms ``(i, p)`` are ``w_i . grad v_p``, the first added, the others
+    subtracted.  The products of :func:`_flux_plan` go through one forward
+    transform and one contraction with a grid-cached symbol masked to the
+    dealias band, ``-ik_j`` or ``-k_j k_q / |k|^2``.  ``peaks`` (a list)
+    gets the largest physical |component| of the transported fields."""
     d = g.dim
-    moved, products, sums = _flux_plan(d, rows, project)
-    stack = fields[0] if len(fields) == 1 else np.concatenate(fields)
-    phys = to_physical(g, stack).reshape((len(fields), d) + g.shape)
+    moved, products, sums = _flux_plan(d, rows, mode)
+    if len(sources) == 1 and sources[0][1] is None:
+        stack = sources[0][0]
+    else:
+        stack = np.empty((len(sources), d) + g.spectral_shape, dtype=complex)
+        for out, (coeffs, symbol) in zip(stack, sources):
+            if symbol is None:
+                out[...] = coeffs
+            else:
+                np.multiply(coeffs, symbol, out=out)
+    phys = to_physical(g, stack).reshape((len(sources), d) + g.shape)
     if peaks is not None:
         peaks.append(float(max(max(phys[p].max(), -phys[p].min())
                                for p in moved)))
@@ -234,108 +241,92 @@ def _transport(g: WaveGrid, fields, rows, *, project: bool = False,
             op(out, phys[a] * phys[b], out=out)
     hat = from_physical(g, prods)
 
-    ik = g.cached(("masked_ik",), lambda: g.ik * g.dealias_weight)
-    rows_hat = np.empty((len(rows), d) + g.spectral_shape, dtype=complex)
+    if mode == "potential":
+        symbol = g.cached(("potential",), lambda: np.stack([
+            -g.k[j] * g.k[q] / g.k_sq_safe * g.dealias_weight
+            for j, q in itertools.combinations_with_replacement(range(d), 2)]))
+    else:
+        symbol = g.cached(("minus_masked_ik",), lambda: -g.ik * g.dealias_weight)
+    out = np.empty((len(rows), len(sums[0])) + g.spectral_shape, dtype=complex)
     acc = np.empty(g.spectral_shape, dtype=complex)
-    for row_hat, row_sums in zip(rows_hat, sums):
-        for out, ((j, n), *rest) in zip(row_hat, row_sums):
-            np.multiply(ik[j], hat[n], out=out)
+    for row_hat, row_sums in zip(out, sums):
+        for comp, ((j, n), *rest) in zip(row_hat, row_sums):
+            np.multiply(symbol[j], hat[n], out=comp)
             for j, n in rest:
-                out += np.multiply(ik[j], hat[n], out=acc)
-    # Project while the work arrays are alive: freeing them first leaves a
-    # large free block on top of the heap, which the allocator returns to
-    # the system and every later call page-faults back in.
-    return [leray_project(SpectralVectorField(g, row)) if project
-            else SpectralVectorField(g, row) for row in rows_hat]
-
-
-def _gradient_potential(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
-    """The zero-mean scalar whose gradient is the part of ``coeffs`` that the
-    Leray projection removes: ``-i k . c / |k|^2``."""
-    return -1j * np.sum(g.k * coeffs, axis=0) / g.k_sq_safe
-
-
-def _indexed(terms) -> tuple[list[np.ndarray], tuple]:
-    """The distinct spectra of rows of ``(w, v)`` terms ``w . grad v``, and
-    the rows as :func:`_transport` takes them: a field that appears twice
-    (as in ``u . grad u``) is transformed once."""
-    index: dict = {}  # id(coeffs) -> (position, coeffs), in first-use order
-
-    def at(f: SpectralVectorField) -> int:
-        return index.setdefault(id(f.coeffs), (len(index), f.coeffs))[0]
-
-    rows = tuple(tuple((at(w), at(v)) for w, v in row) for row in terms)
-    return [c for _, c in index.values()], rows
+                comp += np.multiply(symbol[j], hat[n], out=acc)
+        # Project while the work arrays are alive: freed first, they leave a
+        # free block on top of the heap that every later call faults back in.
+        if mode == "project":
+            project_in_place(g, row_hat)
+    return out
 
 
 def advect(w: SpectralVectorField, v: SpectralVectorField, *,
            project: bool = True) -> SpectralVectorField:
-    """Transport term w . grad v, truncated to the grid's dealias band and
-    (by default) Leray-projected.
-
-    ``w`` must be solenoidal.  On a grid whose dealias cutoff is n/2 - 1 no
-    product is truncated, so products alias (the negative control of the
-    verification suite).
-    """
+    """Transport term w . grad v (w solenoidal), truncated to the grid's
+    dealias band and by default Leray-projected.  With a dealias cutoff of
+    n/2 - 1 products alias (the verification suite's negative control)."""
     g = w.grid
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
-    return _transport(g, *_indexed([[(w, v)]]), project=project)[0]
+    sources = [(w.coeffs, None)] + [(v.coeffs, None)] * (v.coeffs is not w.coeffs)
+    minus = _transport(g, sources, (((0, len(sources) - 1),),),
+                       "project" if project else "full")[0]
+    return SpectralVectorField(g, np.negative(minus, out=minus))
 
 
 def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
     """The velocity that transports u under the given model kind."""
     if cfg.kind is ModelKind.NSE:
         return u
-    if cfg.kind is ModelKind.LERAY_ALPHA:
-        return filter_apply(u, cfg.filter)
-    return deconvolve(u, cfg.filter)
+    return (filter_apply if cfg.kind is ModelKind.LERAY_ALPHA
+            else deconvolve)(u, cfg.filter)
+
+
+# The kind table (module notes): per kind, the sources (field, smoothed) of its
+# rows, u being 0 and b 1, and each row's (w, v) terms as source positions.
+_KIND_ROWS = {
+    ModelKind.NSE: (((0, False),), (((0, 0),),)),
+    ModelKind.LERAY_ALPHA: (((0, True), (0, False)), (((0, 1),),)),
+    ModelKind.LERAY_DECONV: (((0, True), (0, False)), (((0, 1),),)),
+    ModelKind.MHD_DECONV: (((0, True), (0, False), (1, True), (1, False)),
+                           (((0, 1), (2, 3)), ((0, 3), (2, 1)))),
+}
 
 
 def _kind_table(state: SimState, cfg: ModelConfig) -> tuple[list, tuple]:
-    """The transport rows N of ``d/dt state.fields = -P N + f``, with their
-    distinct spectra (module notes); the one place where model kinds differ."""
-    u, b = state.u, state.b
-    if cfg.kind is not ModelKind.MHD_DECONV:
-        if b is not None:
-            raise InvariantViolation(
+    """The kind table's sources, as :func:`_transport` takes them, and rows."""
+    if (state.b is None) == (cfg.kind is ModelKind.MHD_DECONV):
+        raise MissingMagneticField("MHD model needs a magnetic field") \
+            if state.b is None else InvariantViolation(
                 f"model kind {cfg.kind.value} has no magnetic field")
-        return _indexed([[(advecting_field(u, cfg), u)]])
-    if b is None:
-        raise MissingMagneticField("MHD model needs a magnetic field")
-    hu, hb = deconvolve(u, cfg.filter), deconvolve(b, cfg.filter)
-    return _indexed([[(hu, u), (hb, b)], [(hu, b), (hb, u)]])
+    symbol = None if cfg.kind is ModelKind.NSE else smoothing_symbol(
+        state.u.grid, cfg.filter,
+        deconvolution=cfg.kind is not ModelKind.LERAY_ALPHA)
+    sources, rows = _KIND_ROWS[cfg.kind]
+    return [(state.fields[i].coeffs, symbol if smoothed else None)
+            for i, smoothed in sources], rows
 
 
 def rhs(state: SimState, cfg: ModelConfig, *,
         peaks: list | None = None) -> Tendency:
-    """Non-viscous tendency of the state (viscosity is handled exactly by the
-    integrating-factor stepper).
-
-    When ``peaks`` is a list, the largest physical |component| of u (and b)
-    is appended to it, read off the transport kernel's own inverse
-    transform; the stepper's CFL check uses it.
-    """
+    """Non-viscous tendency of the state (the integrating-factor stepper
+    takes viscosity exactly).  ``peaks`` (a list) gets the largest physical
+    |component| of u (and b) for the stepper's CFL check."""
     g = state.u.grid
-    rows = _transport(g, *_kind_table(state, cfg), project=True, peaks=peaks)
-    for row in rows:
-        np.negative(row.coeffs, out=row.coeffs)
+    rows = _transport(g, *_kind_table(state, cfg), "project", peaks)
     if not cfg.forcing.is_zero():
-        rows[0].coeffs += cfg.forcing.evaluate(g, state.t).coeffs
-    return Tendency(*rows)
+        rows[0] += cfg.forcing.evaluate(g, state.t).coeffs
+    return Tendency(*(SpectralVectorField(g, row) for row in rows))
 
 
 def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
-    """The zero-mean pressure of the projected dynamics.
-
-    It is minus the potential of the gradient part that the projection
-    removes from the unprojected momentum row N_u; with a magnetic field the
-    magnetic pressure |b|^2/2 is subtracted, so the result is the fluid
-    pressure.
-    """
+    """The zero-mean pressure of the projected dynamics: the potential of the
+    momentum row (module notes), less the magnetic pressure |b|^2/2 when b
+    is present, so the result is the fluid pressure."""
     g = state.u.grid
-    p_hat = -_gradient_potential(
-        g, _transport(g, *_kind_table(state, cfg))[0].coeffs)
+    sources, rows = _kind_table(state, cfg)
+    p_hat = _transport(g, sources, rows[:1], "potential")[0, 0]
     if state.b is not None:
         b_phys = to_physical(g, state.b.coeffs)
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \

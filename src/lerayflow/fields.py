@@ -9,7 +9,7 @@ the full spectrum, i.e. weighted by ``grid.plane_weight`` over the half.
 Every norm in this package is built on that convention; the Sobolev norm of
 order s is ``sqrt(sum_{k != 0} |k|^{2s} |uhat_k|^2)``.
 
-All operations are pure: inputs are never mutated, outputs are fresh arrays.
+Operations never mutate their inputs, except :func:`project_in_place`.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ class SpectralVectorField:
 
     ``coeffs`` has shape (dim, n, ..., n/2 + 1).  Whether the field is
     divergence-free is measured, never recorded: see
-    :meth:`divergence_residual`.
-    """
+    :meth:`divergence_residual`."""
 
     grid: WaveGrid
     coeffs: np.ndarray
@@ -66,9 +65,9 @@ class SpectralVectorField:
         dev = np.abs(planes - hermitian_reflection(planes, self.grid.dim - 1))
         return float(dev.max() / scale)
 
-    def divergence_residual(self) -> float:
-        """max_k |k . uhat_k| relative to the L2 norm of the field."""
-        norm = l2_norm(self)
+    def divergence_residual(self, norm: float | None = None) -> float:
+        """max_k |k . uhat_k| relative to the field's L2 norm (if not given)."""
+        norm = l2_norm(self) if norm is None else norm
         if norm == 0.0:
             return 0.0
         div = np.sum(self.grid.k * self.coeffs, axis=0)
@@ -127,8 +126,7 @@ def to_physical(grid: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
     """Physical samples of a stack of half spectra (inverse real FFT).
 
     Inside the plane a_d = 0 the transform reads only the Hermitian part;
-    :func:`inverse_transform` checks that there is no other.
-    """
+    :func:`inverse_transform` checks that there is no other."""
     axes = tuple(range(coeffs.ndim - grid.dim, coeffs.ndim))
     return scipy.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward",
                             workers=worker_count())
@@ -145,8 +143,7 @@ def forward_transform(r: RealVectorField) -> SpectralVectorField:
     """Discrete Fourier coefficients of physical samples (series convention).
 
     The mean (k=0) component is kept as-is; callers that require mean-free
-    fields zero it themselves.
-    """
+    fields zero it themselves."""
     return SpectralVectorField(r.grid, from_physical(r.grid, r.data))
 
 
@@ -154,8 +151,7 @@ def inverse_transform(s: SpectralVectorField) -> RealVectorField:
     """Pointwise evaluation of the truncated Fourier series.
 
     Raises SymmetryViolation if the Hermitian residual exceeds 1e-10
-    relative.
-    """
+    relative."""
     res = s.hermitian_residual()
     if res > 1e-10:
         raise SymmetryViolation(
@@ -170,18 +166,26 @@ def inverse_transform_scalar(p: SpectralScalarField) -> np.ndarray:
 
 def leray_project(s: SpectralVectorField) -> SpectralVectorField:
     """Remove the component parallel to k at every mode (Leray-Helmholtz)."""
-    g = s.grid
-    k_dot = g.k[0] * s.coeffs[0]
+    return SpectralVectorField(s.grid, project_in_place(s.grid, s.coeffs.copy()))
+
+
+def project_in_place(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
+    """:func:`leray_project` of a d-vector of half spectra, written over it."""
+    k_dot, tmp = g.k[0] * coeffs[0], np.empty(coeffs.shape[1:], complex)
     for j in range(1, g.dim):
-        k_dot += g.k[j] * s.coeffs[j]
-    coeffs = s.coeffs - g.k_over_ksq * k_dot
-    return SpectralVectorField(g, coeffs)
+        k_dot += np.multiply(g.k[j], coeffs[j], out=tmp)
+    for c, k_over_ksq in zip(coeffs, g.k_over_ksq):
+        c -= np.multiply(k_over_ksq, k_dot, out=tmp)
+    return coeffs
 
 
-def sobolev_norm(s: SpectralVectorField, sexp: float) -> float:
-    """H^s norm over the mean-free modes: sqrt(sum |k|^{2s} |uhat|^2)."""
-    w = s.grid.plane_weight * s.grid.k_power(2.0 * sexp)
-    total = np.sum(w * np.sum(np.abs(s.coeffs) ** 2, axis=0))
+def sobolev_norm(s: SpectralVectorField, sexp: float,
+                 energy: np.ndarray | None = None) -> float:
+    """H^s norm over the mean-free modes: sqrt(sum |k|^{2s} |uhat|^2), from
+    ``energy``, the |uhat|^2 summed over components, when given."""
+    if energy is None:
+        energy = np.sum(np.abs(s.coeffs) ** 2, axis=0)
+    total = np.sum(s.grid.plane_weight * s.grid.k_power(2.0 * sexp) * energy)
     return float(np.sqrt(total))
 
 
@@ -193,8 +197,9 @@ def l2_inner(u: SpectralVectorField, v: SpectralVectorField) -> float:
     return float(np.sum(u.grid.plane_weight * pairing))
 
 
-def l2_norm(u: SpectralVectorField) -> float:
-    energy = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+def l2_norm(u: SpectralVectorField, energy: np.ndarray | None = None) -> float:
+    if energy is None:
+        energy = np.sum(np.abs(u.coeffs) ** 2, axis=0)
     return float(np.sqrt(np.sum(u.grid.plane_weight * energy)))
 
 
@@ -208,8 +213,7 @@ def random_solenoidal(grid: WaveGrid, seed: int, spectrum_slope: float,
     Shells above ``cutoff_shell`` are empty.  Hermitian symmetry and the
     zero-mean / Nyquist pins hold by construction, and the same seed
     reproduces the field bit for bit.  The random numbers are drawn and
-    symmetrized in the full FFT layout, then the half spectrum is kept.
-    """
+    symmetrized in the full FFT layout, then the half spectrum is kept."""
     if cutoff_shell > grid.dealias_cutoff:
         raise ValueError(
             f"cutoff_shell {cutoff_shell} exceeds dealias cutoff "

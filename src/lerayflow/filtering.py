@@ -36,8 +36,7 @@ class FilterParams:
     """Filter length scale alpha, fractional order theta, deconvolution order N.
 
     theta is accepted on [0, 1] here; the solver separately gates theta >= 1/4
-    for the regularized model kinds (with an explicit unsafe override).
-    """
+    for the regularized model kinds (with an explicit unsafe override)."""
 
     alpha: float
     theta: float = 0.25
@@ -64,8 +63,7 @@ def helmholtz_multiplier(k_mag, p: FilterParams):
     """Symbol 1 + alpha^{2 theta} |k|^{2 theta} of the filter inverse.
 
     Accepts scalars or arrays.  alpha = 0 gives exactly 1 (unfiltered limit)
-    and the k = 0 entry is pinned to 1, consistent with mean-free spaces.
-    """
+    and the k = 0 entry is pinned to 1, consistent with mean-free spaces."""
     k_mag = np.asarray(k_mag, dtype=float)
     if p.alpha == 0.0:
         out = np.ones_like(k_mag)
@@ -85,36 +83,36 @@ def deconvolution_multiplier(k_mag, p: FilterParams):
     return out if np.asarray(k_mag).ndim else float(out)
 
 
+def smoothing_symbol(g, p: FilterParams, deconvolution: bool = False):
+    """The grid-cached symbol of :func:`filter_apply`, or of :func:`deconvolve`
+    with ``deconvolution``; None for 1.  N = 0 takes the filter's, as 1/(1+x)
+    and 1 - x/(1+x) differ by an ulp in floating point."""
+    if p.alpha == 0.0:
+        return None
+    if deconvolution and p.n_deconv > 0:
+        return g.cached(("deconvolve", p.alpha, p.theta, p.n_deconv),
+                        lambda: deconvolution_multiplier(g.k_mag, p))
+    return g.cached(("filter", p.alpha, p.theta),
+                    lambda: 1.0 / helmholtz_multiplier(g.k_mag, p))
+
+
 def filter_apply(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
     """Smooth u with the fractional Helmholtz filter (divide by the symbol)."""
-    if p.alpha == 0.0:
-        return u.copy()
-    g = u.grid
-    mult = g.cached(("filter", p.alpha, p.theta),
-                    lambda: 1.0 / helmholtz_multiplier(g.k_mag, p))
-    return SpectralVectorField(g, u.coeffs * mult)
+    h = smoothing_symbol(u.grid, p)
+    return u.copy() if h is None else SpectralVectorField(u.grid, u.coeffs * h)
 
 
 def deconvolve(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
-    """Apply the order-N interpolating deconvolution operator to u.
-
-    N = 0 delegates to :func:`filter_apply` so the two agree bit for bit
-    (1 - x/(1+x) and 1/(1+x) differ by an ulp in floating point).
-    """
-    if p.n_deconv == 0 or p.alpha == 0.0:
-        return filter_apply(u, p)
-    g = u.grid
-    mult = g.cached(("deconvolve", p.alpha, p.theta, p.n_deconv),
-                    lambda: deconvolution_multiplier(g.k_mag, p))
-    return SpectralVectorField(g, u.coeffs * mult)
+    """Apply the order-N interpolating deconvolution operator to u."""
+    h = smoothing_symbol(u.grid, p, deconvolution=True)
+    return u.copy() if h is None else SpectralVectorField(u.grid, u.coeffs * h)
 
 
 def van_cittert_series(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
     """Oracle path: sum_{n=0}^{N} (I - G^{-1})^n applied to the filtered field.
 
     Agrees with :func:`deconvolve` to roundoff; kept as executable
-    documentation of the truncated approximate-inverse construction.
-    """
+    documentation of the truncated approximate-inverse construction."""
     term = filter_apply(u, p)
     acc = term.coeffs.copy()
     for _ in range(p.n_deconv):
@@ -126,9 +124,5 @@ def van_cittert_series(u: SpectralVectorField, p: FilterParams) -> SpectralVecto
 
 def multiplier_table(p: FilterParams, k_values) -> list[tuple[float, float, float]]:
     """Rows (|k|, filter inverse symbol, deconvolution symbol) for a CLI dump."""
-    rows = []
-    for k in k_values:
-        rows.append((float(k),
-                     float(helmholtz_multiplier(float(k), p)),
-                     float(deconvolution_multiplier(float(k), p))))
-    return rows
+    return [(float(k), float(helmholtz_multiplier(float(k), p)),
+             float(deconvolution_multiplier(float(k), p))) for k in k_values]

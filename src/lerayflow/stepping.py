@@ -24,11 +24,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import EnergyRecord, measure_energy
-from .dynamics import ModelConfig, SimState, Tendency, rhs
+from .dynamics import (_KIND_ROWS, ModelConfig, ModelKind, SimState, Tendency,
+                       _flux_plan, rhs)
 from .errors import CFLExceeded, InvariantViolation, NonFinite, SymmetryViolation
 from .fields import SpectralVectorField
 
-__all__ = ["StepperScheme", "StepperConfig", "step", "run"]
+__all__ = ["StepperScheme", "StepperConfig", "step", "run", "working_set"]
 
 
 class StepperScheme(Enum):
@@ -169,6 +170,19 @@ class _Stepper:
         return self._state(t + h, k1)
 
 
+def working_set(dim: int, n: int, kind: ModelKind) -> int:
+    """Bytes an IF-RK4 run holds at its peak: per field the state, stage,
+    scratch, k1..k4 and viscous symbols, the kernel's stacks, the grid."""
+    spectral, points = n ** (dim - 1) * (n // 2 + 1), n ** dim
+    fields = 2 if kind is ModelKind.MHD_DECONV else 1
+    sources, rows = _KIND_ROWS[kind]
+    products = len(_flux_plan(dim, rows, "project")[1])
+    return 16 * spectral * (products + dim * (7 * fields + 2 * len(sources)
+                                              + len(rows) + 1)) \
+        + 8 * spectral * (4 * fields + 5 * dim + 9) \
+        + 8 * points * (dim * len(sources) + products)
+
+
 def step(state: SimState, cfg: ModelConfig, sc: StepperConfig) -> SimState:
     """Advance the state by one dt, as one step of :func:`run` does.  The
     viscous factors come from the grid's cache, so repeated calls reuse them."""
@@ -187,8 +201,7 @@ def run(initial: SimState, cfg: ModelConfig, sc: StepperConfig,
     receives copies of the first and the last state, and of every
     ``state_every``-th one when that is given, for trajectory diagnostics.
     The first, the last and every delivered state pass the Hermitian check
-    first.  Deterministic for fixed inputs.
-    """
+    first.  Deterministic for fixed inputs."""
     t_start = initial.t
     n_steps = sc.n_steps(t_start)
     stepper = _Stepper(cfg, sc, initial.u.grid)

@@ -169,6 +169,25 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert "n:" in err and len(err.strip().splitlines()) == 1
 
+    def test_run_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # one spectral field fits, the run's working set does not: rejected
+        # before the grid is built
+        from lerayflow.stepping import working_set
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+        monkeypatch.setattr(lerayflow.config, "WaveGrid", no_grid)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n = next(n for n in range(8, 2 ** 20, 2)
+                 if working_set(3, n, lerayflow.ModelKind.LERAY_ALPHA) > memory)
+        assert 16 * 3 * n * n * (n // 2 + 1) < memory / 4
+        big = SWEEP_BASE.replace("dim = 2\nn = 64", f"dim = 3\nn = {n}")
+        cfg = write_cfg(tmp_path, big, outdir=os.path.join(tmp_path, "o"))
+        assert main(["run", cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "n: a leray-alpha run" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not os.path.exists(os.path.join(tmp_path, "o"))
+
     @pytest.mark.parametrize("command", ["run", "multiplier-table"])
     def test_config_not_utf8(self, tmp_path, capsys, command):
         path = os.path.join(tmp_path, "bad.cfg")

@@ -278,9 +278,27 @@ class TestTransformCounts:
         assert counts == {"irfftn": (4, inverse), "rfftn": (4, forward)}
 
     def test_pressure_solve_keeps_the_trace(self, counts):
+        # the potential reads the symmetric flux, trace included: d(d+1)/2
+        # products of Hu and u, not d^2
         cfg, state = model_state(3, ModelKind.LERAY_ALPHA, n=8)
         pressure_solve(state, cfg)
-        assert counts == {"irfftn": (1, 6), "rfftn": (1, 9)}
+        assert counts == {"irfftn": (1, 6), "rfftn": (1, 6)}
+
+    # Only row 0 is transported; MHD adds the dealiased |b|^2/2 round trip.
+    @pytest.mark.parametrize("dim,kind,expected", [
+        (2, ModelKind.NSE, {"irfftn": (1, 2), "rfftn": (1, 3)}),
+        (3, ModelKind.NSE, {"irfftn": (1, 3), "rfftn": (1, 6)}),
+        (2, ModelKind.LERAY_ALPHA, {"irfftn": (1, 4), "rfftn": (1, 3)}),
+        (3, ModelKind.LERAY_ALPHA, {"irfftn": (1, 6), "rfftn": (1, 6)}),
+        (2, ModelKind.LERAY_DECONV, {"irfftn": (1, 4), "rfftn": (1, 3)}),
+        (3, ModelKind.LERAY_DECONV, {"irfftn": (1, 6), "rfftn": (1, 6)}),
+        (2, ModelKind.MHD_DECONV, {"irfftn": (2, 10), "rfftn": (2, 4)}),
+        (3, ModelKind.MHD_DECONV, {"irfftn": (2, 15), "rfftn": (2, 7)}),
+    ])
+    def test_pressure_solve_per_kind(self, counts, dim, kind, expected):
+        cfg, state = model_state(dim, kind, n=8)
+        pressure_solve(state, cfg)
+        assert counts == expected
 
 
 class TestModelFamilyTrajectories:
