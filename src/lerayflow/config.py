@@ -174,7 +174,7 @@ def _tokenize(text: str) -> dict[tuple[str, str], tuple[int, str]]:
                 raise ConfigSyntaxError(f"line {line_no}: malformed section header")
             section = line[1:-1].strip().lower()
             if section not in _KEYS:
-                raise UnknownKeyError(f"line {line_no}: unknown section [{section}]")
+                raise UnknownKeyError(f"line {line_no}: unknown section {section!r}")
             continue
         if "=" not in line:
             raise ConfigSyntaxError(f"line {line_no}: expected 'key = value'")
@@ -186,14 +186,14 @@ def _tokenize(text: str) -> dict[tuple[str, str], tuple[int, str]]:
         if section == "forcing":
             if not key.startswith("mode_"):
                 raise UnknownKeyError(
-                    f"line {line_no}: unknown key '{key}' in [forcing] "
+                    f"line {line_no}: unknown key {key!r} in [forcing] "
                     f"(forcing keys are mode_1, mode_2, ...)")
         elif key not in _KEYS[section]:
             raise UnknownKeyError(
-                f"line {line_no}: unknown key '{key}' in [{section}]")
+                f"line {line_no}: unknown key {key!r} in [{section}]")
         if (section, key) in entries:
             raise ConfigSyntaxError(
-                f"duplicate key '{key}' in [{section}]: "
+                f"duplicate key {key!r} in [{section}]: "
                 f"lines {entries[(section, key)][0]} and {line_no}")
         entries[(section, key)] = (line_no, value)
     return entries
@@ -203,18 +203,18 @@ def _parse_forcing_mode(key: str, line_no: int, raw: str, dim: int) -> ForcingMo
     parts = [p.strip() for p in raw.split(":")]
     if len(parts) not in (2, 3):
         raise InvariantViolation(
-            f"{key}: expected 'a1 .. : re im pairs : decay' (line {line_no})")
+            f"{key!r}: expected 'a1 .. : re im pairs : decay' (line {line_no})")
     try:
         a = tuple(int(tok) for tok in parts[0].split())
         flat = [_float(tok) for tok in parts[1].split()]
         decay = _float(parts[2]) if len(parts) == 3 else 0.0
     except ValueError:
         raise InvariantViolation(
-            f"{key}: non-numeric or non-finite forcing entry "
+            f"{key!r}: non-numeric or non-finite forcing entry "
             f"(line {line_no})") from None
     if len(a) != dim or len(flat) != 2 * dim:
         raise InvariantViolation(
-            f"{key}: wavevector needs {dim} integers and amplitude "
+            f"{key!r}: wavevector needs {dim} integers and amplitude "
             f"{2 * dim} floats (line {line_no})")
     amp = tuple(complex(flat[2 * j], flat[2 * j + 1]) for j in range(dim))
     return ForcingMode(a=a, amplitude=amp, decay_rate=decay)
@@ -272,6 +272,9 @@ def parse_config(text: str) -> RunConfig:
     for key in ("seed", "seed_b"):
         if values[key] is not None and values[key] < 0:
             raise InvariantViolation(f"{key}: must be >= 0, got {values[key]}")
+    for key in ("path", "directory"):
+        if values[key] is not None and "\0" in values[key]:
+            raise InvariantViolation(f"{key}: a path cannot hold a NUL byte")
     if values["preset"] == "checkpoint" and not values["path"]:
         raise InvariantViolation("path: required for the checkpoint preset")
     if values["scheme"] not in _SCHEMES:
@@ -313,10 +316,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def parse_config_file(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigSyntaxError(
-                f"byte {exc.start}: not valid UTF-8") from None
-    return parse_config(text)
+    """Parse a UTF-8 config file; a leading byte order mark is skipped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigSyntaxError(f"byte {exc.start}: not valid UTF-8") from None
+    return parse_config(text.removeprefix("\ufeff"))

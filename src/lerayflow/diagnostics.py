@@ -11,9 +11,12 @@ order in the sample spacing.  ``local_energy_residual`` checks the
 space-localized version against a smooth nonnegative test function that
 vanishes at both ends of the time interval; for the regularized models it is
 an equality, for plain NSE only the one-sided inequality is meaningful.
-Its dissipation term comes from ``u . lap u = lap(|u|^2/2) - |grad u|^2``,
-so one inverse transform of the fields, their Laplacians, Hu, p and f
-serves a state (with b, the kernel's q and the dealiased |b|^2/2 add theirs).
+Its dissipation term comes from ``u . lap u = lap(|u|^2/2) - |grad u|^2``.
+Every term that pairs a grid product with a band-limited spectrum (lap f, the
+force, p and q) is summed in spectral space by the discrete Parseval identity,
+exact on the grid, so a state costs the transport kernel's own inverse
+transform of its sources and one forward transform of g f and f . grad g;
+with b, q is the kernel's flux step on those samples.
 
 The sweeps quantify the two convergence directions of the filter family:
 error in alpha at fixed N (rate alpha^{2 theta}) and error in N at fixed
@@ -22,12 +25,16 @@ alpha (geometric, per-mode ratio x/(1+x)).
 
 from __future__ import annotations
 
+import weakref
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelConfig, SimState, _kind_table, _transport
-from .errors import InvariantViolation, NonMonotone, TooFewSamples
+from .dynamics import (ModelConfig, SimState, _flux, _kind_table,
+                       _source_samples)
+from .errors import (GridMismatch, InvariantViolation, NonMonotone,
+                     TooFewSamples)
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
                      l2_inner, l2_norm, sobolev_norm, to_physical)
 from .filtering import FilterParams, deconvolve, filter_apply
@@ -107,7 +114,13 @@ class BumpTestFunction:
     and t1.
 
     The spatial profile is synthesized from its exact Fourier coefficients,
-    so its gradient and Laplacian are spectrally consistent with it."""
+    so its gradient and Laplacian are spectrally consistent with it.
+
+    It remembers the two sides of :func:`local_energy_residual` per (state,
+    pressure) pair, through weak references, so nothing is kept alive and an
+    object whose id is reused misses.  An entry holds only while ``t``,
+    ``cfg``, the window and a crc32 of the coefficient bytes are unchanged,
+    so a state edited in place is integrated again."""
 
     def __init__(self, center: tuple[float, ...], width: float,
                  t0: float, t1: float):
@@ -119,6 +132,7 @@ class BumpTestFunction:
         self.width = float(width)
         self.t0 = float(t0)
         self.t1 = float(t1)
+        self._sides: dict[tuple[int, int], tuple] = {}
 
     @classmethod
     def canonical(cls, dim: int, t_end: float,
@@ -160,6 +174,26 @@ class BumpTestFunction:
         return phys[0], phys[2:], phys[1]
 
 
+def _grid_sum(grid: WaveGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+    """``sum_x a . b`` over the grid, from the half spectra of real samples a
+    and b: ``N sum_k plane_weight Re(conj(a_k) . b_k)`` (discrete Parseval,
+    exact on the grid), the self-conjugate planes counted once."""
+    planes = (Ellipsis, slice(None, None, grid.n // 2))
+    pairing = 2.0 * np.vdot(a_hat, b_hat).real \
+        - np.vdot(a_hat[planes], b_hat[planes]).real
+    return grid.n ** grid.dim * pairing
+
+
+def _sides_tag(state: SimState, p_hat: SpectralScalarField, cfg: ModelConfig,
+               phi: BumpTestFunction) -> tuple:
+    """What a state's two sides depend on besides the objects themselves."""
+    crc = 0
+    for f in (*state.fields, p_hat):
+        crc = zlib.crc32(np.ascontiguousarray(f.coeffs), crc)
+    return (state.t, cfg, state.u.grid.descriptor, crc, phi.center,
+            phi.width, phi.t0, phi.t1)
+
+
 def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
                         cfg: ModelConfig, bump, w: float,
                         w_dt: float) -> tuple[float, float, np.ndarray]:
@@ -167,50 +201,49 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     samples of its one inverse transform."""
     grid = state.u.grid
     g, grad_g, lap_g = bump
-    d, m = grid.dim, len(state.fields)
-    forced = not cfg.forcing.is_zero()
 
-    # One inverse transform: the fields, their Laplacians, row 0's advecting
-    # fields (Hu, and Hb with b), p, the induction potential q with b (the
-    # mixed deconvolved transport is not curl-like for alpha > 0) and f.
+    # One inverse transform, the kernel's own: the fields and the advecting
+    # fields of row 0 (u alone for nse; Hu, u; or Hu, u, Hb, b), and one
+    # forward transform of g f and f . grad g per field (and |b|^2/2), to
+    # pair with the band-limited lap f, f, p and q.
     sources, rows = _kind_table(state, cfg)
-    parts = [f.coeffs for f in state.fields] \
-        + [-grid.k_sq * f.coeffs for f in state.fields] \
-        + [c if h is None else c * h for c, h in (sources[a] for a, _ in rows[0])] \
-        + [p_hat.coeffs[np.newaxis]]
-    if state.b is not None:
-        parts.append(_transport(grid, sources, rows[1:], "potential")[0])
-    if forced:
-        parts.append(cfg.forcing.evaluate(grid, state.t).coeffs)
-    phys = to_physical(grid, np.concatenate(parts))
-    n_vec = 3 * m * d
-    f_phys, lap_phys, adv_phys = phys[:n_vec].reshape((3, m, d) + grid.shape)
-    p_phys = phys[n_vec]
+    phys, _stack = _source_samples(grid, sources)
+    f_phys = [phys[v] for _, v in rows[0]]
+    adv_phys = [phys[a] for a, _ in rows[0]]
+    squares = [np.sum(f * f, axis=0) for f in f_phys]
+    parts = [g * f for f in f_phys] \
+        + [np.sum(f * grad_g, axis=0)[np.newaxis] for f in f_phys] \
+        + [0.5 * b_sq[np.newaxis] for b_sq in squares[1:]]
+    hat = from_physical(grid, np.concatenate(parts))
+    m = len(f_phys)
+    g_hat = hat[:m * grid.dim].reshape((m, grid.dim) + grid.spectral_shape)
+    grad_hat = hat[m * grid.dim:]
 
     # 2 int |grad f|^2 g = int |f|^2 lap g - 2 int g f . lap f
-    squares = [np.sum(f * f, axis=0) for f in f_phys]
     lhs = rhs = 0.0
-    for f, lap_f, f_sq, nu in zip(f_phys, lap_phys, squares,
-                                  (cfg.nu, cfg.nu2)):
-        lhs += nu * w * np.sum(
-            f_sq * lap_g - 2.0 * g * np.sum(f * lap_f, axis=0))
+    for f, gf_hat, f_sq, nu in zip(state.fields, g_hat, squares,
+                                   (cfg.nu, cfg.nu2)):
+        lhs += nu * w * (np.sum(f_sq * lap_g)
+                         + 2.0 * _grid_sum(grid, grid.k_sq * gf_hat, f.coeffs))
         rhs += np.sum(f_sq * (w_dt * g + nu * w * lap_g))
 
     # The flux of |u|^2 (+ |b|^2): advection by Hu and the pressure work on
-    # u; with b, the work of the dealiased magnetic pressure on u and of q on
-    # b, and the Lorentz exchange carried by Hb.
-    u_phys = f_phys[0]
-    flux = sum(squares)[np.newaxis] * adv_phys[0] \
-        + 2.0 * p_phys[np.newaxis] * u_phys
+    # u; with b, the work of the dealiased magnetic pressure on u and of the
+    # induction potential q on b (the mixed deconvolved transport is not
+    # curl-like for alpha > 0), and the Lorentz exchange carried by Hb.
+    flux = sum(squares)[np.newaxis] * adv_phys[0]
+    pressure = p_hat.coeffs
     if state.b is not None:
-        b_phys, q_phys = f_phys[1], phys[n_vec + 1]
-        mag_phys = to_physical(grid, from_physical(
-            grid, 0.5 * squares[1]) * grid.dealias_weight)
-        flux += 2.0 * mag_phys * u_phys + 2.0 * q_phys * b_phys \
-            - 2.0 * np.sum(u_phys * b_phys, axis=0) * adv_phys[1]
+        flux -= 2.0 * np.sum(f_phys[0] * f_phys[1], axis=0) * adv_phys[1]
+        pressure = pressure + hat[-1] * grid.dealias_weight
+        q_hat = _flux(grid, phys, rows[1:], "potential")[0, 0]
     rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
-    if forced:
-        rhs += 2.0 * w * np.sum(np.sum(phys[-d:] * u_phys, axis=0) * g)
+    rhs += 2.0 * w * _grid_sum(grid, grad_hat[0], pressure)
+    if state.b is not None:
+        rhs += 2.0 * w * _grid_sum(grid, grad_hat[1], q_hat)
+    if not cfg.forcing.is_zero():
+        rhs += 2.0 * w * _grid_sum(grid, g_hat[0],
+                                   cfg.forcing.evaluate(grid, state.t).coeffs)
     return grid.cell_volume * lhs, grid.cell_volume * rhs, phys
 
 
@@ -227,25 +260,44 @@ def local_energy_residual(states: list[SimState],
     checkpoints (the window and its first two derivatives vanish there, so
     the h^2 Euler-Maclaurin term drops out).
     For plain NSE only ``residual <= tol`` (the inequality direction) is
-    asserted by callers."""
+    asserted by callers.
+
+    ``phi`` remembers each state's two sides (see :class:`BumpTestFunction`),
+    so a second call with a subset of the states, such as every other one,
+    integrates none of them again."""
     if len(states) < 3:
         raise TooFewSamples("local energy residual needs >= 3 checkpoints")
     if len(states) != len(pressures):
         raise InvariantViolation("one pressure field per checkpoint required")
+    grid = states[0].u.grid
+    if not all(f.grid.same_as(grid) for state, p_hat in zip(states, pressures)
+               for f in (*state.fields, p_hat)):
+        raise GridMismatch(
+            "local energy residual needs every state and pressure on one grid")
 
-    bump = phi.spatial_fields(states[0].u.grid)
+    bump = phi.spatial_fields(grid)
     times = np.array([s.t for s in states])
     lhs_vals = np.zeros(len(states))
     rhs_vals = np.zeros(len(states))
+    memo = phi._sides = {key: entry for key, entry in phi._sides.items()
+                         if entry[0]() is not None and entry[1]() is not None}
     # A state's samples are freed once the next state's exist: freed first,
     # they leave a free block on top of the heap, which the allocator returns
     # to the system and every next state faults back in.
     for i, (state, p_hat) in enumerate(zip(states, pressures)):
         w = phi.time_weight(state.t)
         w_dt = phi.time_weight_dt(state.t)
-        if w != 0.0 or w_dt != 0.0:
-            lhs_vals[i], rhs_vals[i], _held = _local_energy_sides(
-                state, p_hat, cfg, bump, w, w_dt)
+        if w == 0.0 and w_dt == 0.0:
+            continue
+        key, tag = (id(state), id(p_hat)), _sides_tag(state, p_hat, cfg, phi)
+        entry = memo.get(key)
+        if entry is None or entry[0]() is not state \
+                or entry[1]() is not p_hat or entry[2] != tag:
+            *sides, _held = _local_energy_sides(state, p_hat, cfg, bump,
+                                                w, w_dt)
+            entry = memo[key] = (weakref.ref(state), weakref.ref(p_hat), tag,
+                                 sides)
+        lhs_vals[i], rhs_vals[i] = entry[3]
 
     lhs_int = float(np.trapezoid(lhs_vals, times))
     rhs_int = float(np.trapezoid(rhs_vals, times))

@@ -15,7 +15,8 @@ the d^2 derivatives of v.  A projected term drops ``F_ll I`` from its flux F
 for any scalar c and the dealias mask is a scalar per mode.
 
 One kernel evaluates every transport term: the RHS, the MHD tendencies, the
-pressure and the local-energy diagnostics.  The kind table ``_KIND_ROWS`` is
+pressure and the local-energy diagnostics, which hold the sources' samples
+and call its flux step alone.  The kind table ``_KIND_ROWS`` is
 the one place where model kinds differ; it gives the rows N of
 ``d/dt fields = -P N + f`` as flux tensors F, ``N = ik . F``:
 
@@ -212,14 +213,22 @@ def _transport(g: WaveGrid, sources, rows, mode: str,
     not in ``"full"``; in ``"potential"`` the scalar p of the module notes.
 
     ``sources`` are ``(coeffs, symbol)``: spectra times smoothing symbols
-    (None for 1), written straight into the inverse transform's stack; row
-    terms ``(i, p)`` are ``w_i . grad v_p``, the first added, the others
-    subtracted.  The products of :func:`_flux_plan` go through one forward
-    transform and one contraction with a grid-cached symbol masked to the
-    dealias band, ``-ik_j`` or ``-k_j k_q / |k|^2``.  ``peaks`` (a list)
-    gets the largest physical |component| of the transported fields."""
+    (None for 1); row terms ``(i, p)`` are ``w_i . grad v_p``, the first
+    added, the others subtracted.  Two steps: :func:`_source_samples`, the
+    one inverse transform of the sources, and :func:`_flux`, which a caller
+    holding those samples (the local-energy residual) calls alone."""
+    phys, _stack = _source_samples(g, sources)
+    return _flux(g, phys, rows, mode, peaks)
+
+
+def _source_samples(g: WaveGrid, sources) -> tuple[np.ndarray, np.ndarray]:
+    """Physical samples of :func:`_transport`'s sources, shape
+    ``(len(sources), d, *g.shape)``, and the stack of the one inverse
+    transform, into which the spectra times their symbols are written.
+    Callers hold the stack until their work is done: freed first, it leaves
+    a free block on top of the heap that every later call faults back in
+    (twenty times the minor faults per step of a 32^3 run)."""
     d = g.dim
-    moved, products, sums = _flux_plan(d, rows, mode)
     if len(sources) == 1 and sources[0][1] is None:
         stack = sources[0][0]
     else:
@@ -229,7 +238,18 @@ def _transport(g: WaveGrid, sources, rows, mode: str,
                 out[...] = coeffs
             else:
                 np.multiply(coeffs, symbol, out=out)
-    phys = to_physical(g, stack).reshape((len(sources), d) + g.shape)
+    return to_physical(g, stack).reshape((len(sources), d) + g.shape), stack
+
+
+def _flux(g: WaveGrid, phys: np.ndarray, rows, mode: str,
+          peaks: list | None = None) -> np.ndarray:
+    """:func:`_transport` from the sources' samples ``phys``: the products of
+    :func:`_flux_plan` go through one forward transform and one contraction
+    with a grid-cached symbol masked to the dealias band, ``-ik_j`` or
+    ``-k_j k_q / |k|^2``.  ``peaks`` (a list) gets the largest physical
+    |component| of the transported fields."""
+    d = g.dim
+    moved, products, sums = _flux_plan(d, rows, mode)
     if peaks is not None:
         peaks.append(float(max(max(phys[p].max(), -phys[p].min())
                                for p in moved)))
@@ -300,6 +320,8 @@ def _kind_table(state: SimState, cfg: ModelConfig) -> tuple[list, tuple]:
         raise MissingMagneticField("MHD model needs a magnetic field") \
             if state.b is None else InvariantViolation(
                 f"model kind {cfg.kind.value} has no magnetic field")
+    if state.b is not None and not state.b.grid.same_as(state.u.grid):
+        raise GridMismatch("the magnetic field is not on the velocity's grid")
     symbol = None if cfg.kind is ModelKind.NSE else smoothing_symbol(
         state.u.grid, cfg.filter,
         deconvolution=cfg.kind is not ModelKind.LERAY_ALPHA)

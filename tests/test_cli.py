@@ -198,6 +198,42 @@ class TestErrorExitCodes:
         assert err.startswith("config syntax error:") and "byte 0" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("old,new,name", [
+        ("[grid]", "[gr\x00id]", r"'gr\x00id'"),
+        ("dim = 2", "d\x1b[31mim = 2", r"'d\x1b[31mim'"),
+        ("[initial]", "[forcing]\nmode_\x07 = 1 : 0 0\n[initial]",
+         r"'mode_\x07'"),
+    ], ids=["section", "key", "forcing-key"])
+    def test_names_are_quoted(self, tmp_path, capsys, old, new, name):
+        # a name is echoed as its repr, like a value: no control byte
+        # reaches stderr
+        cfg = write_cfg(tmp_path, SWEEP_BASE.replace(old, new), outdir="o")
+        assert main(["multiplier-table", cfg]) in (EXIT_UNKNOWN_KEY,
+                                                   EXIT_INVARIANT)
+        err = capsys.readouterr().err
+        assert name in err and len(err.splitlines()) == 1
+        assert err.rstrip("\n").isprintable()
+
+    @pytest.mark.parametrize("command", ["run", "sweep-n"])
+    def test_nul_in_output_directory(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, SWEEP_BASE, outdir="o\x00ut")
+        lists = ["--orders", "0,1"] if command == "sweep-n" else []
+        assert main([command, cfg] + lists) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "directory:" in err and len(err.splitlines()) == 1
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        plain = write_cfg(tmp_path, SWEEP_BASE, outdir="o")
+        with open(plain, "rb") as fh:
+            text = fh.read()
+        marked = os.path.join(tmp_path, "marked.cfg")
+        with open(marked, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + text)
+        assert main(["multiplier-table", marked]) == EXIT_OK
+        table = capsys.readouterr().out
+        assert main(["multiplier-table", plain]) == EXIT_OK
+        assert capsys.readouterr().out == table
+
     def test_output_directory_under_a_file(self, tmp_path, capsys):
         blocker = os.path.join(tmp_path, "file")
         open(blocker, "w").close()

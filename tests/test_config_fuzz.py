@@ -8,11 +8,11 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from lerayflow.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_SYNTAX,
-                           EXIT_UNKNOWN_KEY, main)
-from lerayflow.config import _KEYS, parse_config
+from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INVARIANT, EXIT_OK,
+                           EXIT_SYNTAX, EXIT_UNKNOWN_KEY, main)
+from lerayflow.config import _KEYS, parse_config, parse_config_file
 from lerayflow.errors import (ConfigError, ConfigSyntaxError,
                               InvariantViolation, LerayflowError,
                               UnknownKeyError)
@@ -118,3 +118,111 @@ def test_config_text_parses_or_fails_with_one_line(text):
                 code = main(["multiplier-table", path])
     assert code == EXIT_FOR[error], err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1
+
+
+# Byte-level templates, one per field layout: a one-step run at n = 8 each.
+BYTE_TEMPLATES = [b"""[grid]
+dim = 2
+n = 8
+[model]
+kind = leray-alpha
+nu = 0.02
+alpha = 0.2
+[forcing]
+mode_1 = 1 2 : 0.2 0.0 -0.1 0.0 : 0.5
+[initial]
+preset = random
+seed = 9
+cutoff_shell = 2
+[stepper]
+dt = 0.001
+t_end = 0.001
+[output]
+directory = out
+""", b"""[grid]
+dim = 3
+n = 8
+[model]
+kind = mhd-deconv
+nu = 0.05
+nu2 = 0.05
+alpha = 0.2
+n_deconv = 1
+[initial]
+preset = random
+seed = 4
+cutoff_shell = 2
+[stepper]
+dt = 0.001
+t_end = 0.001
+[output]
+directory = out
+checkpoint_every = 1
+"""]
+
+COMMANDS = {"run": [], "multiplier-table": [],
+            "sweep-alpha": ["--alphas", "0.4,0.2,0.1"],
+            "sweep-n": ["--orders", "0,1,2"]}
+
+CHUNKS = st.one_of(
+    st.binary(min_size=1, max_size=4),
+    st.sampled_from([b"\x00", b"\x1b[31m", b"\x07", b"\xef\xbb\xbf", b"\r",
+                     b"\xc2\x85", b"\xe2\x80\xa8", b"\xc2\xa0", b"\xff",
+                     b"[", b"]", b"=", b"#", b"\n", b" = "]))
+
+
+@st.composite
+def config_bytes(draw):
+    data = bytearray(draw(st.sampled_from(BYTE_TEMPLATES)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "delete":
+            del data[at:at + draw(st.integers(1, 4))]
+        else:
+            chunk = draw(CHUNKS)
+            data[at:at + len(chunk) * (op == "replace")] = chunk
+    return bytes(data)
+
+
+def _bounded(path: str, here: str) -> bool:
+    """Whether the config at path, if it parses, stays small and writes only
+    below here: a mutated n or t_end could ask for a large run, and a
+    mutated directory for a path elsewhere."""
+    try:
+        rc = parse_config_file(path)
+        steps = rc.build_stepper().n_steps()
+    except ConfigError:
+        return True
+    if rc.n > 16 or steps > 4 or rc.preset == "checkpoint":
+        return False
+    try:
+        target = os.path.realpath(rc.directory or here)
+    except ValueError:  # an embedded NUL names no path at all
+        return True
+    return target == here or target.startswith(here + os.sep)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=config_bytes(), command=st.sampled_from(sorted(COMMANDS)))
+def test_config_bytes_exit_with_one_printable_line(tmp_path, monkeypatch,
+                                                   data, command):
+    here = os.path.realpath(tmp_path)
+    monkeypatch.chdir(here)
+    path = os.path.join(here, "fuzzed.cfg")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assume(_bounded(path, here))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path] + COMMANDS[command])
+    allowed = {EXIT_OK, EXIT_SYNTAX, EXIT_UNKNOWN_KEY, EXIT_INVARIANT}
+    if command.startswith("sweep"):
+        allowed.add(EXIT_CHECK_FAILED)
+    lines = err.getvalue().splitlines()
+    assert code in allowed, err.getvalue()
+    assert len(lines) <= 1 and all(line.isprintable() for line in lines), \
+        lines

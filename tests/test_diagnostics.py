@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from lerayflow import (BumpTestFunction, EnergyRecord, FilterParams,
-                       ForcingMode, ForcingSpec, InvariantViolation,
-                       ModelConfig, ModelKind, NonMonotone, SimState,
-                       SpectralVectorField, StepperConfig, TooFewSamples,
-                       WaveGrid, alpha_sweep, energy_budget_residual,
-                       filter_apply, local_energy_residual, measure_energy,
-                       n_sweep, pressure_solve, random_solenoidal, run,
-                       sobolev_norm)
+                       ForcingMode, ForcingSpec, GridMismatch,
+                       InvariantViolation, ModelConfig, ModelKind,
+                       NonMonotone, SimState, SpectralVectorField,
+                       StepperConfig, TooFewSamples, WaveGrid, alpha_sweep,
+                       energy_budget_residual, filter_apply,
+                       local_energy_residual, measure_energy, n_sweep,
+                       pressure_solve, random_solenoidal, run, sobolev_norm)
 from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field
 
@@ -214,38 +214,114 @@ class TestLocalEnergy:
 
     def test_dissipation_identity(self):
         # sum g |grad u|^2 = sum (|u|^2 lap g / 2 - g u . lap u): the residual
-        # takes its dissipation from d transformed fields lap u, not from the
-        # d^2 gradients.  Pinned at 32^3 on criterion 6's initial field; at
-        # 16^3 the bump's spectrum is cut at n/2, which leaves 3.5e-9 here.
+        # takes its dissipation from u . lap u, not from the d^2 gradients.
+        # Pinned at 32^3 on criterion 6's initial field; at 16^3 the bump's
+        # spectrum is cut at n/2, which leaves 3.5e-9 here.
+        from lerayflow.diagnostics import _grid_sum
+        from lerayflow.fields import from_physical
         grid = WaveGrid(3, 32)
+        cfg = leray_cfg(forcing=ForcingSpec(
+            (ForcingMode((1, 2, 0), (0.2, -0.1, 0.0)),)))
         u = random_solenoidal(grid, 11, -2.5, 5)
-        g, _, lap_g = BumpTestFunction.canonical(3, 0.2).spatial_fields(grid)
+        g, grad_g, lap_g = BumpTestFunction.canonical(3, 0.2) \
+            .spatial_fields(grid)
         grad_u = to_physical(grid, grid.ik[:, np.newaxis] * u.coeffs)
-        u_phys, lap_u = to_physical(grid, np.stack([u.coeffs,
-                                                    -grid.k_sq * u.coeffs]))
+        force = cfg.forcing.evaluate(grid, 0.0).coeffs
+        p_hat = pressure_solve(SimState(0.0, u), cfg).coeffs
+        u_phys, lap_u, f_phys = to_physical(grid, np.stack(
+            [u.coeffs, -grid.k_sq * u.coeffs, force]))
         lhs = np.sum(g * np.sum(grad_u * grad_u, axis=(0, 1)))
         rhs = np.sum(0.5 * np.sum(u_phys * u_phys, axis=0) * lap_g
                      - g * np.sum(u_phys * lap_u, axis=0))
         assert rhs == pytest.approx(lhs, rel=1e-14)
 
+        # It sums a grid product against a band-limited spectrum as
+        # sum_x a b = N sum_k plane_weight Re(conj(a_k) b_k), exact on the
+        # grid: for the dissipation g u . lap u, the force work g f . u and
+        # the pressure work p u . grad g, to 1e-14 of sum_x |a b| (the
+        # pressure work cancels to 1/78 of that)
+        u_grad_g = np.sum(u_phys * grad_g, axis=0)
+        for grid_product, spectrum, sample in [
+                (g * u_phys, -grid.k_sq * u.coeffs, lap_u),
+                (g * u_phys, force, f_phys),
+                (u_grad_g, p_hat, to_physical(grid, p_hat))]:
+            terms = grid_product * sample
+            paired = _grid_sum(grid, from_physical(grid, grid_product),
+                               spectrum)
+            assert abs(paired - np.sum(terms)) \
+                <= 1e-14 * np.sum(np.abs(terms))
+
+    def test_second_call_reuses_each_state(self, counts, grid3):
+        # a phi shared by both cadences integrates each state once; the
+        # remembered sides are bit-identical to a fresh phi's, and nothing
+        # is kept alive by them
+        import gc
+        import weakref
+        cfg = leray_cfg()
+        states = [SimState(t, random_solenoidal(grid3, 11, -2.5, 5))
+                  for t in np.linspace(0.0, 0.2, 9)]
+        pressures = [pressure_solve(s, cfg) for s in states]
+        phi = BumpTestFunction.canonical(3, 0.2)
+        fine = local_energy_residual(states, pressures, phi, cfg)
+        counts.clear()
+        coarse = local_energy_residual(states[::2], pressures[::2], phi, cfg)
+        assert counts == {}
+        assert local_energy_residual(states, pressures, phi, cfg) == fine
+        fresh = BumpTestFunction.canonical(3, 0.2)
+        assert coarse == local_energy_residual(states[::2], pressures[::2],
+                                               fresh, cfg)
+        assert counts == {"irfftn": (3, 18), "rfftn": (3, 12)}
+
+        refs = [weakref.ref(s) for s in states + pressures]
+        del states, pressures
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_changed_state_or_pressure_recomputes(self, counts, grid3):
+        cfg = leray_cfg()
+        u = random_solenoidal(grid3, 11, -2.5, 5)
+        states = [SimState(t, u.copy()) for t in (0.0, 0.1, 0.2)]
+        pressures = [pressure_solve(s, cfg) for s in states]
+        phi = BumpTestFunction.canonical(3, 0.2)
+        before = local_energy_residual(states, pressures, phi, cfg)
+
+        states[1].u.coeffs *= 1.5  # an edit in place
+        counts.clear()
+        edited = local_energy_residual(states, pressures, phi, cfg)
+        assert counts == {"irfftn": (1, 6), "rfftn": (1, 4)}
+        assert edited != before
+        assert edited == local_energy_residual(
+            states, pressures, BumpTestFunction.canonical(3, 0.2), cfg)
+
+        pressures[1] = pressure_solve(states[1], cfg)  # a new object
+        counts.clear()
+        local_energy_residual(states, pressures, phi, cfg)
+        assert counts == {"irfftn": (1, 6), "rfftn": (1, 4)}
+
     @pytest.mark.parametrize("kind,expected", [
-        (ModelKind.LERAY_ALPHA, {"irfftn": (1, 13)}),
-        (ModelKind.MHD_DECONV, {"irfftn": (3, 33), "rfftn": (2, 7)}),
-    ], ids=["leray-alpha", "mhd-deconv"])
+        (ModelKind.NSE, {"irfftn": (1, 3), "rfftn": (1, 4)}),
+        (ModelKind.LERAY_ALPHA, {"irfftn": (1, 6), "rfftn": (1, 4)}),
+        (ModelKind.MHD_DECONV, {"irfftn": (1, 12), "rfftn": (2, 15)}),
+    ], ids=["nse", "leray-alpha", "mhd-deconv"])
     def test_transform_counts(self, counts, kind, expected):
-        # one state inside the window (0.02, 0.18): one inverse transform of
-        # u, lap u, Hu, p and the force; with b, the kernel's potential of
-        # the induction row for q (6 symmetric products) and the dealiased
-        # |b|^2/2 round trip add theirs
+        # one state inside the window (0.02, 0.18): one inverse transform,
+        # the kernel's own sources (u; Hu, u; Hu, u, Hb, b), and one forward
+        # transform of g f and f . grad g per field (with b, and |b|^2/2)
+        # to pair with lap f, f, p and q; with b, the kernel's flux step
+        # makes q from the same samples (6 symmetric products).  A second
+        # call with the same phi transforms nothing.
         grid = WaveGrid(3, 16)
+        forcing = ForcingSpec((ForcingMode((1, 2, 0), (0.2, -0.1, 0.0)),))
         mhd = kind is ModelKind.MHD_DECONV
         if mhd:
             cfg = ModelConfig(kind=kind, nu=0.1, nu2=0.1,
                               filter=FilterParams(alpha=0.15, theta=0.25,
                                                   n_deconv=1))
+        elif kind is ModelKind.NSE:
+            cfg = ModelConfig(kind=kind, nu=0.1, filter=FilterParams(0.0),
+                              forcing=forcing)
         else:
-            cfg = leray_cfg(forcing=ForcingSpec(
-                (ForcingMode((1, 2, 0), (0.2, -0.1, 0.0)),)))
+            cfg = leray_cfg(forcing=forcing)
         u = random_solenoidal(grid, 11, -2.5, 5)
         b = random_solenoidal(grid, 12, -2.5, 5) if mhd else None
         states = [SimState(t, u, b) for t in (0.0, 0.1, 0.2)]
@@ -255,6 +331,29 @@ class TestLocalEnergy:
         counts.clear()
         local_energy_residual(states, pressures, phi, cfg)
         assert counts == expected
+        counts.clear()
+        local_energy_residual(states, pressures, phi, cfg)
+        assert counts == {}
+
+    @pytest.mark.parametrize("where", ["pressure", "state"])
+    @pytest.mark.parametrize("other", [(16, np.pi), (8, 2.0 * np.pi)],
+                             ids=["other-L", "other-n"])
+    def test_grid_mismatch(self, grid3, where, other):
+        # one pressure or one state off the first state's grid: an error,
+        # not a residual of the wrong grid (or a numpy broadcast error)
+        cfg = leray_cfg()
+        u = random_solenoidal(grid3, 2, -1.0, 4)
+        states = [SimState(t, u) for t in (0.0, 0.1, 0.2)]
+        pressures = [pressure_solve(s, cfg) for s in states]
+        grid = WaveGrid(3, *other)
+        odd = SimState(0.1, random_solenoidal(grid, 2, -1.0, 2))
+        if where == "state":
+            states[1] = odd
+        else:
+            pressures[1] = pressure_solve(odd, cfg)
+        with pytest.raises(GridMismatch):
+            local_energy_residual(states, pressures,
+                                  BumpTestFunction.canonical(3, 0.2), cfg)
 
     def test_too_few_checkpoints(self, grid3):
         u = random_solenoidal(grid3, 0, -1.0, 4)

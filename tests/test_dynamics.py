@@ -185,6 +185,20 @@ class TestAdvect:
         with pytest.raises(GridMismatch):
             advect(w, v)
 
+    @pytest.mark.parametrize("other", [(16, np.pi), (8, 2.0 * np.pi)],
+                             ids=["other-L", "other-n"])
+    def test_magnetic_field_on_another_grid(self, grid3, other):
+        # b on a grid of the same n and another L, or another n: an error,
+        # not a tendency on u's grid
+        other = WaveGrid(3, *other)
+        u = random_solenoidal(grid3, 0, -1.0, 4)
+        b = random_solenoidal(other, 1, -1.0, 2)
+        cfg = ModelConfig(ModelKind.MHD_DECONV, 0.1,
+                          FilterParams(alpha=0.1, theta=0.25), nu2=0.1)
+        for solve in (rhs, pressure_solve):
+            with pytest.raises(GridMismatch):
+                solve(SimState(0.0, u, b), cfg)
+
 
 KINDS = [(ModelKind.NSE, 0.0, 0), (ModelKind.LERAY_ALPHA, 0.15, 0),
          (ModelKind.LERAY_DECONV, 0.15, 2), (ModelKind.MHD_DECONV, 0.2, 1)]
