@@ -14,8 +14,7 @@ from .filtering import (FilterParams, deconvolution_multiplier, deconvolve,
                         filter_apply, helmholtz_multiplier, multiplier_table,
                         van_cittert_series)
 from .dynamics import (ForcingMode, ForcingSpec, ModelConfig, ModelKind,
-                       SimState, Tendency, advect, advecting_field,
-                       pressure_solve, rhs)
+                       SimState, advect, pressure_solve, rhs)
 from .stepping import StepperConfig, StepperScheme, run, step
 from .diagnostics import (BumpTestFunction, EnergyRecord, SweepReport,
                           alpha_sweep, energy_budget_residual, fit_loglog,

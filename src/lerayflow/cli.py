@@ -87,7 +87,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         rc = parse_config_file(args.config)
         final, records = execute_run(rc)
         print(f"run finished at t = {final.t:.6g} with {len(records)} samples; "
-              f"outputs in {rc.directory}")
+              f"outputs in {rc.directory!r}")
         return EXIT_OK
 
     if args.command == "sweep-alpha":

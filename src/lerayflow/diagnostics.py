@@ -135,11 +135,11 @@ class BumpTestFunction:
         self._sides: dict[tuple[int, int], tuple] = {}
 
     @classmethod
-    def canonical(cls, dim: int, t_end: float,
-                  box_length: float = 2.0 * np.pi) -> "BumpTestFunction":
+    def canonical(cls, dim: int, t_end: float) -> "BumpTestFunction":
         """The one reproducible choice used by the verification suite:
-        centered in the box, width 0.8, time window the middle 80 percent."""
-        return cls(center=(box_length / 2.0,) * dim, width=0.8,
+        centered in the 2 pi box, width 0.8, time window the middle 80
+        percent."""
+        return cls(center=(np.pi,) * dim, width=0.8,
                    t0=0.1 * t_end, t1=0.9 * t_end)
 
     def time_weight(self, t: float) -> float:
@@ -236,7 +236,7 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     if state.b is not None:
         flux -= 2.0 * np.sum(f_phys[0] * f_phys[1], axis=0) * adv_phys[1]
         pressure = pressure + hat[-1] * grid.dealias_weight
-        q_hat = _flux(grid, phys, rows[1:], "potential")[0, 0]
+        q_hat = _flux(grid, phys, rows[1:], potential=True)[0, 0]
     rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
     rhs += 2.0 * w * _grid_sum(grid, grad_hat[0], pressure)
     if state.b is not None:
@@ -326,11 +326,10 @@ def fit_loglog(x, y) -> float:
 
 def alpha_sweep(u_ref: SpectralVectorField, p: FilterParams,
                 alphas: list[float], s_norm: float,
-                slope_tolerance: float = 0.1,
                 target_slope: float | None = None) -> SweepReport:
     """Filter-error decay ||filtered u - u||_{H^s} along decreasing alpha.
 
-    The fitted log-log slope is compared against the theoretical rate
+    The fitted log-log slope must be within 0.1 of the theoretical rate
     2*theta (or an explicit ``target_slope``); alpha = 0 entries give an
     exactly zero error and are excluded from the fit."""
     if len(alphas) < 3:
@@ -354,7 +353,7 @@ def alpha_sweep(u_ref: SpectralVectorField, p: FilterParams,
                            None, None, True)
     slope = fit_loglog([a for a, _ in fit_pts], [e for _, e in fit_pts])
     return SweepReport(tuple(alphas), tuple(errors), slope, target, None,
-                       None, abs(slope - target) <= slope_tolerance)
+                       None, abs(slope - target) <= 0.1)
 
 
 def _support_k_max(u: SpectralVectorField) -> float:
@@ -363,12 +362,11 @@ def _support_k_max(u: SpectralVectorField) -> float:
 
 
 def n_sweep(u_ref: SpectralVectorField, p: FilterParams,
-            n_values: list[int], s_norm: float,
-            ratio_margin: float = 0.02) -> SweepReport:
+            n_values: list[int], s_norm: float) -> SweepReport:
     """Deconvolution-error decay ||H_N u - u||_{H^s} along increasing N.
 
     The per-unit-N geometric ratio must stay below x/(1+x) evaluated at the
-    largest wavenumber in the support of u (plus a small margin); errors that
+    largest wavenumber in the support of u (plus a margin of 0.02); errors that
     fall under the 1e-12 relative floor are excluded from the ratio fit."""
     if len(n_values) < 2:
         raise InvariantViolation("n sweep needs at least 2 orders")
@@ -403,6 +401,6 @@ def n_sweep(u_ref: SpectralVectorField, p: FilterParams,
         return SweepReport(tuple(float(n) for n in n_values), tuple(errors),
                            None, None, None, bound, True)
     ratio = float(np.exp(np.mean(np.log(ratios))))
-    passed = all(r <= bound + ratio_margin for r in ratios)
+    passed = all(r <= bound + 0.02 for r in ratios)
     return SweepReport(tuple(float(n) for n in n_values), tuple(errors),
                        None, None, ratio, bound, passed)

@@ -14,11 +14,11 @@ the d^2 derivatives of v.  A projected term drops ``F_ll I`` from its flux F
 (l the last axis; Basdevant, J. Comput. Phys. 50, 1983), as ``P(ik c) = 0``
 for any scalar c and the dealias mask is a scalar per mode.
 
-One kernel evaluates every transport term: the RHS, the MHD tendencies, the
-pressure and the local-energy diagnostics, which hold the sources' samples
-and call its flux step alone.  The kind table ``_KIND_ROWS`` is
-the one place where model kinds differ; it gives the rows N of
-``d/dt fields = -P N + f`` as flux tensors F, ``N = ik . F``:
+One kernel evaluates every transport term: the RHS (one projected row per
+field), the pressure and the local-energy diagnostics, which hold the
+sources' samples and call its flux step alone.  The kind table
+``_KIND_ROWS`` is the one place where model kinds differ; it gives the rows
+N of ``d/dt fields = -P N + f`` as flux tensors F, ``N = ik . F``:
 
 * NSE: ``u (x) u``; LerayAlpha, LerayDeconv: ``Hu (x) u``, H the filter or
   the order-N deconvolution (N = 0 equals LerayAlpha);
@@ -46,13 +46,12 @@ from .errors import (CriticalityViolation, GridMismatch, InvariantViolation,
                      MissingMagneticField)
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
                      project_in_place, to_physical)
-from .filtering import (CRITICAL_THETA, FilterParams, deconvolve, filter_apply,
-                        smoothing_symbol)
+from .filtering import CRITICAL_THETA, FilterParams, smoothing_symbol
 from .grid import WaveGrid
 
 __all__ = [
     "ModelKind", "ForcingSpec", "ForcingMode", "ModelConfig", "SimState",
-    "Tendency", "advect", "advecting_field", "rhs", "pressure_solve",
+    "advect", "rhs", "pressure_solve",
 ]
 
 
@@ -170,32 +169,23 @@ class SimState:
         return SimState(self.t, *(f.copy() for f in self.fields))
 
 
-@dataclass
-class Tendency:
-    """Non-viscous tendency, same shape as the state fields."""
-
-    du: SpectralVectorField
-    db: SpectralVectorField | None = None
-
-
 @functools.cache
-def _flux_plan(d: int, rows: tuple, mode: str):
-    """:func:`_transport`'s bookkeeping per (d, rows, mode): moved fields,
-    products as ``(ufunc, a, b)`` terms, and per row and output component
-    the ``(symbol, product)`` pairs of its contraction."""
+def _flux_plan(d: int, rows: tuple, potential: bool = False):
+    """:func:`_transport`'s bookkeeping per (d, rows, potential): moved
+    fields, products as ``(ufunc, a, b)`` terms, and per row and output
+    component the ``(symbol, product)`` pairs of its contraction."""
     l, products, sums = d - 1, [], []
-    potential = mode == "potential"
     pairs = list(itertools.combinations_with_replacement(range(d), 2))
     for row in rows:
         pos = {}
         for j, q in pairs if potential else itertools.product(range(d), repeat=2):
             if not potential and len(row) == 1 and row[0][0] == row[0][1] and q < j:
                 pos[j, q] = pos[q, j]
-            elif not (mode == "project" and j == q == l):  # F_ll is never formed
+            elif potential or not j == q == l:  # F_ll is never formed
                 # + first term - other terms: F_jq + F_qj (j <= q) for the
                 # potential, F_jj - F_ll on a projected diagonal, else F_jq
                 signs = [(j, q, 1)] + ([(q, j, 1)] * (j != q) if potential else
-                                       [(l, l, -1)] * (mode == "project" and j == q))
+                                       [(l, l, -1)] * (j == q))
                 pos[j, q] = len(products)
                 products.append([(np.add if (s > 0) == (n == 0) else np.subtract,
                                   (i, a), (p, b))
@@ -206,19 +196,19 @@ def _flux_plan(d: int, rows: tuple, mode: str):
     return sorted({p for row in rows for _, p in row}), products, sums
 
 
-def _transport(g: WaveGrid, sources, rows, mode: str,
+def _transport(g: WaveGrid, sources, rows,
                peaks: list | None = None) -> np.ndarray:
-    """Dealiased half spectra of signed sums of ``-w . grad v`` (the
-    tendency's sign), one per row, Leray-projected in mode ``"project"``,
-    not in ``"full"``; in ``"potential"`` the scalar p of the module notes.
+    """Dealiased, Leray-projected half spectra of signed sums of
+    ``-w . grad v`` (the tendency's sign), one per row.
 
     ``sources`` are ``(coeffs, symbol)``: spectra times smoothing symbols
     (None for 1); row terms ``(i, p)`` are ``w_i . grad v_p``, the first
     added, the others subtracted.  Two steps: :func:`_source_samples`, the
     one inverse transform of the sources, and :func:`_flux`, which a caller
-    holding those samples (the local-energy residual) calls alone."""
+    holding those samples (the pressure and the local-energy residual) calls
+    alone."""
     phys, _stack = _source_samples(g, sources)
-    return _flux(g, phys, rows, mode, peaks)
+    return _flux(g, phys, rows, peaks=peaks)
 
 
 def _source_samples(g: WaveGrid, sources) -> tuple[np.ndarray, np.ndarray]:
@@ -241,15 +231,16 @@ def _source_samples(g: WaveGrid, sources) -> tuple[np.ndarray, np.ndarray]:
     return to_physical(g, stack).reshape((len(sources), d) + g.shape), stack
 
 
-def _flux(g: WaveGrid, phys: np.ndarray, rows, mode: str,
+def _flux(g: WaveGrid, phys: np.ndarray, rows, *, potential: bool = False,
           peaks: list | None = None) -> np.ndarray:
-    """:func:`_transport` from the sources' samples ``phys``: the products of
+    """:func:`_transport` from the sources' samples ``phys``, or with
+    ``potential`` the scalar p of the module notes per row: the products of
     :func:`_flux_plan` go through one forward transform and one contraction
     with a grid-cached symbol masked to the dealias band, ``-ik_j`` or
     ``-k_j k_q / |k|^2``.  ``peaks`` (a list) gets the largest physical
     |component| of the transported fields."""
     d = g.dim
-    moved, products, sums = _flux_plan(d, rows, mode)
+    moved, products, sums = _flux_plan(d, rows, potential)
     if peaks is not None:
         peaks.append(float(max(max(phys[p].max(), -phys[p].min())
                                for p in moved)))
@@ -261,7 +252,7 @@ def _flux(g: WaveGrid, phys: np.ndarray, rows, mode: str,
             op(out, phys[a] * phys[b], out=out)
     hat = from_physical(g, prods)
 
-    if mode == "potential":
+    if potential:
         symbol = g.cached(("potential",), lambda: np.stack([
             -g.k[j] * g.k[q] / g.k_sq_safe * g.dealias_weight
             for j, q in itertools.combinations_with_replacement(range(d), 2)]))
@@ -276,31 +267,21 @@ def _flux(g: WaveGrid, phys: np.ndarray, rows, mode: str,
                 comp += np.multiply(symbol[j], hat[n], out=acc)
         # Project while the work arrays are alive: freed first, they leave a
         # free block on top of the heap that every later call faults back in.
-        if mode == "project":
+        if not potential:
             project_in_place(g, row_hat)
     return out
 
 
-def advect(w: SpectralVectorField, v: SpectralVectorField, *,
-           project: bool = True) -> SpectralVectorField:
-    """Transport term w . grad v (w solenoidal), truncated to the grid's
-    dealias band and by default Leray-projected.  With a dealias cutoff of
-    n/2 - 1 products alias (the verification suite's negative control)."""
+def advect(w: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorField:
+    """Transport term P(w . grad v) (w solenoidal), truncated to the grid's
+    dealias band and Leray-projected.  With a dealias cutoff of n/2 - 1
+    products alias (the verification suite's negative control)."""
     g = w.grid
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
     sources = [(w.coeffs, None)] + [(v.coeffs, None)] * (v.coeffs is not w.coeffs)
-    minus = _transport(g, sources, (((0, len(sources) - 1),),),
-                       "project" if project else "full")[0]
+    minus = _transport(g, sources, (((0, len(sources) - 1),),))[0]
     return SpectralVectorField(g, np.negative(minus, out=minus))
-
-
-def advecting_field(u: SpectralVectorField, cfg: ModelConfig) -> SpectralVectorField:
-    """The velocity that transports u under the given model kind."""
-    if cfg.kind is ModelKind.NSE:
-        return u
-    return (filter_apply if cfg.kind is ModelKind.LERAY_ALPHA
-            else deconvolve)(u, cfg.filter)
 
 
 # The kind table (module notes): per kind, the sources (field, smoothed) of its
@@ -331,26 +312,29 @@ def _kind_table(state: SimState, cfg: ModelConfig) -> tuple[list, tuple]:
 
 
 def rhs(state: SimState, cfg: ModelConfig, *,
-        peaks: list | None = None) -> Tendency:
-    """Non-viscous tendency of the state (the integrating-factor stepper
-    takes viscosity exactly).  ``peaks`` (a list) gets the largest physical
-    |component| of u (and b) for the stepper's CFL check."""
+        peaks: list | None = None) -> list[SpectralVectorField]:
+    """Non-viscous tendency of the state, one projected row per entry of
+    ``state.fields`` (the integrating-factor stepper takes viscosity
+    exactly).  ``peaks`` (a list) gets the largest physical |component| of
+    u (and b) for the stepper's CFL check."""
     g = state.u.grid
-    rows = _transport(g, *_kind_table(state, cfg), "project", peaks)
+    rows = _transport(g, *_kind_table(state, cfg), peaks)
     if not cfg.forcing.is_zero():
         rows[0] += cfg.forcing.evaluate(g, state.t).coeffs
-    return Tendency(*(SpectralVectorField(g, row) for row in rows))
+    return [SpectralVectorField(g, row) for row in rows]
 
 
 def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     """The zero-mean pressure of the projected dynamics: the potential of the
     momentum row (module notes), less the magnetic pressure |b|^2/2 when b
-    is present, so the result is the fluid pressure."""
+    is present, so the result is the fluid pressure.  One inverse transform
+    serves both: b's samples are the kernel's own."""
     g = state.u.grid
     sources, rows = _kind_table(state, cfg)
-    p_hat = _transport(g, sources, rows[:1], "potential")[0, 0]
+    phys, _stack = _source_samples(g, sources)
+    p_hat = _flux(g, phys, rows[:1], potential=True)[0, 0]
     if state.b is not None:
-        b_phys = to_physical(g, state.b.coeffs)
+        b_phys = phys[rows[0][1][1]]  # v of the momentum row's Lorentz term
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
             * g.dealias_weight
     return SpectralScalarField(g, p_hat)

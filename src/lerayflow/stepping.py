@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import EnergyRecord, measure_energy
-from .dynamics import (_KIND_ROWS, ModelConfig, ModelKind, SimState, Tendency,
+from .dynamics import (_KIND_ROWS, ModelConfig, ModelKind, SimState,
                        _flux_plan, rhs)
 from .errors import CFLExceeded, InvariantViolation, NonFinite, SymmetryViolation
 from .fields import SpectralVectorField
@@ -97,8 +97,8 @@ class _Stepper:
 
     def _tendency(self, arrays: list[np.ndarray], t: float,
                   peaks: list | None = None) -> list[np.ndarray]:
-        out: Tendency = rhs(self._state(t, arrays), self.cfg, peaks=peaks)
-        return [f.coeffs for f in (out.du, out.db) if f is not None]
+        return [f.coeffs for f in rhs(self._state(t, arrays), self.cfg,
+                                      peaks=peaks)]
 
     def _state(self, t: float, arrays: list[np.ndarray]) -> SimState:
         return SimState(t, *(SpectralVectorField(self.grid, a)
@@ -174,9 +174,9 @@ def working_set(dim: int, n: int, kind: ModelKind) -> int:
     """Bytes an IF-RK4 run holds at its peak: per field the state, stage,
     scratch, k1..k4 and viscous symbols, the kernel's stacks, the grid."""
     spectral, points = n ** (dim - 1) * (n // 2 + 1), n ** dim
-    fields = 2 if kind is ModelKind.MHD_DECONV else 1
     sources, rows = _KIND_ROWS[kind]
-    products = len(_flux_plan(dim, rows, "project")[1])
+    fields = len(rows)  # one tendency row per field
+    products = len(_flux_plan(dim, rows)[1])
     return 16 * spectral * (products + dim * (7 * fields + 2 * len(sources)
                                               + len(rows) + 1)) \
         + 8 * spectral * (4 * fields + 5 * dim + 9) \

@@ -102,6 +102,16 @@ class TestRunCommand:
         bytes_b = open(os.path.join(out_b, "energy.csv"), "rb").read()
         assert bytes_a == bytes_b
 
+    def test_output_directory_is_quoted_on_stdout(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the directory is echoed as its repr, like names on stderr: no
+        # control byte reaches stdout
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, TG_RUN, outdir="o\x1b[31mut")
+        assert main(["run", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert r"'o\x1b[31mut'" in out and out.rstrip("\n").isprintable()
+
 
 class TestErrorExitCodes:
     def test_syntax_error(self, tmp_path):
