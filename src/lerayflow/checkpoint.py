@@ -53,25 +53,24 @@ _HEADER_FMT = "<4sHBBIdIBddddIdQI"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 
-def _payload_bytes(state: SimState) -> bytes:
-    return b"".join(full_layout(f.grid, f.coeffs).astype("<c16").tobytes()
-                    for f in state.fields)
-
-
 def save_checkpoint(path: str, state: SimState, cfg: ModelConfig) -> None:
-    """Write the state atomically (temp file + rename)."""
+    """Write the state atomically (temp file + rename), no bytes copied."""
     grid = state.u.grid
-    payload = _payload_bytes(state)
+    payload = [np.ascontiguousarray(full_layout(f.grid, f.coeffs), dtype="<c16")
+               for f in state.fields]
     header_wo_crc = struct.pack(
         _HEADER_FMT, MAGIC, FORMAT_VERSION, grid.dim,
         len(state.fields) - 1, grid.n, grid.L,
         grid.dealias_cutoff, KIND_ORDER.index(cfg.kind), cfg.nu,
         cfg.nu2 if cfg.nu2 is not None else 0.0, cfg.filter.alpha,
-        cfg.filter.theta, cfg.filter.n_deconv, state.t, len(payload), 0)
-    crc = zlib.crc32(payload, zlib.crc32(header_wo_crc))
+        cfg.filter.theta, cfg.filter.n_deconv, state.t,
+        sum(part.nbytes for part in payload), 0)
+    crc = zlib.crc32(header_wo_crc)
+    for part in payload:
+        crc = zlib.crc32(part, crc)
     header = header_wo_crc[:-4] + struct.pack("<I", crc)
 
-    atomic_write(path, header, payload)
+    atomic_write(path, header, *payload)
 
 
 def load_checkpoint(path: str) -> tuple[SimState, dict]:

@@ -196,9 +196,8 @@ def _sides_tag(state: SimState, p_hat: SpectralScalarField, cfg: ModelConfig,
 
 def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
                         cfg: ModelConfig, bump, w: float,
-                        w_dt: float) -> tuple[float, float, np.ndarray]:
-    """Both sides of the localized energy identity at one state, and the
-    samples of its one inverse transform."""
+                        w_dt: float) -> tuple[float, float]:
+    """Both sides of the localized energy identity at one state."""
     grid = state.u.grid
     g, grad_g, lap_g = bump
 
@@ -207,14 +206,14 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     # forward transform of g f and f . grad g per field (and |b|^2/2), to
     # pair with the band-limited lap f, f, p and q.
     sources, rows = _kind_table(state, cfg)
-    phys, _stack = _source_samples(grid, sources)
+    phys = _source_samples(grid, sources)
     f_phys = [phys[v] for _, v in rows[0]]
     adv_phys = [phys[a] for a, _ in rows[0]]
     squares = [np.sum(f * f, axis=0) for f in f_phys]
-    parts = [g * f for f in f_phys] \
-        + [np.sum(f * grad_g, axis=0)[np.newaxis] for f in f_phys] \
-        + [0.5 * b_sq[np.newaxis] for b_sq in squares[1:]]
-    hat = from_physical(grid, np.concatenate(parts))
+    hat = from_physical(grid, np.concatenate(
+        [g * f for f in f_phys]
+        + [np.sum(f * grad_g, axis=0)[np.newaxis] for f in f_phys]
+        + [0.5 * b_sq[np.newaxis] for b_sq in squares[1:]]))
     m = len(f_phys)
     g_hat = hat[:m * grid.dim].reshape((m, grid.dim) + grid.spectral_shape)
     grad_hat = hat[m * grid.dim:]
@@ -237,14 +236,15 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
         flux -= 2.0 * np.sum(f_phys[0] * f_phys[1], axis=0) * adv_phys[1]
         pressure = pressure + hat[-1] * grid.dealias_weight
         q_hat = _flux(grid, phys, rows[1:], potential=True)[0, 0]
-    rhs += w * np.sum(np.sum(flux * grad_g, axis=0))
+    rhs += w * np.sum(np.sum(np.multiply(flux, grad_g, out=flux), axis=0))
+    del flux  # before the force's spectrum exists
     rhs += 2.0 * w * _grid_sum(grid, grad_hat[0], pressure)
     if state.b is not None:
         rhs += 2.0 * w * _grid_sum(grid, grad_hat[1], q_hat)
     if not cfg.forcing.is_zero():
         rhs += 2.0 * w * _grid_sum(grid, g_hat[0],
                                    cfg.forcing.evaluate(grid, state.t).coeffs)
-    return grid.cell_volume * lhs, grid.cell_volume * rhs, phys
+    return grid.cell_volume * lhs, grid.cell_volume * rhs
 
 
 def local_energy_residual(states: list[SimState],
@@ -281,9 +281,6 @@ def local_energy_residual(states: list[SimState],
     rhs_vals = np.zeros(len(states))
     memo = phi._sides = {key: entry for key, entry in phi._sides.items()
                          if entry[0]() is not None and entry[1]() is not None}
-    # A state's samples are freed once the next state's exist: freed first,
-    # they leave a free block on top of the heap, which the allocator returns
-    # to the system and every next state faults back in.
     for i, (state, p_hat) in enumerate(zip(states, pressures)):
         w = phi.time_weight(state.t)
         w_dt = phi.time_weight_dt(state.t)
@@ -293,8 +290,7 @@ def local_energy_residual(states: list[SimState],
         entry = memo.get(key)
         if entry is None or entry[0]() is not state \
                 or entry[1]() is not p_hat or entry[2] != tag:
-            *sides, _held = _local_energy_sides(state, p_hat, cfg, bump,
-                                                w, w_dt)
+            sides = _local_energy_sides(state, p_hat, cfg, bump, w, w_dt)
             entry = memo[key] = (weakref.ref(state), weakref.ref(p_hat), tag,
                                  sides)
         lhs_vals[i], rhs_vals[i] = entry[3]

@@ -16,7 +16,14 @@ for any scalar c and the dealias mask is a scalar per mode.
 
 One kernel evaluates every transport term: the RHS (one projected row per
 field), the pressure and the local-energy diagnostics, which hold the
-sources' samples and call its flux step alone.  The kind table
+sources' samples and call its flux step alone.  The flux step goes chunk by
+chunk (``_flux_plan``): one output component's products (all of a symmetric
+flux's) are formed, transformed and contracted before the next's, each
+product once and in the same arithmetic order.  Its work buffers belong to
+the grid, so a grid serves one caller at a time; every call overwrites them,
+and nothing it returns aliases them: its rows are fresh, or the ``out`` given.
+
+The kind table
 ``_KIND_ROWS`` is the one place where model kinds differ; it gives the rows
 N of ``d/dt fields = -P N + f`` as flux tensors F, ``N = ik . F``:
 
@@ -45,7 +52,7 @@ import numpy as np
 from .errors import (CriticalityViolation, GridMismatch, InvariantViolation,
                      MissingMagneticField)
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
-                     project_in_place, to_physical)
+                     project_in_place, spectral_work, to_physical)
 from .filtering import CRITICAL_THETA, FilterParams, smoothing_symbol
 from .grid import WaveGrid
 
@@ -171,15 +178,17 @@ class SimState:
 
 @functools.cache
 def _flux_plan(d: int, rows: tuple, potential: bool = False):
-    """:func:`_transport`'s bookkeeping per (d, rows, potential): moved
-    fields, products as ``(ufunc, a, b)`` terms, and per row and output
-    component the ``(symbol, product)`` pairs of its contraction."""
-    l, products, sums = d - 1, [], []
+    """:func:`_flux`'s bookkeeping per (d, rows, potential): the moved
+    fields and the chunks, one per output component or per symmetric flux
+    (whose components share products): their products as ``(ufunc, a, b)``
+    terms, and per component ``(row, component, [(symbol, product)])``."""
+    l, products, plan = d - 1, [], []
     pairs = list(itertools.combinations_with_replacement(range(d), 2))
-    for row in rows:
+    for r, row in enumerate(rows):
+        symmetric = potential or (len(row) == 1 and row[0][0] == row[0][1])
         pos = {}
         for j, q in pairs if potential else itertools.product(range(d), repeat=2):
-            if not potential and len(row) == 1 and row[0][0] == row[0][1] and q < j:
+            if not potential and symmetric and q < j:
                 pos[j, q] = pos[q, j]
             elif potential or not j == q == l:  # F_ll is never formed
                 # + first term - other terms: F_jq + F_qj (j <= q) for the
@@ -190,84 +199,92 @@ def _flux_plan(d: int, rows: tuple, potential: bool = False):
                 products.append([(np.add if (s > 0) == (n == 0) else np.subtract,
                                   (i, a), (p, b))
                                  for a, b, s in signs for n, (i, p) in enumerate(row)])
-        sums.append([list(enumerate(pos.values()))] if potential else
-                    [[(j, pos[j, q]) for j in range(d) if (j, q) in pos]
-                     for q in range(d)])
-    return sorted({p for row in rows for _, p in row}), products, sums
+        comps = [(0, list(enumerate(pos.values())))] if potential else \
+            [(q, [(j, pos[j, q]) for j in range(d) if (j, q) in pos])
+             for q in range(d)]
+        for chunk in [comps] if symmetric else [[c] for c in comps]:
+            used = sorted({n for _, terms in chunk for _, n in terms})
+            plan.append(([products[n] for n in used],
+                         [(r, q, [(j, used.index(n)) for j, n in terms])
+                          for q, terms in chunk]))
+    return sorted({p for row in rows for _, p in row}), plan
 
 
-def _transport(g: WaveGrid, sources, rows,
-               peaks: list | None = None) -> np.ndarray:
+def _transport(g: WaveGrid, sources, rows, forcing: ForcingSpec = ForcingSpec(),
+               t: float = 0.0, *, peaks: list | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Dealiased, Leray-projected half spectra of signed sums of
-    ``-w . grad v`` (the tendency's sign), one per row.
+    ``-w . grad v`` (the tendency's sign), one per row, into ``out`` when
+    given, plus the ``forcing`` at time t on row 0.  ``sources`` are
+    ``(coeffs, symbol)``: spectra times smoothing symbols (None for 1); row
+    terms ``(i, p)`` are ``w_i . grad v_p``, the first added, the others
+    subtracted.  Two steps: :func:`_source_samples`, the one inverse
+    transform, and :func:`_flux`, which callers holding those samples (the
+    pressure and the local-energy residual) call alone."""
+    out = _flux(g, _source_samples(g, sources), rows, peaks=peaks, out=out)
+    if not forcing.is_zero():
+        out[0] += forcing.evaluate(g, t).coeffs
+    return out
 
-    ``sources`` are ``(coeffs, symbol)``: spectra times smoothing symbols
-    (None for 1); row terms ``(i, p)`` are ``w_i . grad v_p``, the first
-    added, the others subtracted.  Two steps: :func:`_source_samples`, the
-    one inverse transform of the sources, and :func:`_flux`, which a caller
-    holding those samples (the pressure and the local-energy residual) calls
-    alone."""
-    phys, _stack = _source_samples(g, sources)
-    return _flux(g, phys, rows, peaks=peaks)
 
-
-def _source_samples(g: WaveGrid, sources) -> tuple[np.ndarray, np.ndarray]:
+def _source_samples(g: WaveGrid, sources) -> np.ndarray:
     """Physical samples of :func:`_transport`'s sources, shape
-    ``(len(sources), d, *g.shape)``, and the stack of the one inverse
-    transform, into which the spectra times their symbols are written.
-    Callers hold the stack until their work is done: freed first, it leaves
-    a free block on top of the heap that every later call faults back in
-    (twenty times the minor faults per step of a 32^3 run)."""
-    d = g.dim
+    ``(len(sources), d, *g.shape)``: one inverse transform of the grid's
+    source stack, into which the spectra times their symbols are written."""
     if len(sources) == 1 and sources[0][1] is None:
         stack = sources[0][0]
     else:
-        stack = np.empty((len(sources), d) + g.spectral_shape, dtype=complex)
+        stack = g.cached(("source_stack", len(sources)), lambda: np.empty(
+            (len(sources), g.dim) + g.spectral_shape, dtype=complex))
         for out, (coeffs, symbol) in zip(stack, sources):
-            if symbol is None:
-                out[...] = coeffs
-            else:
-                np.multiply(coeffs, symbol, out=out)
-    return to_physical(g, stack).reshape((len(sources), d) + g.shape), stack
+            np.multiply(coeffs, 1.0 if symbol is None else symbol, out=out)
+    return to_physical(g, stack).reshape((len(sources), g.dim) + g.shape)
 
 
 def _flux(g: WaveGrid, phys: np.ndarray, rows, *, potential: bool = False,
-          peaks: list | None = None) -> np.ndarray:
+          peaks: list | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_transport` from the sources' samples ``phys``, or with
-    ``potential`` the scalar p of the module notes per row: the products of
-    :func:`_flux_plan` go through one forward transform and one contraction
-    with a grid-cached symbol masked to the dealias band, ``-ik_j`` or
-    ``-k_j k_q / |k|^2``.  ``peaks`` (a list) gets the largest physical
+    ``potential`` the scalar p of the module notes per row, into ``out`` when
+    given: per chunk of :func:`_flux_plan`, one forward transform and the
+    contraction with a grid-cached symbol masked to the dealias band, ``-ik_j``
+    or ``-k_j k_q / |k|^2``.  ``peaks`` (a list) gets the largest physical
     |component| of the transported fields."""
     d = g.dim
-    moved, products, sums = _flux_plan(d, rows, potential)
+    moved, chunks = _flux_plan(d, rows, potential)
     if peaks is not None:
         peaks.append(float(max(max(phys[p].max(), -phys[p].min())
                                for p in moved)))
-
-    prods = np.empty((len(products),) + g.shape)
-    for out, ((_, a, b), *rest) in zip(prods, products):
-        np.multiply(phys[a], phys[b], out=out)
-        for op, a, b in rest:
-            op(out, phys[a] * phys[b], out=out)
-    hat = from_physical(g, prods)
-
     if potential:
         symbol = g.cached(("potential",), lambda: np.stack([
             -g.k[j] * g.k[q] / g.k_sq_safe * g.dealias_weight
             for j, q in itertools.combinations_with_replacement(range(d), 2)]))
     else:
         symbol = g.cached(("minus_masked_ik",), lambda: -g.ik * g.dealias_weight)
-    out = np.empty((len(rows), len(sums[0])) + g.spectral_shape, dtype=complex)
-    acc = np.empty(g.spectral_shape, dtype=complex)
-    for row_hat, row_sums in zip(out, sums):
-        for comp, ((j, n), *rest) in zip(row_hat, row_sums):
+    # Work buffers: rows for the widest chunk's products (a symmetric flux's)
+    # and one more, and an accumulator.  Made before a fresh ``out``, so that
+    # a step's new state never lands among its transforms' transients.
+    width = d * (d + 1) // 2
+    work = g.cached(("flux_products",), lambda: np.empty((width + 1,) + g.shape))
+    acc = spectral_work(g)[0]
+    if out is None:
+        out = np.empty((len(rows), 1 if potential else d) + g.spectral_shape,
+                       dtype=complex)
+    for products, components in chunks:
+        for i, ((_, a, b), *rest) in enumerate(products):
+            np.multiply(phys[a], phys[b], out=work[i])
+            for op, a, b in rest:  # the next row is free until its product
+                op(work[i], np.multiply(phys[a], phys[b], out=work[i + 1]),
+                   out=work[i])
+        hat = from_physical(g, work[:len(products)])
+        for r, q, ((j, n), *rest) in components:
+            comp = out[r, q]
             np.multiply(symbol[j], hat[n], out=comp)
             for j, n in rest:
                 comp += np.multiply(symbol[j], hat[n], out=acc)
-        # Project while the work arrays are alive: freed first, they leave a
-        # free block on top of the heap that every later call faults back in.
-        if not potential:
+        del hat  # one chunk's spectra at a time
+    if not potential:
+        for row_hat in out:
             project_in_place(g, row_hat)
     return out
 
@@ -318,9 +335,8 @@ def rhs(state: SimState, cfg: ModelConfig, *,
     exactly).  ``peaks`` (a list) gets the largest physical |component| of
     u (and b) for the stepper's CFL check."""
     g = state.u.grid
-    rows = _transport(g, *_kind_table(state, cfg), peaks)
-    if not cfg.forcing.is_zero():
-        rows[0] += cfg.forcing.evaluate(g, state.t).coeffs
+    rows = _transport(g, *_kind_table(state, cfg), cfg.forcing, state.t,
+                      peaks=peaks)
     return [SpectralVectorField(g, row) for row in rows]
 
 
@@ -331,7 +347,7 @@ def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     serves both: b's samples are the kernel's own."""
     g = state.u.grid
     sources, rows = _kind_table(state, cfg)
-    phys, _stack = _source_samples(g, sources)
+    phys = _source_samples(g, sources)
     p_hat = _flux(g, phys, rows[:1], potential=True)[0, 0]
     if state.b is not None:
         b_phys = phys[rows[0][1][1]]  # v of the momentum row's Lorentz term

@@ -169,9 +169,16 @@ def leray_project(s: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(s.grid, project_in_place(s.grid, s.coeffs.copy()))
 
 
+def spectral_work(g: WaveGrid) -> np.ndarray:
+    """Two half spectra of the grid's for projection and contraction."""
+    return g.cached(("spectral_work",), lambda: np.empty(
+        (2,) + g.spectral_shape, dtype=complex))
+
+
 def project_in_place(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
     """:func:`leray_project` of a d-vector of half spectra, written over it."""
-    k_dot, tmp = g.k[0] * coeffs[0], np.empty(coeffs.shape[1:], complex)
+    k_dot, tmp = spectral_work(g)
+    np.multiply(g.k[0], coeffs[0], out=k_dot)
     for j in range(1, g.dim):
         k_dot += np.multiply(g.k[j], coeffs[j], out=tmp)
     for c, k_over_ksq in zip(coeffs, g.k_over_ksq):

@@ -113,7 +113,8 @@ class WaveGrid:
         """The array stored under ``key``, made once by ``build()``.
 
         The one cache of the grid's diagonal symbols (powers of |k|, filter
-        multipliers, viscous factors) and of the samples of test functions.
+        multipliers, viscous factors), of the samples of test functions and
+        of the transport kernel's work buffers, which only the kernel writes.
         Treat returned arrays as read-only.
         """
         value = self._symbols.get(key)

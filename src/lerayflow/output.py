@@ -8,7 +8,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 
 from .diagnostics import EnergyRecord, SweepReport
 
@@ -22,10 +22,12 @@ def format_g17(x: float) -> str:
 
 
 def atomic_write(path: str, *chunks: bytes) -> None:
-    """Write the chunks to path through a temp file in the same directory
-    and ``os.replace``, so readers see the old file or the whole new one."""
+    """Write the chunks (bytes-like) to path through a temp file in the same
+    directory and ``os.replace``, so readers see the old file or the whole
+    new one; the file gets the mode ``open()`` gives, 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

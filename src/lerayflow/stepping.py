@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import EnergyRecord, measure_energy
 from .dynamics import (_KIND_ROWS, ModelConfig, ModelKind, SimState,
-                       _flux_plan, rhs)
+                       _flux_plan, _kind_table, _transport)
 from .errors import CFLExceeded, InvariantViolation, NonFinite, SymmetryViolation
 from .fields import SpectralVectorField
 
@@ -74,8 +74,9 @@ def _viscous_factor(grid, nu: float, h: float) -> np.ndarray:
 
 
 class _Stepper:
-    """The per-mode viscous exponentials for one (grid, model, dt), and the
-    stage buffers that the RK combinations write into."""
+    """The per-mode viscous exponentials for one (grid, model, dt), the
+    stage buffers (the stage state, k2 and k3) that the RK combinations
+    write into, and the kind table resolved once for the stage state."""
 
     def __init__(self, cfg: ModelConfig, sc: StepperConfig, grid):
         self.cfg = cfg
@@ -86,19 +87,16 @@ class _Stepper:
         self.e_full = [_viscous_factor(grid, nu, sc.dt) for nu in nus]
         self.h_e_half = [sc.dt * eh for eh in self.e_half]
         self.two_e_half = [2.0 * eh for eh in self.e_half]
-        # Owned by this stepper, never by the grid: a stage state and one
-        # scratch array per field, overwritten by every step.
-        shape = (grid.dim,) + grid.spectral_shape
-        self.stage = [np.empty(shape, dtype=complex) for _ in nus]
-        self.scratch = [np.empty(shape, dtype=complex) for _ in nus]
+        # Owned by this stepper, never by the grid, and overwritten by every
+        # step: the stage state and the rows of k2 and of k3, then k4.
+        shape = (len(nus), grid.dim) + grid.spectral_shape
+        self.stage, self.k2, self.k3 = (np.empty(shape, dtype=complex)
+                                        for _ in range(3))
+        self.sources, self.rows = _kind_table(self._state(0.0, self.stage),
+                                              cfg)
         self.dx = grid.L / grid.n
         self.max_cfl = 0.0
         self._cfl_warned = False
-
-    def _tendency(self, arrays: list[np.ndarray], t: float,
-                  peaks: list | None = None) -> list[np.ndarray]:
-        return [f.coeffs for f in rhs(self._state(t, arrays), self.cfg,
-                                      peaks=peaks)]
 
     def _state(self, t: float, arrays: list[np.ndarray]) -> SimState:
         return SimState(t, *(SpectralVectorField(self.grid, a)
@@ -116,14 +114,16 @@ class _Stepper:
             self._cfl_warned = True
 
     def advance(self, state: SimState) -> SimState:
-        h = self.sc.dt
-        t = state.t
+        h, t, forcing = self.sc.dt, state.t, self.cfg.forcing
         y = [f.coeffs for f in state.fields]
 
-        # Each combination keeps the operation order of its formula; k1..k4
-        # are fresh arrays, and k1 ends up holding the new state.
+        # Each combination keeps the operation order of its formula.  k1 is
+        # a fresh array that ends up holding the new state; the stepper's
+        # k2 and k3 buffers hold the other tendencies and serve as scratch
+        # once their values are folded into the sum or not yet written.
         peaks: list[float] = []
-        k1 = self._tendency(y, t, peaks)
+        k1 = _transport(self.grid, *_kind_table(state, self.cfg), forcing, t,
+                        peaks=peaks)
         self._check_cfl(t, peaks[0])
         if self.sc.scheme is StepperScheme.IFEULER:
             for yi, ki, ef in zip(y, k1, self.e_full):  # ef (y + h k1)
@@ -135,32 +135,33 @@ class _Stepper:
                 np.multiply(ki, 0.5 * h, out=s)         # eh (y + h/2 k1)
                 s += yi
                 s *= eh
-            k2 = self._tendency(self.stage, t + 0.5 * h)
+            k2 = _transport(self.grid, self.sources, self.rows, forcing,
+                            t + 0.5 * h, out=self.k2)
             for yi, ki, eh, s, tmp in zip(y, k2, self.e_half, self.stage,
-                                          self.scratch):
+                                          self.k3):
                 np.multiply(yi, eh, out=s)              # eh y + h/2 k2
                 np.multiply(ki, 0.5 * h, out=tmp)
                 s += tmp
-            k3 = self._tendency(self.stage, t + 0.5 * h)
-            for yi, ki, ef, heh, s, tmp in zip(y, k3, self.e_full,
-                                               self.h_e_half, self.stage,
-                                               self.scratch):
-                np.multiply(yi, ef, out=s)              # ef y + h eh k3
-                np.multiply(ki, heh, out=tmp)
-                s += tmp
-            k4 = self._tendency(self.stage, t + h)
-            # ef y + h/6 (ef k1 + 2 eh (k2 + k3) + k4)
-            for yi, a, b2, c, d, ef, eh2, tmp in zip(
-                    y, k1, k2, k3, k4, self.e_full, self.two_e_half,
-                    self.scratch):
-                b2 += c
+            k3 = _transport(self.grid, self.sources, self.rows, forcing,
+                            t + 0.5 * h, out=self.k3)
+            for yi, b2, c, ef, eh2, heh, s in zip(
+                    y, k2, k3, self.e_full, self.two_e_half, self.h_e_half,
+                    self.stage):
+                b2 += c                                 # 2 eh (k2 + k3)
                 b2 *= eh2
+                c *= heh                                # ef y + h eh k3
+                np.multiply(yi, ef, out=s)
+                s += c
+            k4 = _transport(self.grid, self.sources, self.rows, forcing,
+                            t + h, out=self.k3)
+            # ef y + h/6 (ef k1 + 2 eh (k2 + k3) + k4)
+            for yi, a, b2, d, ef in zip(y, k1, k2, k4, self.e_full):
                 a *= ef
                 a += b2
                 a += d
                 a *= h / 6.0
-                np.multiply(yi, ef, out=tmp)
-                a += tmp
+                np.multiply(yi, ef, out=b2)
+                a += b2
 
         for arr in k1:
             peak = float(np.abs(arr).max())
@@ -171,16 +172,17 @@ class _Stepper:
 
 
 def working_set(dim: int, n: int, kind: ModelKind) -> int:
-    """Bytes an IF-RK4 run holds at its peak: per field the state, stage,
-    scratch, k1..k4 and viscous symbols, the kernel's stacks, the grid."""
+    """Bytes an IF-RK4 run holds at its peak: per field the initial, current
+    and new state, stage, k2, k3 and viscous symbols; the kernel's source
+    stack, samples, inverse-FFT copy, widest chunk and work; the grid."""
     spectral, points = n ** (dim - 1) * (n // 2 + 1), n ** dim
     sources, rows = _KIND_ROWS[kind]
     fields = len(rows)  # one tendency row per field
-    products = len(_flux_plan(dim, rows)[1])
-    return 16 * spectral * (products + dim * (7 * fields + 2 * len(sources)
-                                              + len(rows) + 1)) \
+    stacks = 2 * len(sources) - (len(sources) == 1)  # nse: the state itself
+    widest = max(len(products) for products, _ in _flux_plan(dim, rows)[1])
+    return 16 * spectral * (widest + 2 + dim * (6 * fields + stacks + 1)) \
         + 8 * spectral * (4 * fields + 5 * dim + 9) \
-        + 8 * points * (dim * len(sources) + products)
+        + 8 * points * (dim * len(sources) + widest + 1)
 
 
 def step(state: SimState, cfg: ModelConfig, sc: StepperConfig) -> SimState:

@@ -17,7 +17,7 @@ from lerayflow.cli import EXIT_INVARIANT, main
 from lerayflow.config import parse_config
 from lerayflow.diagnostics import EnergyRecord, measure_energy
 from lerayflow.fields import full_layout
-from lerayflow.output import energy_csv_text, format_g17
+from lerayflow.output import atomic_write, energy_csv_text, format_g17
 
 MINIMAL = """
 [grid]
@@ -357,3 +357,25 @@ class TestCsvOutput:
     def test_format_g17_roundtrip(self):
         for x in (np.pi, 1e-300, -3.5, 0.1 + 1e-17):
             assert float(format_g17(x)) == x
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                             ids=["022", "077", "002"])
+    def test_mode_matches_a_plain_open(self, tmp_path, umask):
+        # an artifact gets the umask-derived mode that open(path, "w") gives,
+        # not the temp file's private 0600
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+            atomic_write(str(tmp_path / "atomic.txt"), b"x\n")
+            atomic_write(str(tmp_path / "plain.txt"), b"y\n")  # replaced
+        finally:
+            os.umask(old)
+        expected = 0o666 & ~umask
+        for name in ("plain.txt", "atomic.txt"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == expected
+        assert (tmp_path / "plain.txt").read_bytes() == b"y\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "atomic.txt", "plain.txt"]

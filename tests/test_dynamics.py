@@ -559,3 +559,61 @@ class TestKindTable:
         for solve in (rhs, pressure_solve):
             with pytest.raises(InvariantViolation, match="magnetic"):
                 solve(SimState(0.0, u, u.copy()), cfg)
+
+
+def kind_state(dim, n, kind, alpha, n_deconv, seeds=(21, 22)):
+    grid = WaveGrid(dim, n)
+    mhd = kind is ModelKind.MHD_DECONV
+    cfg = ModelConfig(kind, 0.1, FilterParams(alpha=alpha, theta=0.25,
+                                              n_deconv=n_deconv),
+                      nu2=0.1 if mhd else None)
+    fields = [random_solenoidal(grid, s, -1.5, grid.dealias_cutoff)
+              for s in seeds[:1 + mhd]]
+    return cfg, SimState(0.0, *fields)
+
+
+class TestKernelWorkingSet:
+    """What one rhs call allocates once the grid's work buffers exist: its
+    rows, the sources' samples and one chunk's spectra at a time."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind,alpha,n_deconv", KINDS)
+    def test_warm_rhs_peak_follows_the_plan(self, dim, kind, alpha,
+                                            n_deconv):
+        import tracemalloc
+
+        from lerayflow.dynamics import _KIND_ROWS, _flux_plan
+        n = 16
+        cfg, state = kind_state(dim, n, kind, alpha, n_deconv)
+        sources, rows = _KIND_ROWS[kind]
+        _, chunks = _flux_plan(dim, rows)
+        widest = max(len(products) for products, _ in chunks)
+        # in d-vector spectral fields: the rows, the samples (n^d reals per
+        # n^(d-1) (n/2 + 1) complex) and the widest chunk's spectra, plus a
+        # few KiB of Python objects; a kernel that formed every product
+        # before transforming any read 6.0 (2D nse) to 21.3 (3D mhd-deconv)
+        fields = len(rows) + len(sources) * n / (n + 2) + widest / dim
+        unit = 16 * dim * np.prod(state.u.grid.spectral_shape)
+        rhs(state, cfg)
+        tracemalloc.start()
+        try:
+            rhs(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fields * unit + 4096
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind,alpha,n_deconv", KINDS)
+    def test_rows_never_alias_a_work_buffer(self, dim, kind, alpha,
+                                            n_deconv):
+        cfg, state = kind_state(dim, 8, kind, alpha, n_deconv)
+        _, other = kind_state(dim, 8, kind, alpha, n_deconv, seeds=(23, 24))
+        first = rhs(state, cfg)
+        kept = [row.coeffs.copy() for row in first]
+        second = rhs(other, cfg)
+        buffers = list(state.u.grid._symbols.values())
+        for a, b, k in zip(first, second, kept):
+            assert not np.shares_memory(a.coeffs, b.coeffs)
+            assert not any(np.shares_memory(a.coeffs, buf) for buf in buffers)
+            assert np.array_equal(a.coeffs, k)

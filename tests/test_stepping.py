@@ -25,13 +25,15 @@ def nse_cfg(nu: float, forcing=None) -> ModelConfig:
 
 @pytest.fixture
 def zero_tendency(monkeypatch):
-    """The stepper's rhs replaced by a zero tendency with a peak |u| of 0."""
-    def rhs(state, cfg, *, peaks=None):
+    """The stepper's tendency replaced by zero rows with a peak |u| of 0."""
+    def transport(g, sources, rows, forcing, t, *, peaks=None, out=None):
         if peaks is not None:
             peaks.append(0.0)
-        return [SpectralVectorField(state.u.grid,
-                                    np.zeros_like(state.u.coeffs))]
-    monkeypatch.setattr(lerayflow.stepping, "rhs", rhs)
+        if out is None:
+            return np.zeros((len(rows), g.dim) + g.spectral_shape, complex)
+        out[...] = 0
+        return out
+    monkeypatch.setattr(lerayflow.stepping, "_transport", transport)
 
 
 class TestStepBasics:
@@ -257,9 +259,11 @@ class TestCFL:
 
 class TestTransformCounts:
     """Transforms per IF-RK4 step: calls, and the scalar fields they
-    transform, for each kind (one inverse and one forward call per stage).
-    The projected rows drop the trace of their flux, so each row transforms
-    one product fewer; the unprojected pressure row keeps all of them."""
+    transform, for each kind (one inverse call per stage, and one forward
+    call per chunk of the flux step: per output component, or one for a
+    symmetric row).  The projected rows drop the trace of their flux, so
+    each row transforms one product fewer; the unprojected pressure row
+    keeps all of them."""
 
     # products: the flux products of every row per step, trace included
     # (what the unprojected pressure row transforms).
@@ -275,7 +279,38 @@ class TestTransformCounts:
         rows = 1 if state.b is None else 2
         step(state, cfg, StepperConfig(dt=1e-3, t_end=1e-3))
         forward = products - 4 * rows
-        assert counts == {"irfftn": (4, inverse), "rfftn": (4, forward)}
+        # forward calls: nse's symmetric row is one chunk per stage, the
+        # other kinds one chunk per row and component (3D here)
+        calls = {ModelKind.NSE: 4, ModelKind.LERAY_ALPHA: 12,
+                 ModelKind.LERAY_DECONV: 12, ModelKind.MHD_DECONV: 24}[kind]
+        assert counts == {"irfftn": (4, inverse), "rfftn": (calls, forward)}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind,potential", [
+        *((kind, False) for kind in ModelKind), (ModelKind.NSE, True),
+        (ModelKind.LERAY_ALPHA, True), (ModelKind.MHD_DECONV, True)])
+    def test_chunks_partition_the_products(self, dim, kind, potential):
+        # each product is formed and transformed in exactly one chunk, and
+        # each output component is contracted exactly once, from its chunk
+        from lerayflow.dynamics import _KIND_ROWS, _flux_plan
+        rows = _KIND_ROWS[kind][1]
+        _, chunks = _flux_plan(dim, rows, potential)
+        symmetric = potential or kind is ModelKind.NSE
+        products = [repr(p) for chunk, _ in chunks for p in chunk]
+        assert len(set(products)) == len(products) == len(rows) * (
+            dim * (dim + 1) // 2 - (not potential) if symmetric
+            else dim * dim - 1)
+        components = [(r, q) for _, members in chunks
+                      for r, q, _ in members]
+        width = 1 if potential else dim
+        assert sorted(components) == [(r, q) for r in range(len(rows))
+                                      for q in range(width)]
+        for chunk, members in chunks:
+            used = sorted({n for _, _, terms in members for _, n in terms})
+            assert used == list(range(len(chunk)))
+            assert len(chunk) <= dim * (dim + 1) // 2
+        # a symmetric flux is one chunk, every other row one per component
+        assert len(chunks) == len(rows) * (1 if symmetric else dim)
 
     def test_pressure_solve_keeps_the_trace(self, counts):
         # the potential reads the symmetric flux, trace included: d(d+1)/2
