@@ -201,10 +201,10 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     grid = state.u.grid
     g, grad_g, lap_g = bump
 
-    # One inverse transform, the kernel's own: the fields and the advecting
-    # fields of row 0 (u alone for nse; Hu, u; or Hu, u, Hb, b), and one
-    # forward transform of g f and f . grad g per field (and |b|^2/2), to
-    # pair with the band-limited lap f, f, p and q.
+    # The kernel's own inverse transforms, one per source: the fields and
+    # the advecting fields of row 0 (u alone for nse; Hu, u; or Hu, u, Hb,
+    # b), and one forward transform of g f and f . grad g per field (and
+    # |b|^2/2), to pair with the band-limited lap f, f, p and q.
     sources, rows = _kind_table(state, cfg)
     phys = _source_samples(grid, sources)
     f_phys = [phys[v] for _, v in rows[0]]

@@ -16,12 +16,16 @@ for any scalar c and the dealias mask is a scalar per mode.
 
 One kernel evaluates every transport term: the RHS (one projected row per
 field), the pressure and the local-energy diagnostics, which hold the
-sources' samples and call its flux step alone.  The flux step goes chunk by
-chunk (``_flux_plan``): one output component's products (all of a symmetric
+sources' samples and call its flux step alone.  Each source is inverse
+transformed on its own: a field as it is, a smoothed field from one d-vector
+buffer that the sources take in turn.  The flux step goes chunk by chunk
+(``_flux_plan``): one output component's products (all of a symmetric
 flux's) are formed, transformed and contracted before the next's, each
-product once and in the same arithmetic order.  Its work buffers belong to
-the grid, so a grid serves one caller at a time; every call overwrites them,
-and nothing it returns aliases them: its rows are fresh, or the ``out`` given.
+product once and in the same arithmetic order.  Its work arrays (that
+buffer, the widest chunk's product rows and the spectral work) belong to the
+calling thread (``WaveGrid.work``), so threads can share a grid; every call
+of a thread overwrites its arrays, and nothing the kernel returns aliases
+them: its rows are fresh, or the ``out`` given.
 
 The kind table
 ``_KIND_ROWS`` is the one place where model kinds differ; it gives the rows
@@ -179,9 +183,10 @@ class SimState:
 @functools.cache
 def _flux_plan(d: int, rows: tuple, potential: bool = False):
     """:func:`_flux`'s bookkeeping per (d, rows, potential): the moved
-    fields and the chunks, one per output component or per symmetric flux
+    fields, the chunks, one per output component or per symmetric flux
     (whose components share products): their products as ``(ufunc, a, b)``
-    terms, and per component ``(row, component, [(symbol, product)])``."""
+    terms, and per component ``(row, component, [(symbol, product)])``; and
+    the most products of one chunk."""
     l, products, plan = d - 1, [], []
     pairs = list(itertools.combinations_with_replacement(range(d), 2))
     for r, row in enumerate(rows):
@@ -207,7 +212,8 @@ def _flux_plan(d: int, rows: tuple, potential: bool = False):
             plan.append(([products[n] for n in used],
                          [(r, q, [(j, used.index(n)) for j, n in terms])
                           for q, terms in chunk]))
-    return sorted({p for row in rows for _, p in row}), plan
+    return (sorted({p for row in rows for _, p in row}), plan,
+            max(len(products) for products, _ in plan))
 
 
 def _transport(g: WaveGrid, sources, rows, forcing: ForcingSpec = ForcingSpec(),
@@ -218,30 +224,30 @@ def _transport(g: WaveGrid, sources, rows, forcing: ForcingSpec = ForcingSpec(),
     given, plus the ``forcing`` at time t on row 0.  ``sources`` are
     ``(coeffs, symbol)``: spectra times smoothing symbols (None for 1); row
     terms ``(i, p)`` are ``w_i . grad v_p``, the first added, the others
-    subtracted.  Two steps: :func:`_source_samples`, the one inverse
-    transform, and :func:`_flux`, which callers holding those samples (the
-    pressure and the local-energy residual) call alone."""
+    subtracted.  Two steps: :func:`_source_samples`, the inverse transforms,
+    and :func:`_flux`, which callers holding those samples (the pressure and
+    the local-energy residual) call alone."""
     out = _flux(g, _source_samples(g, sources), rows, peaks=peaks, out=out)
     if not forcing.is_zero():
         out[0] += forcing.evaluate(g, t).coeffs
     return out
 
 
-def _source_samples(g: WaveGrid, sources) -> np.ndarray:
-    """Physical samples of :func:`_transport`'s sources, shape
-    ``(len(sources), d, *g.shape)``: one inverse transform of the grid's
-    source stack, into which the spectra times their symbols are written."""
-    if len(sources) == 1 and sources[0][1] is None:
-        stack = sources[0][0]
-    else:
-        stack = g.cached(("source_stack", len(sources)), lambda: np.empty(
-            (len(sources), g.dim) + g.spectral_shape, dtype=complex))
-        for out, (coeffs, symbol) in zip(stack, sources):
-            np.multiply(coeffs, 1.0 if symbol is None else symbol, out=out)
-    return to_physical(g, stack).reshape((len(sources), g.dim) + g.shape)
+def _source_samples(g: WaveGrid, sources) -> list[np.ndarray]:
+    """Physical samples of :func:`_transport`'s sources, one ``(d, *g.shape)``
+    array each, from one inverse transform per source: of the spectrum
+    itself, or of the spectrum times its symbol, written into the calling
+    thread's one d-vector source buffer."""
+    phys = []
+    for coeffs, symbol in sources:
+        if symbol is not None:
+            coeffs = np.multiply(coeffs, symbol, out=g.work(
+                "source", (g.dim,) + g.spectral_shape, complex))
+        phys.append(to_physical(g, coeffs))
+    return phys
 
 
-def _flux(g: WaveGrid, phys: np.ndarray, rows, *, potential: bool = False,
+def _flux(g: WaveGrid, phys: list, rows, *, potential: bool = False,
           peaks: list | None = None,
           out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_transport` from the sources' samples ``phys``, or with
@@ -251,7 +257,7 @@ def _flux(g: WaveGrid, phys: np.ndarray, rows, *, potential: bool = False,
     or ``-k_j k_q / |k|^2``.  ``peaks`` (a list) gets the largest physical
     |component| of the transported fields."""
     d = g.dim
-    moved, chunks = _flux_plan(d, rows, potential)
+    moved, chunks, width = _flux_plan(d, rows, potential)
     if peaks is not None:
         peaks.append(float(max(max(phys[p].max(), -phys[p].min())
                                for p in moved)))
@@ -260,23 +266,26 @@ def _flux(g: WaveGrid, phys: np.ndarray, rows, *, potential: bool = False,
             -g.k[j] * g.k[q] / g.k_sq_safe * g.dealias_weight
             for j, q in itertools.combinations_with_replacement(range(d), 2)]))
     else:
-        symbol = g.cached(("minus_masked_ik",), lambda: -g.ik * g.dealias_weight)
-    # Work buffers: rows for the widest chunk's products (a symmetric flux's)
-    # and one more, and an accumulator.  Made before a fresh ``out``, so that
-    # a step's new state never lands among its transforms' transients.
-    width = d * (d + 1) // 2
-    work = g.cached(("flux_products",), lambda: np.empty((width + 1,) + g.shape))
+        symbol = g.cached(("minus_masked_ik",),
+                          lambda: -(1j * g.k) * g.dealias_weight)
+    # The calling thread's work arrays: rows for the widest chunk's products
+    # and one more, and an accumulator.
+    work = g.work("products", (width + 1,) + g.shape)
     acc = spectral_work(g)[0]
-    if out is None:
-        out = np.empty((len(rows), 1 if potential else d) + g.spectral_shape,
-                       dtype=complex)
     for products, components in chunks:
-        for i, ((_, a, b), *rest) in enumerate(products):
-            np.multiply(phys[a], phys[b], out=work[i])
-            for op, a, b in rest:  # the next row is free until its product
-                op(work[i], np.multiply(phys[a], phys[b], out=work[i + 1]),
-                   out=work[i])
+        for i, ((_, (s, a), (p, b)), *rest) in enumerate(products):
+            np.multiply(phys[s][a], phys[p][b], out=work[i])
+            for op, (s, a), (p, b) in rest:  # the next row is free until used
+                op(work[i], np.multiply(phys[s][a], phys[p][b],
+                                        out=work[i + 1]), out=work[i])
         hat = from_physical(g, work[:len(products)])
+        if out is None:
+            # A fresh ``out`` (a step's new state) is made while the samples
+            # and the first chunk's spectra are alive, so it lands above
+            # them: freed, they leave room below it, not a heap top that
+            # the allocator gives back and the next stage faults in again.
+            out = np.empty((len(rows), 1 if potential else d)
+                           + g.spectral_shape, dtype=complex)
         for r, q, ((j, n), *rest) in components:
             comp = out[r, q]
             np.multiply(symbol[j], hat[n], out=comp)
@@ -343,8 +352,8 @@ def rhs(state: SimState, cfg: ModelConfig, *,
 def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     """The zero-mean pressure of the projected dynamics: the potential of the
     momentum row (module notes), less the magnetic pressure |b|^2/2 when b
-    is present, so the result is the fluid pressure.  One inverse transform
-    serves both: b's samples are the kernel's own."""
+    is present, so the result is the fluid pressure.  The kernel's inverse
+    transforms serve both: b's samples are the kernel's own."""
     g = state.u.grid
     sources, rows = _kind_table(state, cfg)
     phys = _source_samples(g, sources)

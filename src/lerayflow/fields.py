@@ -170,9 +170,9 @@ def leray_project(s: SpectralVectorField) -> SpectralVectorField:
 
 
 def spectral_work(g: WaveGrid) -> np.ndarray:
-    """Two half spectra of the grid's for projection and contraction."""
-    return g.cached(("spectral_work",), lambda: np.empty(
-        (2,) + g.spectral_shape, dtype=complex))
+    """The calling thread's two half spectra of the grid's, for projection
+    and contraction."""
+    return g.work("spectral_work", (2,) + g.spectral_shape, complex)
 
 
 def project_in_place(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:

@@ -17,11 +17,15 @@ wavevector is ``k = 2*pi*a/L``.  Every array below has the spectral shape.
 * ``plane_weight``: 1 on the self-conjugate planes ``a_d = 0`` and
   ``a_d = n/2``, 2 elsewhere, where a stored mode also stands for its
   mirror.  Sums over the full spectrum are weighted sums over the half.
+
+A grid may be shared by threads: its arrays and cached symbols are read-only,
+and work arrays (:meth:`WaveGrid.work`) belong to the calling thread.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -80,13 +84,9 @@ class WaveGrid:
                 f"or |k|^2 is not a positive finite float")
         self.cell_volume = (self.L / n) ** dim
 
-        # Integer mode indices per axis: FFT layout, a_d >= 0 on the last.
-        axis = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        axes = [axis] * (dim - 1) + [np.arange(n // 2 + 1, dtype=np.int64)]
-        self.a = np.stack(np.meshgrid(*axes, indexing="ij"))
-        self.a_sq = np.sum(self.a * self.a, axis=0)   # exact integer |a|^2
-        self.k = self.k0 * self.a.astype(np.float64)
-        self.ik = 1j * self.k
+        a = self.a
+        self.a_sq = np.sum(a * a, axis=0)   # exact integer |a|^2
+        self.k = self.k0 * a.astype(np.float64)
         self.k_sq = (self.k0 ** 2) * self.a_sq.astype(np.float64)
         self.k_mag = np.sqrt(self.k_sq)
 
@@ -95,7 +95,7 @@ class WaveGrid:
         self.k_over_ksq = self.k / self.k_sq_safe
         self.k_over_ksq[(slice(None),) + (0,) * dim] = 0.0
 
-        abs_a = np.abs(self.a)
+        abs_a = np.abs(a)
         self.mode_mask = np.all(abs_a < n // 2, axis=0)
         self.dealias_mask = self.mode_mask & np.all(
             abs_a <= self.dealias_cutoff, axis=0)
@@ -107,19 +107,50 @@ class WaveGrid:
 
         # Integer shell index |k| in units of k0, rounded to nearest shell.
         self.shell = np.rint(np.sqrt(self.a_sq.astype(np.float64))).astype(np.int64)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         self._symbols: dict[tuple, np.ndarray] = {}
+        self.scratch = threading.local()  # the calling thread's work arrays
+
+    @property
+    def a(self) -> np.ndarray:
+        """Integer mode indices per axis: FFT layout, a_d >= 0 on the last."""
+        axis = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
+        axes = [axis] * (self.dim - 1) + [
+            np.arange(self.n // 2 + 1, dtype=np.int64)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
+
+    @property
+    def ik(self) -> np.ndarray:
+        """The derivative symbol ``i k``, made on each access."""
+        return 1j * self.k
 
     def cached(self, key: tuple, build) -> np.ndarray:
-        """The array stored under ``key``, made once by ``build()``.
+        """The read-only array stored under ``key``, made once by ``build()``.
 
         The one cache of the grid's diagonal symbols (powers of |k|, filter
-        multipliers, viscous factors), of the samples of test functions and
-        of the transport kernel's work buffers, which only the kernel writes.
-        Treat returned arrays as read-only.
+        multipliers, viscous factors, the transport kernel's contractions)
+        and of the samples of test functions, shared by every thread.  Work
+        arrays are per thread: :meth:`work`.
         """
         value = self._symbols.get(key)
-        if value is None:
-            value = self._symbols[key] = build()
+        if value is None:  # threads that race here all get the first one
+            value = build()
+            value.flags.writeable = False
+            value = self._symbols.setdefault(key, value)
+        return value
+
+    def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The calling thread's work array ``name``, of at least
+        ``shape[0]`` rows: made with ``shape`` on first use, and made anew
+        when it has fewer rows.  Any later call of the same thread may
+        overwrite it, and no other thread sees it, so threads can share the
+        grid."""
+        value = getattr(self.scratch, name, None)
+        if value is None or len(value) < shape[0]:
+            value = np.empty(shape, dtype=dtype)
+            setattr(self.scratch, name, value)
         return value
 
     def k_power(self, exponent: float) -> np.ndarray:

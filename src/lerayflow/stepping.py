@@ -174,14 +174,16 @@ class _Stepper:
 def working_set(dim: int, n: int, kind: ModelKind) -> int:
     """Bytes an IF-RK4 run holds at its peak: per field the initial, current
     and new state, stage, k2, k3 and viscous symbols; the kernel's source
-    stack, samples, inverse-FFT copy, widest chunk and work; the grid."""
+    buffer (with a smoothed source), the inverse-FFT copy of one source, the
+    samples, the widest chunk's product rows and spectra, and the spectral
+    work; the grid."""
     spectral, points = n ** (dim - 1) * (n // 2 + 1), n ** dim
     sources, rows = _KIND_ROWS[kind]
     fields = len(rows)  # one tendency row per field
-    stacks = 2 * len(sources) - (len(sources) == 1)  # nse: the state itself
-    widest = max(len(products) for products, _ in _flux_plan(dim, rows)[1])
-    return 16 * spectral * (widest + 2 + dim * (6 * fields + stacks + 1)) \
-        + 8 * spectral * (4 * fields + 5 * dim + 9) \
+    smoothed = any(smoothed for _, smoothed in sources)
+    widest = _flux_plan(dim, rows)[2]
+    return 16 * spectral * (widest + 2 + dim * (6 * fields + smoothed + 1)) \
+        + 8 * spectral * (4 * fields + 4 * dim + 9) \
         + 8 * points * (dim * len(sources) + widest + 1)
 
 

@@ -20,17 +20,31 @@ def grid2_64() -> WaveGrid:
     return WaveGrid(2, 64)
 
 
+class Counts(dict):
+    """(calls, fields) per real-FFT direction, keyed by name, and in
+    ``widest`` the most fields one call of that direction transformed."""
+
+    def __init__(self):
+        super().__init__()
+        self.widest = {}
+
+    def clear(self):
+        super().clear()
+        self.widest.clear()
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    """(calls, fields) per real-FFT direction, keyed by name."""
-    counts = {}
+    """A :class:`Counts` of the real FFTs made while the test runs."""
+    counts = Counts()
     for name in ("irfftn", "rfftn"):
         def counted(x, *args, _name=name, _fn=getattr(scipy.fft, name),
                     **kwargs):
             calls, fields = counts.get(_name, (0, 0))
             dim = len(kwargs["axes"])
-            counts[_name] = (calls + 1,
-                             fields + x.size // np.prod(x.shape[-dim:]))
+            width = int(x.size // np.prod(x.shape[-dim:]))
+            counts[_name] = (calls + 1, fields + width)
+            counts.widest[_name] = max(counts.widest.get(_name, 0), width)
             return _fn(x, *args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
     return counts

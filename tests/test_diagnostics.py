@@ -270,7 +270,8 @@ class TestLocalEnergy:
         fresh = BumpTestFunction.canonical(3, 0.2)
         assert coarse == local_energy_residual(states[::2], pressures[::2],
                                                fresh, cfg)
-        assert counts == {"irfftn": (3, 18), "rfftn": (3, 12)}
+        assert counts == {"irfftn": (6, 18), "rfftn": (3, 12)}
+        assert counts.widest["irfftn"] == 3
 
         refs = [weakref.ref(s) for s in states + pressures]
         del states, pressures
@@ -288,7 +289,7 @@ class TestLocalEnergy:
         states[1].u.coeffs *= 1.5  # an edit in place
         counts.clear()
         edited = local_energy_residual(states, pressures, phi, cfg)
-        assert counts == {"irfftn": (1, 6), "rfftn": (1, 4)}
+        assert counts == {"irfftn": (2, 6), "rfftn": (1, 4)}
         assert edited != before
         assert edited == local_energy_residual(
             states, pressures, BumpTestFunction.canonical(3, 0.2), cfg)
@@ -296,16 +297,16 @@ class TestLocalEnergy:
         pressures[1] = pressure_solve(states[1], cfg)  # a new object
         counts.clear()
         local_energy_residual(states, pressures, phi, cfg)
-        assert counts == {"irfftn": (1, 6), "rfftn": (1, 4)}
+        assert counts == {"irfftn": (2, 6), "rfftn": (1, 4)}
 
     @pytest.mark.parametrize("kind,expected", [
         (ModelKind.NSE, {"irfftn": (1, 3), "rfftn": (1, 4)}),
-        (ModelKind.LERAY_ALPHA, {"irfftn": (1, 6), "rfftn": (1, 4)}),
-        (ModelKind.MHD_DECONV, {"irfftn": (1, 12), "rfftn": (2, 15)}),
+        (ModelKind.LERAY_ALPHA, {"irfftn": (2, 6), "rfftn": (1, 4)}),
+        (ModelKind.MHD_DECONV, {"irfftn": (4, 12), "rfftn": (2, 15)}),
     ], ids=["nse", "leray-alpha", "mhd-deconv"])
     def test_transform_counts(self, counts, kind, expected):
-        # one state inside the window (0.02, 0.18): one inverse transform,
-        # the kernel's own sources (u; Hu, u; Hu, u, Hb, b), and one forward
+        # one state inside the window (0.02, 0.18): one inverse transform
+        # per source of the kernel (u; Hu, u; Hu, u, Hb, b), and one forward
         # transform of g f and f . grad g per field (with b, and |b|^2/2)
         # to pair with lap f, f, p and q; with b, the kernel's flux step
         # makes q from the same samples (6 symmetric products).  A second
@@ -331,6 +332,7 @@ class TestLocalEnergy:
         counts.clear()
         local_energy_residual(states, pressures, phi, cfg)
         assert counts == expected
+        assert counts.widest["irfftn"] == 3
         counts.clear()
         local_energy_residual(states, pressures, phi, cfg)
         assert counts == {}

@@ -573,7 +573,7 @@ def kind_state(dim, n, kind, alpha, n_deconv, seeds=(21, 22)):
 
 
 class TestKernelWorkingSet:
-    """What one rhs call allocates once the grid's work buffers exist: its
+    """What one rhs call allocates once the thread's work arrays exist: its
     rows, the sources' samples and one chunk's spectra at a time."""
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -586,7 +586,7 @@ class TestKernelWorkingSet:
         n = 16
         cfg, state = kind_state(dim, n, kind, alpha, n_deconv)
         sources, rows = _KIND_ROWS[kind]
-        _, chunks = _flux_plan(dim, rows)
+        _, chunks, _ = _flux_plan(dim, rows)
         widest = max(len(products) for products, _ in chunks)
         # in d-vector spectral fields: the rows, the samples (n^d reals per
         # n^(d-1) (n/2 + 1) complex) and the widest chunk's spectra, plus a
@@ -612,7 +612,8 @@ class TestKernelWorkingSet:
         first = rhs(state, cfg)
         kept = [row.coeffs.copy() for row in first]
         second = rhs(other, cfg)
-        buffers = list(state.u.grid._symbols.values())
+        grid = state.u.grid
+        buffers = [*grid._symbols.values(), *vars(grid.scratch).values()]
         for a, b, k in zip(first, second, kept):
             assert not np.shares_memory(a.coeffs, b.coeffs)
             assert not any(np.shares_memory(a.coeffs, buf) for buf in buffers)

@@ -259,11 +259,11 @@ class TestCFL:
 
 class TestTransformCounts:
     """Transforms per IF-RK4 step: calls, and the scalar fields they
-    transform, for each kind (one inverse call per stage, and one forward
-    call per chunk of the flux step: per output component, or one for a
-    symmetric row).  The projected rows drop the trace of their flux, so
-    each row transforms one product fewer; the unprojected pressure row
-    keeps all of them."""
+    transform, for each kind (one inverse call per source and stage, of d
+    fields, and one forward call per chunk of the flux step: per output
+    component, or one for a symmetric row).  The projected rows drop the
+    trace of their flux, so each row transforms one product fewer; the
+    unprojected pressure row keeps all of them."""
 
     # products: the flux products of every row per step, trace included
     # (what the unprojected pressure row transforms).
@@ -279,11 +279,16 @@ class TestTransformCounts:
         rows = 1 if state.b is None else 2
         step(state, cfg, StepperConfig(dt=1e-3, t_end=1e-3))
         forward = products - 4 * rows
+        # inverse calls: one per source (u; Hu, u; Hu, u, Hb, b) and stage;
         # forward calls: nse's symmetric row is one chunk per stage, the
         # other kinds one chunk per row and component (3D here)
+        sources = {ModelKind.NSE: 1, ModelKind.LERAY_ALPHA: 2,
+                   ModelKind.LERAY_DECONV: 2, ModelKind.MHD_DECONV: 4}[kind]
         calls = {ModelKind.NSE: 4, ModelKind.LERAY_ALPHA: 12,
                  ModelKind.LERAY_DECONV: 12, ModelKind.MHD_DECONV: 24}[kind]
-        assert counts == {"irfftn": (4, inverse), "rfftn": (calls, forward)}
+        assert counts == {"irfftn": (4 * sources, inverse),
+                          "rfftn": (calls, forward)}
+        assert counts.widest["irfftn"] == dim  # never a stack of sources
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind,potential", [
@@ -294,7 +299,7 @@ class TestTransformCounts:
         # each output component is contracted exactly once, from its chunk
         from lerayflow.dynamics import _KIND_ROWS, _flux_plan
         rows = _KIND_ROWS[kind][1]
-        _, chunks = _flux_plan(dim, rows, potential)
+        _, chunks, widest = _flux_plan(dim, rows, potential)
         symmetric = potential or kind is ModelKind.NSE
         products = [repr(p) for chunk, _ in chunks for p in chunk]
         assert len(set(products)) == len(products) == len(rows) * (
@@ -309,6 +314,7 @@ class TestTransformCounts:
             used = sorted({n for _, _, terms in members for _, n in terms})
             assert used == list(range(len(chunk)))
             assert len(chunk) <= dim * (dim + 1) // 2
+        assert widest == max(len(chunk) for chunk, _ in chunks)
         # a symmetric flux is one chunk, every other row one per component
         assert len(chunks) == len(rows) * (1 if symmetric else dim)
 
@@ -317,24 +323,25 @@ class TestTransformCounts:
         # products of Hu and u, not d^2
         cfg, state = model_state(3, ModelKind.LERAY_ALPHA, n=8)
         pressure_solve(state, cfg)
-        assert counts == {"irfftn": (1, 6), "rfftn": (1, 6)}
+        assert counts == {"irfftn": (2, 6), "rfftn": (1, 6)}
 
     # Only row 0 is transported; MHD adds the forward transform of the
-    # dealiased |b|^2/2, from b's samples in the kernel's own transform.
+    # dealiased |b|^2/2, from b's samples in the kernel's own transforms.
     @pytest.mark.parametrize("dim,kind,expected", [
         (2, ModelKind.NSE, {"irfftn": (1, 2), "rfftn": (1, 3)}),
         (3, ModelKind.NSE, {"irfftn": (1, 3), "rfftn": (1, 6)}),
-        (2, ModelKind.LERAY_ALPHA, {"irfftn": (1, 4), "rfftn": (1, 3)}),
-        (3, ModelKind.LERAY_ALPHA, {"irfftn": (1, 6), "rfftn": (1, 6)}),
-        (2, ModelKind.LERAY_DECONV, {"irfftn": (1, 4), "rfftn": (1, 3)}),
-        (3, ModelKind.LERAY_DECONV, {"irfftn": (1, 6), "rfftn": (1, 6)}),
-        (2, ModelKind.MHD_DECONV, {"irfftn": (1, 8), "rfftn": (2, 4)}),
-        (3, ModelKind.MHD_DECONV, {"irfftn": (1, 12), "rfftn": (2, 7)}),
+        (2, ModelKind.LERAY_ALPHA, {"irfftn": (2, 4), "rfftn": (1, 3)}),
+        (3, ModelKind.LERAY_ALPHA, {"irfftn": (2, 6), "rfftn": (1, 6)}),
+        (2, ModelKind.LERAY_DECONV, {"irfftn": (2, 4), "rfftn": (1, 3)}),
+        (3, ModelKind.LERAY_DECONV, {"irfftn": (2, 6), "rfftn": (1, 6)}),
+        (2, ModelKind.MHD_DECONV, {"irfftn": (4, 8), "rfftn": (2, 4)}),
+        (3, ModelKind.MHD_DECONV, {"irfftn": (4, 12), "rfftn": (2, 7)}),
     ])
     def test_pressure_solve_per_kind(self, counts, dim, kind, expected):
         cfg, state = model_state(dim, kind, n=8)
         pressure_solve(state, cfg)
         assert counts == expected
+        assert counts.widest["irfftn"] == dim
 
 
 class TestModelFamilyTrajectories:
