@@ -23,11 +23,11 @@ Layout (all little-endian, no padding)::
 The payload is the velocity coefficients, then the magnetic ones if present:
 component by component (x first), each a C-order complex128 array over the
 full FFT-layout axes.  The solver keeps only the rfft half spectrum, so saving
-expands it by Hermitian symmetry and loading keeps the half after checking
-that the dropped mirror modes are the conjugates of the kept ones.  Round
-trips are bit-exact, which is what makes resumed runs reproduce
-uninterrupted trajectories.  Every malformed file raises
-:class:`InvariantViolation` with a one-line message.
+expands it by Hermitian symmetry, and loading checks the whole stored array
+against its Hermitian reflection (the mirror modes and the self-conjugate
+planes alike) before it keeps the half.  Round trips are bit-exact, which is
+what makes resumed runs reproduce uninterrupted trajectories.  Every
+malformed file raises :class:`InvariantViolation` with a one-line message.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ import numpy as np
 
 from .dynamics import ModelConfig, ModelKind, SimState
 from .errors import InvariantViolation
-from .fields import SpectralVectorField, full_layout
+from .fields import (SpectralVectorField, full_layout, hermitian_gate,
+                     reflection_residual)
 from .grid import WaveGrid
 from .output import atomic_write
 
-__all__ = ["save_checkpoint", "load_checkpoint", "FORMAT_VERSION"]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"LFCK"
 FORMAT_VERSION = 1
@@ -120,13 +121,12 @@ def load_checkpoint(path: str) -> tuple[SimState, dict]:
 
     fields = []
     for stored in full:
-        half = np.array(stored[..., : n // 2 + 1], dtype=complex)
-        mirror = np.abs(full_layout(grid, half) - stored).max()
-        if mirror > 1e-10 * np.abs(stored).max():
-            raise InvariantViolation(
-                f"{path}: mirror modes are not the conjugates of the kept "
-                f"ones (deviation {mirror:.3e})")
-        fields.append(SpectralVectorField(grid, half))
+        hermitian_gate(reflection_residual(stored, range(1, dim + 1),
+                                           np.abs(stored).max()),
+                       f"{path}: mirror modes are not the conjugates of the "
+                       f"kept ones", InvariantViolation)
+        fields.append(SpectralVectorField(
+            grid, np.array(stored[..., : n // 2 + 1], dtype=complex)))
     meta = {"grid": grid, "kind": kind, "nu": nu, "nu2": nu2 if has_b else None,
             "alpha": alpha, "theta": theta, "n_deconv": n_deconv}
     return SimState(t, *fields), meta

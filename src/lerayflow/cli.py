@@ -38,6 +38,18 @@ EXIT_NONFINITE = 5
 EXIT_CHECK_FAILED = 6
 EXIT_IO = 7
 
+# (exception types, stderr label, exit code) in the order they are matched;
+# any other exception is an internal error.
+_ERRORS = (
+    (ConfigSyntaxError, "config syntax error", EXIT_SYNTAX),
+    (UnknownKeyError, "unknown key", EXIT_UNKNOWN_KEY),
+    ((InvariantViolation, CriticalityViolation), "invalid configuration",
+     EXIT_INVARIANT),
+    (NonFinite, "numerical failure", EXIT_NONFINITE),
+    (OSError, "io error", EXIT_IO),
+    (LerayflowError, "error", EXIT_INTERNAL),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -83,34 +95,20 @@ def _number_list(text: str, convert, option: str) -> list:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "validate":
+        results = run_all(fault=args.inject_fault)
+        print(format_table(results))
+        print(format_timings(results), file=sys.stderr)
+        return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
+
+    rc = parse_config_file(args.config)
     if args.command == "run":
-        rc = parse_config_file(args.config)
         final, records = execute_run(rc)
         print(f"run finished at t = {final.t:.6g} with {len(records)} samples; "
               f"outputs in {rc.directory!r}")
         return EXIT_OK
 
-    if args.command == "sweep-alpha":
-        rc = parse_config_file(args.config)
-        alphas = _number_list(args.alphas, float, "--alphas")
-        report = execute_sweep_alpha(rc, alphas, args.s_norm,
-                                     args.target_slope)
-        slope = "exact" if report.slope is None else f"{report.slope:.4f}"
-        print(f"alpha sweep slope {slope} target {report.target_slope} "
-              f"pass={report.passed}")
-        return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-    if args.command == "sweep-n":
-        rc = parse_config_file(args.config)
-        orders = _number_list(args.orders, int, "--orders")
-        report = execute_sweep_n(rc, orders, args.s_norm)
-        ratio = "exact" if report.ratio is None else f"{report.ratio:.6f}"
-        print(f"n sweep ratio {ratio} bound {report.ratio_bound} "
-              f"pass={report.passed}")
-        return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
     if args.command == "multiplier-table":
-        rc = parse_config_file(args.config)
         text = multiplier_table_text(rc)
         if args.output:
             atomic_write(args.output, text.encode())
@@ -118,13 +116,20 @@ def _dispatch(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return EXIT_OK
 
-    if args.command == "validate":
-        results = run_all(fault=args.inject_fault)
-        print(format_table(results))
-        print(format_timings(results), file=sys.stderr)
-        return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
-
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.command == "sweep-alpha":
+        alphas = _number_list(args.alphas, float, "--alphas")
+        report = execute_sweep_alpha(rc, alphas, args.s_norm,
+                                     args.target_slope)
+        slope = "exact" if report.slope is None else f"{report.slope:.4f}"
+        print(f"alpha sweep slope {slope} target {report.target_slope} "
+              f"pass={report.passed}")
+    else:  # sweep-n, the last subcommand
+        orders = _number_list(args.orders, int, "--orders")
+        report = execute_sweep_n(rc, orders, args.s_norm)
+        ratio = "exact" if report.ratio is None else f"{report.ratio:.6f}"
+        print(f"n sweep ratio {ratio} bound {report.ratio_bound} "
+              f"pass={report.passed}")
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,25 +138,11 @@ def main(argv: list[str] | None = None) -> int:
         # Overflow is reported by the finite checks, as one line.
         with np.errstate(all="ignore"):
             return _dispatch(args)
-    except ConfigSyntaxError as exc:
-        print(f"config syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except UnknownKeyError as exc:
-        print(f"unknown key: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_KEY
-    except (InvariantViolation, CriticalityViolation) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except NonFinite as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except LerayflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:
+        for kinds, label, code in _ERRORS:  # the first match wins
+            if isinstance(exc, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -10,8 +10,8 @@ decay") instead.
 Parsing reports the first fault in this order: syntax and unknown keys in
 text order, then unreadable or missing values in table order, then the range
 checks.  All module invariants (positivity, the theta >= 1/4 gate, forcing
-orthogonality, ...) are re-validated at parse time so a RunConfig that
-parses is a RunConfig that runs.
+that is solenoidal as the grid stores it, ...) are re-validated at parse
+time so a RunConfig that parses is a RunConfig that runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,22 +89,6 @@ class RunConfig:
                              cfl_limit=self.cfl_limit)
 
     def build_initial(self, grid: WaveGrid) -> SimState:
-        if self.preset == "taylor-green":
-            u = taylor_green_state_field(grid, self.nu, 0.0)
-            u = SpectralVectorField(grid, u.coeffs * self.scale)
-            return SimState(0.0, u)
-        if self.preset == "random":
-            cutoff = (self.cutoff_shell if self.cutoff_shell is not None
-                      else grid.dealias_cutoff)
-            u = random_solenoidal(grid, self.seed, self.slope, cutoff)
-            u = SpectralVectorField(grid, u.coeffs * self.scale)
-            b = None
-            if self.kind is ModelKind.MHD_DECONV:
-                seed_b = self.seed_b if self.seed_b is not None else self.seed + 1
-                scale_b = self.scale_b if self.scale_b is not None else self.scale
-                b = random_solenoidal(grid, seed_b, self.slope, cutoff)
-                b = SpectralVectorField(grid, b.coeffs * scale_b)
-            return SimState(0.0, u, b)
         if self.preset == "checkpoint":
             from .checkpoint import load_checkpoint
             state, meta = load_checkpoint(self.path)
@@ -118,7 +102,22 @@ class RunConfig:
                     f"{'has' if state.b is not None else 'lacks'} a magnetic "
                     f"field; the configured kind is {self.kind.value}")
             return state
-        raise InvariantViolation(f"preset: unknown initial preset {self.preset!r}")
+        b = None
+        if self.preset == "taylor-green":
+            u = taylor_green_state_field(grid, self.nu, 0.0)
+        elif self.preset == "random":
+            cutoff = (self.cutoff_shell if self.cutoff_shell is not None
+                      else grid.dealias_cutoff)
+            u = random_solenoidal(grid, self.seed, self.slope, cutoff)
+            if self.kind is ModelKind.MHD_DECONV:
+                seed_b = self.seed_b if self.seed_b is not None else self.seed + 1
+                scale_b = self.scale_b if self.scale_b is not None else self.scale
+                b = random_solenoidal(grid, seed_b, self.slope, cutoff)
+                b = SpectralVectorField(grid, b.coeffs * scale_b)
+        else:
+            raise InvariantViolation(
+                f"preset: unknown initial preset {self.preset!r}")
+        return SimState(0.0, SpectralVectorField(grid, u.coeffs * self.scale), b)
 
 
 _REQUIRED = object()  # marks a key without a default
@@ -265,7 +264,6 @@ def parse_config(text: str) -> RunConfig:
         _parse_forcing_mode(key, line_no, raw, dim)
         for (section, key), (line_no, raw) in entries.items()
         if section == "forcing"))
-    values["forcing"].validate(dim)
 
     if values["preset"] not in ("taylor-green", "random", "checkpoint"):
         raise InvariantViolation(f"preset: unknown preset {values['preset']!r}")
@@ -289,6 +287,7 @@ def parse_config(text: str) -> RunConfig:
         grid = cfg.build_grid()
         cfg.build_model()
         cfg.build_stepper()
+        cfg.forcing.check_stored(grid)
     except CriticalityViolation as exc:
         raise InvariantViolation(f"theta: {exc}") from None
     except (InvariantViolation, ValueError) as exc:

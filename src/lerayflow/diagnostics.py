@@ -25,9 +25,10 @@ alpha (geometric, per-mode ratio x/(1+x)).
 
 from __future__ import annotations
 
+import functools
 import weakref
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,9 +64,6 @@ class EnergyRecord:
     inject: float
     h_half: float
     div_residual: float
-
-    FIELDS = ("t", "e_kin", "e_mag", "grad_u", "grad_b",
-              "inject", "h_half", "div_residual")
 
 
 def measure_energy(state: SimState, cfg: ModelConfig) -> EnergyRecord:
@@ -320,6 +318,19 @@ def fit_loglog(x, y) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+def _sweep_errors(u_ref: SpectralVectorField, smooth, params: list,
+                  s_norm: float, what: str, slack: float) -> list[float]:
+    """||smooth(u_ref, p) - u_ref||_{H^s} per p, which must not increase
+    by more than the relative ``slack`` from one p to the next."""
+    errors = [sobolev_norm(SpectralVectorField(
+        u_ref.grid, smooth(u_ref, p).coeffs - u_ref.coeffs), s_norm)
+        for p in params]
+    for e1, e2 in zip(errors, errors[1:]):
+        if e2 > e1 * (1.0 + slack):
+            raise NonMonotone(f"{what} errors increased: {e1} -> {e2}")
+    return errors
+
+
 def alpha_sweep(u_ref: SpectralVectorField, p: FilterParams,
                 alphas: list[float], s_norm: float,
                 target_slope: float | None = None) -> SweepReport:
@@ -332,24 +343,16 @@ def alpha_sweep(u_ref: SpectralVectorField, p: FilterParams,
         raise InvariantViolation("alpha sweep needs at least 3 values")
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise InvariantViolation("alphas must be strictly decreasing")
-    errors = []
-    for a in alphas:
-        pa = FilterParams(alpha=a, theta=p.theta, n_deconv=p.n_deconv)
-        diff = filter_apply(u_ref, pa).coeffs - u_ref.coeffs
-        errors.append(sobolev_norm(
-            SpectralVectorField(u_ref.grid, diff), s_norm))
-    for e1, e2 in zip(errors, errors[1:]):
-        if e2 > e1:
-            raise NonMonotone(f"filter errors increased: {e1} -> {e2}")
+    errors = _sweep_errors(u_ref, filter_apply, [
+        replace(p, alpha=a) for a in alphas], s_norm, "filter", 0.0)
 
     fit_pts = [(a, e) for a, e in zip(alphas, errors) if a > 0 and e > 0]
     target = 2.0 * p.theta if target_slope is None else float(target_slope)
+    report = functools.partial(SweepReport, tuple(alphas), tuple(errors))
     if len(fit_pts) < 2:
-        return SweepReport(tuple(alphas), tuple(errors), None, target,
-                           None, None, True)
+        return report(None, target, None, None, True)
     slope = fit_loglog([a for a, _ in fit_pts], [e for _, e in fit_pts])
-    return SweepReport(tuple(alphas), tuple(errors), slope, target, None,
-                       None, abs(slope - target) <= 0.1)
+    return report(slope, target, None, None, abs(slope - target) <= 0.1)
 
 
 def _support_k_max(u: SpectralVectorField) -> float:
@@ -368,19 +371,14 @@ def n_sweep(u_ref: SpectralVectorField, p: FilterParams,
         raise InvariantViolation("n sweep needs at least 2 orders")
     if any(n2 <= n1 for n1, n2 in zip(n_values, n_values[1:])):
         raise InvariantViolation("deconvolution orders must be increasing")
-    errors = []
-    for n in n_values:
-        pn = FilterParams(alpha=p.alpha, theta=p.theta, n_deconv=int(n))
-        diff = deconvolve(u_ref, pn).coeffs - u_ref.coeffs
-        errors.append(sobolev_norm(
-            SpectralVectorField(u_ref.grid, diff), s_norm))
-    for e1, e2 in zip(errors, errors[1:]):
-        if e2 > e1 * (1.0 + 1e-12):
-            raise NonMonotone(f"deconvolution errors increased: {e1} -> {e2}")
+    errors = _sweep_errors(u_ref, deconvolve, [
+        replace(p, n_deconv=int(n)) for n in n_values], s_norm,
+        "deconvolution", 1e-12)
 
+    report = functools.partial(SweepReport, tuple(float(n) for n in n_values),
+                               tuple(errors), None, None)
     if p.alpha == 0.0 or all(e == 0.0 for e in errors):
-        return SweepReport(tuple(float(n) for n in n_values), tuple(errors),
-                           None, None, None, None, True)
+        return report(None, None, True)
 
     k_max = _support_k_max(u_ref)
     x_max = p.alpha ** (2 * p.theta) * k_max ** (2 * p.theta)
@@ -394,9 +392,7 @@ def n_sweep(u_ref: SpectralVectorField, p: FilterParams,
             break  # below the resolvable floor, truncate the fit
         ratios.append((e2 / e1) ** (1.0 / (n2 - n1)))
     if not ratios:
-        return SweepReport(tuple(float(n) for n in n_values), tuple(errors),
-                           None, None, None, bound, True)
+        return report(None, bound, True)
     ratio = float(np.exp(np.mean(np.log(ratios))))
     passed = all(r <= bound + 0.02 for r in ratios)
-    return SweepReport(tuple(float(n) for n in n_values), tuple(errors),
-                       None, None, ratio, bound, passed)
+    return report(ratio, bound, passed)

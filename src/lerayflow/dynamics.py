@@ -110,6 +110,22 @@ class ForcingSpec:
                 raise InvariantViolation(
                     f"forcing amplitude at {m.a} is not orthogonal to its wavevector")
 
+    def check_stored(self, grid: WaveGrid) -> None:
+        """:meth:`validate`, and each mode as :meth:`evaluate` stores it on
+        ``grid`` (indices mod n) must lie on retained modes other than the
+        mean, and there ``max |k . f| <= 1e-12 max |k| |f|``."""
+        self.validate(grid.dim)
+        outside = ~grid.mode_mask | (grid.a_sq == 0)
+        for m in self.modes:
+            f = ForcingSpec((m,)).evaluate(grid, 0.0).coeffs
+            div = np.abs(np.sum(grid.k * f, axis=0)).max()
+            if np.any(f[:, outside]) or div > 1e-12 * np.max(
+                    grid.k_mag * np.linalg.norm(f, axis=0)):
+                raise InvariantViolation(
+                    f"forcing mode {m.a} aliases on the n = {grid.n} grid "
+                    f"(indices mod n) to a force that is not divergence-free "
+                    f"on retained modes")
+
     def evaluate(self, grid: WaveGrid, t: float) -> SpectralVectorField:
         """The force at time t on the half spectrum: each mode (indices taken
         mod n) keeps whichever of a and -a has its last index in [0, n/2]."""
@@ -118,12 +134,10 @@ class ForcingSpec:
             amp = np.array(m.amplitude, dtype=complex)
             if m.decay_rate != 0.0:
                 amp = amp * np.exp(-m.decay_rate * t)
-            pos = tuple(int(c) % grid.n for c in m.a)
-            neg = tuple((-int(c)) % grid.n for c in m.a)
-            if pos[-1] <= grid.n // 2:
-                coeffs[(slice(None),) + pos] += amp
-            if neg[-1] <= grid.n // 2:
-                coeffs[(slice(None),) + neg] += np.conj(amp)
+            for sign, value in ((1, amp), (-1, np.conj(amp))):
+                index = tuple(sign * int(c) % grid.n for c in m.a)
+                if index[-1] <= grid.n // 2:
+                    coeffs[(slice(None),) + index] += value
         return SpectralVectorField(grid, coeffs)
 
 
@@ -337,15 +351,12 @@ def _kind_table(state: SimState, cfg: ModelConfig) -> tuple[list, tuple]:
             for i, smoothed in sources], rows
 
 
-def rhs(state: SimState, cfg: ModelConfig, *,
-        peaks: list | None = None) -> list[SpectralVectorField]:
+def rhs(state: SimState, cfg: ModelConfig) -> list[SpectralVectorField]:
     """Non-viscous tendency of the state, one projected row per entry of
     ``state.fields`` (the integrating-factor stepper takes viscosity
-    exactly).  ``peaks`` (a list) gets the largest physical |component| of
-    u (and b) for the stepper's CFL check."""
+    exactly)."""
     g = state.u.grid
-    rows = _transport(g, *_kind_table(state, cfg), cfg.forcing, state.t,
-                      peaks=peaks)
+    rows = _transport(g, *_kind_table(state, cfg), cfg.forcing, state.t)
     return [SpectralVectorField(g, row) for row in rows]
 
 

@@ -26,9 +26,13 @@ __all__ = [
     "SpectralVectorField", "RealVectorField", "SpectralScalarField",
     "forward_transform", "inverse_transform", "inverse_transform_scalar",
     "leray_project", "sobolev_norm", "l2_inner", "l2_norm",
-    "hermitian_reflection", "full_layout", "random_solenoidal",
-    "to_physical", "from_physical",
+    "full_layout", "random_solenoidal", "to_physical", "from_physical",
 ]
+
+
+def _require_shape(array: np.ndarray, expected: tuple, what: str) -> None:
+    if array.shape != expected:
+        raise ValueError(f"{what} shape {array.shape} != expected {expected}")
 
 
 @dataclass
@@ -46,24 +50,18 @@ class SpectralVectorField:
     _ignored: InitVar[object] = None
 
     def __post_init__(self, _ignored):
-        expected = (self.grid.dim,) + self.grid.spectral_shape
-        if self.coeffs.shape != expected:
-            raise ValueError(
-                f"coeff shape {self.coeffs.shape} != expected {expected}")
+        _require_shape(self.coeffs, (self.grid.dim,) + self.grid.spectral_shape,
+                       "coeff")
 
     def copy(self) -> "SpectralVectorField":
         return SpectralVectorField(self.grid, self.coeffs.copy())
 
     def hermitian_residual(self) -> float:
-        """Max deviation from coeff(-k) = conj(coeff(k)), relative to max
-        |coeff|, inside the planes a_d = 0 and a_d = n/2, the only ones
-        holding both k and -k."""
-        scale = np.abs(self.coeffs).max()
-        if scale == 0.0:
-            return 0.0
-        planes = np.moveaxis(self.coeffs[..., :: self.grid.n // 2], -1, 0)
-        dev = np.abs(planes - hermitian_reflection(planes, self.grid.dim - 1))
-        return float(dev.max() / scale)
+        """:func:`reflection_residual` relative to max |coeff| inside the
+        planes a_d = 0 and a_d = n/2, the only ones holding both k and -k."""
+        return reflection_residual(self.coeffs[..., :: self.grid.n // 2],
+                                   range(1, self.grid.dim),
+                                   np.abs(self.coeffs).max())
 
     def divergence_residual(self, norm: float | None = None) -> float:
         """max_k |k . uhat_k| relative to the field's L2 norm (if not given)."""
@@ -82,10 +80,7 @@ class RealVectorField:
     data: np.ndarray
 
     def __post_init__(self):
-        expected = (self.grid.dim,) + self.grid.shape
-        if self.data.shape != expected:
-            raise ValueError(
-                f"sample shape {self.data.shape} != expected {expected}")
+        _require_shape(self.data, (self.grid.dim,) + self.grid.shape, "sample")
 
 
 @dataclass
@@ -96,30 +91,40 @@ class SpectralScalarField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.spectral_shape:
-            raise ValueError(f"coeff shape {self.coeffs.shape} != expected "
-                             f"{self.grid.spectral_shape}")
+        _require_shape(self.coeffs, self.grid.spectral_shape, "coeff")
 
 
-def hermitian_reflection(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """conj(coeffs) at -k over the last ``dim`` (full FFT-layout) axes."""
+def hermitian_reflection(coeffs: np.ndarray, axes) -> np.ndarray:
+    """conj(coeffs) at -a over the given full FFT-layout axes."""
     out = coeffs
-    for ax in range(coeffs.ndim - dim, coeffs.ndim):
+    for ax in axes:
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
     return np.conj(out)
+
+
+def reflection_residual(coeffs: np.ndarray, axes, scale: float) -> float:
+    """max |coeffs - :func:`hermitian_reflection`| over ``axes``, relative
+    to ``scale`` (0 when it is 0): the one measure of Hermitian symmetry."""
+    if scale == 0.0:
+        return 0.0
+    dev = np.abs(coeffs - hermitian_reflection(coeffs, axes))
+    return float(dev.max() / scale)
+
+
+def hermitian_gate(residual: float, what: str, error=SymmetryViolation) -> None:
+    """Raise ``error`` naming ``what`` when a relative Hermitian residual
+    exceeds 1e-10: the one gate of states, spectra and checkpoints."""
+    if residual > 1e-10:
+        raise error(f"{what}: relative Hermitian residual {residual:.3e}")
 
 
 def full_layout(grid: WaveGrid, half: np.ndarray) -> np.ndarray:
     """Complete half spectra (the last ``grid.dim`` axes) to the full FFT
     layout via Hermitian symmetry."""
-    n = grid.n
-    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
-    out[..., : n // 2 + 1] = half
-    tail = np.conj(half[..., n // 2 - 1: 0: -1])
-    for ax in range(half.ndim - grid.dim, half.ndim - 1):
-        tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
-    out[..., n // 2 + 1:] = tail
-    return out
+    tail = hermitian_reflection(  # the last axis by reversing the slice
+        half[..., grid.n // 2 - 1: 0: -1],
+        range(half.ndim - grid.dim, half.ndim - 1))
+    return np.concatenate([half, tail], axis=-1)
 
 
 def to_physical(grid: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -150,12 +155,8 @@ def forward_transform(r: RealVectorField) -> SpectralVectorField:
 def inverse_transform(s: SpectralVectorField) -> RealVectorField:
     """Pointwise evaluation of the truncated Fourier series.
 
-    Raises SymmetryViolation if the Hermitian residual exceeds 1e-10
-    relative."""
-    res = s.hermitian_residual()
-    if res > 1e-10:
-        raise SymmetryViolation(
-            f"Hermitian symmetry violated: relative residual {res:.3e}")
+    Raises SymmetryViolation through :func:`hermitian_gate`."""
+    hermitian_gate(s.hermitian_residual(), "spectrum")
     return RealVectorField(s.grid, to_physical(s.grid, s.coeffs))
 
 
@@ -228,7 +229,7 @@ def random_solenoidal(grid: WaveGrid, seed: int, spectrum_slope: float,
     rng = np.random.default_rng(seed)
     shape = (grid.dim,) + grid.shape
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    z = 0.5 * (z + hermitian_reflection(z, grid.dim))
+    z = 0.5 * (z + hermitian_reflection(z, range(1, grid.dim + 1)))
     z = np.ascontiguousarray(z[..., : grid.n // 2 + 1])
 
     # Solenoidal projection, then per-mode renormalization to the shell law.

@@ -96,16 +96,20 @@ def smoothing_symbol(g, p: FilterParams, deconvolution: bool = False):
                     lambda: 1.0 / helmholtz_multiplier(g.k_mag, p))
 
 
+def _smoothed(u: SpectralVectorField, p: FilterParams,
+              deconvolution: bool) -> SpectralVectorField:
+    h = smoothing_symbol(u.grid, p, deconvolution)
+    return u.copy() if h is None else SpectralVectorField(u.grid, u.coeffs * h)
+
+
 def filter_apply(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
     """Smooth u with the fractional Helmholtz filter (divide by the symbol)."""
-    h = smoothing_symbol(u.grid, p)
-    return u.copy() if h is None else SpectralVectorField(u.grid, u.coeffs * h)
+    return _smoothed(u, p, deconvolution=False)
 
 
 def deconvolve(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:
     """Apply the order-N interpolating deconvolution operator to u."""
-    h = smoothing_symbol(u.grid, p, deconvolution=True)
-    return u.copy() if h is None else SpectralVectorField(u.grid, u.coeffs * h)
+    return _smoothed(u, p, deconvolution=True)
 
 
 def van_cittert_series(u: SpectralVectorField, p: FilterParams) -> SpectralVectorField:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import os
 import secrets
+from dataclasses import astuple, fields
 
 from .diagnostics import EnergyRecord, SweepReport
 
 __all__ = ["format_g17", "atomic_write", "energy_csv_text",
-           "write_energy_csv", "sweep_csv_text", "write_sweep_csv",
-           "write_summary"]
+           "write_energy_csv", "write_sweep_csv", "write_summary"]
 
 
 def format_g17(x: float) -> str:
@@ -40,10 +40,10 @@ def atomic_write(path: str, *chunks: bytes) -> None:
 
 
 def energy_csv_text(records: list[EnergyRecord]) -> str:
-    lines = [",".join(EnergyRecord.FIELDS)]
+    """One row per record, its fields in declaration order."""
+    lines = [",".join(f.name for f in fields(EnergyRecord))]
     for r in records:
-        lines.append(",".join(format_g17(getattr(r, name))
-                              for name in EnergyRecord.FIELDS))
+        lines.append(",".join(format_g17(value) for value in astuple(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -51,31 +51,20 @@ def write_energy_csv(path: str, records: list[EnergyRecord]) -> None:
     atomic_write(path, energy_csv_text(records).encode())
 
 
-def sweep_csv_text(report: SweepReport) -> str:
+def write_sweep_csv(path: str, report: SweepReport) -> None:
     lines = ["parameter,error"]
     for p, e in zip(report.parameter_values, report.errors):
         lines.append(f"{format_g17(p)},{format_g17(e)}")
-    if report.slope is not None:
-        lines.append(f"slope,{format_g17(report.slope)}")
-    if report.target_slope is not None:
-        lines.append(f"target_slope,{format_g17(report.target_slope)}")
-    if report.ratio is not None:
-        lines.append(f"ratio,{format_g17(report.ratio)}")
-    if report.ratio_bound is not None:
-        lines.append(f"ratio_bound,{format_g17(report.ratio_bound)}")
+    for name in ("slope", "target_slope", "ratio", "ratio_bound"):
+        if getattr(report, name) is not None:
+            lines.append(f"{name},{format_g17(getattr(report, name))}")
     lines.append(f"pass,{1 if report.passed else 0}")
-    return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(path: str, report: SweepReport) -> None:
-    atomic_write(path, sweep_csv_text(report).encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_summary(path: str, entries: list[tuple[str, object]]) -> None:
     lines = []
     for name, value in entries:
-        if isinstance(value, float):
-            lines.append(f"{name} = {format_g17(value)}")
-        else:
-            lines.append(f"{name} = {value}")
+        text = format_g17(value) if isinstance(value, float) else value
+        lines.append(f"{name} = {text}")
     atomic_write(path, ("\n".join(lines) + "\n").encode())

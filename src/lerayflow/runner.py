@@ -75,13 +75,12 @@ def execute_run(rc: RunConfig) -> tuple[SimState, list[EnergyRecord]]:
     return final, records
 
 
-def _sweep_reference(rc: RunConfig):
+def _sweep(rc: RunConfig, sweep, values: list, s_norm: float, **options):
+    """``sweep`` of the configured initial velocity and filter; writes
+    sweep.csv into the output directory, when one is configured."""
     grid = rc.build_grid()
-    return rc.build_initial(grid).u
-
-
-def _sweep_output(rc: RunConfig, report):
-    """Write sweep.csv into the output directory, when one is configured."""
+    report = sweep(rc.build_initial(grid).u, rc.build_filter(), values, s_norm,
+                   **options)
     if rc.directory:
         os.makedirs(rc.directory, exist_ok=True)
         write_sweep_csv(os.path.join(rc.directory, "sweep.csv"), report)
@@ -90,14 +89,11 @@ def _sweep_output(rc: RunConfig, report):
 
 def execute_sweep_alpha(rc: RunConfig, alphas: list[float], s_norm: float,
                         target_slope: float | None = None):
-    return _sweep_output(rc, alpha_sweep(
-        _sweep_reference(rc), rc.build_filter(), alphas, s_norm,
-        target_slope=target_slope))
+    return _sweep(rc, alpha_sweep, alphas, s_norm, target_slope=target_slope)
 
 
 def execute_sweep_n(rc: RunConfig, orders: list[int], s_norm: float):
-    return _sweep_output(rc, n_sweep(_sweep_reference(rc), rc.build_filter(),
-                                     orders, s_norm))
+    return _sweep(rc, n_sweep, orders, s_norm)
 
 
 def multiplier_table_text(rc: RunConfig) -> str:

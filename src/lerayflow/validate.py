@@ -1,7 +1,8 @@
 """Acceptance suite: every shipped claim, runnable at desk scale.
 
-Each criterion function returns a :class:`CriterionResult` with the measured
-numbers in ``detail`` so a failing row is diagnosable from the table alone.
+Each criterion function returns a :class:`CriterionResult`, timed and
+numbered by :func:`_criterion`, with the measured numbers in ``detail`` so a
+failing row is diagnosable from the table alone.
 The suite is deterministic; `lerayflow validate` prints one row per criterion
 and exits nonzero if any fails.  ``fault`` hooks deliberately break one
 ingredient (currently the dealiasing of the skew-symmetry test) to prove the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import os
+import pathlib
 import tempfile
 import time
 from dataclasses import dataclass
@@ -46,6 +48,25 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+
+
+_ROWS = {}  # row index -> criterion, filled by _criterion
+
+
+def _criterion(index: int, name: str):
+    """Make a function that returns ``(passed, detail)`` return the timed
+    :class:`CriterionResult` of row ``index``, and register it as that row
+    of :func:`run_all`."""
+    def decorate(check):
+        @functools.wraps(check)
+        def timed(*args, **kwargs) -> CriterionResult:
+            t0 = time.time()
+            passed, detail = check(*args, **kwargs)
+            return CriterionResult(index, name, passed, detail,
+                                   time.time() - t0)
+        _ROWS[index] = timed
+        return timed
+    return decorate
 
 
 def convolution_advect_oracle(w: SpectralVectorField,
@@ -96,58 +117,56 @@ def _single_shell_field(grid: WaveGrid, seed: int, a_sq: int) -> SpectralVectorF
     return SpectralVectorField(grid, coeffs)
 
 
-def criterion_filter_bounds() -> CriterionResult:
-    t0 = time.time()
-    worst = 0.0
-    s_values = (-1.0, 0.0, 0.5)
+def _random_family():
+    """Criteria 1 and 2's (seed, u), 100 seeds on two grids, one at a time."""
     for grid in (WaveGrid(3, 32), WaveGrid(2, 64)):
         for seed in range(100):
-            u = random_solenoidal(grid, seed, -1.5, grid.dealias_cutoff)
-            ref = {s: sobolev_norm(u, s) for s in s_values}
-            for theta in (0.25, 0.5, 1.0):
-                for alpha in (0.05, 0.8):
-                    p = FilterParams(alpha=alpha, theta=theta)
-                    ub = filter_apply(u, p)
-                    for s in s_values:
-                        bound = alpha ** (-2.0 * theta) * ref[s]
-                        worst = max(worst, sobolev_norm(ub, s + 2 * theta) / bound)
-    return CriterionResult(1, "filter-bound", worst <= 1.0 + 1e-12,
-                           f"max ||filtered||/bound = {worst:.15f}",
-                           time.time() - t0)
+            yield seed, random_solenoidal(grid, seed, -1.5, grid.dealias_cutoff)
 
 
-def criterion_deconv_operator() -> CriterionResult:
-    t0 = time.time()
+@_criterion(1, "filter-bound")
+def criterion_filter_bounds() -> tuple[bool, str]:
+    worst = 0.0
+    s_values = (-1.0, 0.0, 0.5)
+    for _, u in _random_family():
+        ref = {s: sobolev_norm(u, s) for s in s_values}
+        for theta in (0.25, 0.5, 1.0):
+            for alpha in (0.05, 0.8):
+                p = FilterParams(alpha=alpha, theta=theta)
+                ub = filter_apply(u, p)
+                for s in s_values:
+                    bound = alpha ** (-2.0 * theta) * ref[s]
+                    worst = max(worst, sobolev_norm(ub, s + 2 * theta) / bound)
+    return worst <= 1.0 + 1e-12, f"max ||filtered||/bound = {worst:.15f}"
+
+
+@_criterion(2, "deconvolution-operator")
+def criterion_deconv_operator() -> tuple[bool, str]:
     worst_norm = 0.0
     worst_vc = 0.0
     s_values = (-1.0, 0.0, 0.5)
-    for grid in (WaveGrid(3, 32), WaveGrid(2, 64)):
-        for seed in range(100):
-            u = random_solenoidal(grid, seed, -1.5, grid.dealias_cutoff)
-            ref = {s: sobolev_norm(u, s) for s in s_values}
-            for n in (0, 1, 4, 16):
-                p = FilterParams(alpha=0.7, theta=0.25, n_deconv=n)
-                hu = deconvolve(u, p)
-                for s in s_values:
-                    worst_norm = max(worst_norm, sobolev_norm(hu, s) / ref[s])
-        for seed in (0, 1, 2):
-            u = random_solenoidal(grid, seed, -1.5, grid.dealias_cutoff)
+    for seed, u in _random_family():
+        ref = {s: sobolev_norm(u, s) for s in s_values}
+        for n in (0, 1, 4, 16):
+            p = FilterParams(alpha=0.7, theta=0.25, n_deconv=n)
+            hu = deconvolve(u, p)
+            for s in s_values:
+                worst_norm = max(worst_norm, sobolev_norm(hu, s) / ref[s])
+        if seed < 3:
             for n in range(9):
                 p = FilterParams(alpha=0.7, theta=0.25, n_deconv=n)
                 closed = deconvolve(u, p)
                 series = van_cittert_series(u, p)
-                diff = SpectralVectorField(grid, closed.coeffs - series.coeffs)
+                diff = SpectralVectorField(u.grid, closed.coeffs - series.coeffs)
                 worst_vc = max(worst_vc,
                                sobolev_norm(diff, 1.0) / sobolev_norm(closed, 1.0))
     passed = worst_norm <= 1.0 + 1e-12 and worst_vc <= 1e-12
-    return CriterionResult(
-        2, "deconvolution-operator", passed,
-        f"max op-norm ratio {worst_norm:.15f}, series mismatch {worst_vc:.2e}",
-        time.time() - t0)
+    return passed, (f"max op-norm ratio {worst_norm:.15f}, series mismatch "
+                    f"{worst_vc:.2e}")
 
 
-def criterion_advection(fault: str | None = None) -> CriterionResult:
-    t0 = time.time()
+@_criterion(3, "advection-oracle")
+def criterion_advection(fault: str | None = None) -> tuple[bool, str]:
     worst_conv = 0.0
     for grid in (WaveGrid(3, 8), WaveGrid(2, 16)):
         for seed in (0, 1):
@@ -171,14 +190,12 @@ def criterion_advection(fault: str | None = None) -> CriterionResult:
         scale = l2_norm(w) * l2_norm(v) * sobolev_norm(v, 1.0)
         worst_skew = max(worst_skew, abs(l2_inner(transported, v)) / scale)
     passed = worst_conv <= 1e-12 and worst_skew <= 1e-11
-    return CriterionResult(
-        3, "advection-oracle", passed,
-        f"convolution mismatch {worst_conv:.2e}, skew residual {worst_skew:.2e}",
-        time.time() - t0)
+    return passed, (f"convolution mismatch {worst_conv:.2e}, skew residual "
+                    f"{worst_skew:.2e}")
 
 
-def criterion_taylor_green() -> CriterionResult:
-    t0 = time.time()
+@_criterion(4, "taylor-green-exactness")
+def criterion_taylor_green() -> tuple[bool, str]:
     grid = WaveGrid(2, 64)
     nu = 0.01
     worst = 0.0
@@ -193,9 +210,7 @@ def criterion_taylor_green() -> CriterionResult:
         exact = taylor_green_velocity(grid, nu, final.t)
         err = float(np.abs(inverse_transform(final.u).data - exact.data).max())
         worst = max(worst, err)
-    return CriterionResult(4, "taylor-green-exactness", worst < 1e-10,
-                           f"max pointwise error {worst:.2e}",
-                           time.time() - t0)
+    return worst < 1e-10, f"max pointwise error {worst:.2e}"
 
 
 @functools.cache
@@ -222,27 +237,24 @@ def _budget_residual(initial: SimState, cfg: ModelConfig, dt: float) -> float:
     return energy_budget_residual(samples, cfg)
 
 
-def criterion_energy_budget() -> CriterionResult:
-    t0 = time.time()
+@_criterion(5, "energy-budget")
+def criterion_energy_budget() -> tuple[bool, str]:
     cfg, samples, states = _budget_trajectory()
     r1 = energy_budget_residual(samples, cfg)
     r2 = _budget_residual(states[0], cfg, 5e-4)
     ratio = r1 / r2
     passed = r1 < 1e-4 and 3.0 <= ratio <= 5.0
-    return CriterionResult(
-        5, "energy-budget", passed,
-        f"residual {r1:.3e}, dt-halving ratio {ratio:.2f}",
-        time.time() - t0)
+    return passed, f"residual {r1:.3e}, dt-halving ratio {ratio:.2f}"
 
 
-def criterion_local_energy() -> CriterionResult:
+@_criterion(6, "local-energy-equality")
+def criterion_local_energy() -> tuple[bool, str]:
     # The window w and its first two derivatives vanish at phi.t0 and
     # phi.t1.  When both ends are sample times at both cadences, the h^2
     # Euler-Maclaurin term of the trapezoid rule is zero and the time
     # quadrature is 4th order: halving the cadence divides the residual by
     # 2^4, asserted within 25%.  Off the nodes that term returns and the
     # ratio is erratic, so misaligned ends fail the row on their own.
-    t0 = time.time()
     cfg, _, states = _budget_trajectory()
     phi = BumpTestFunction.canonical(3, 0.2)
     coarse = states[::2]
@@ -250,25 +262,21 @@ def criterion_local_energy() -> CriterionResult:
     off_node = [end for end in (phi.t0, phi.t1)
                 if np.abs(coarse_times - end).min() > 1e-12]
     if off_node:
-        return CriterionResult(
-            6, "local-energy-equality", False,
+        return False, (
             f"window end(s) {', '.join(f'{e:.6g}' for e in off_node)} off the "
-            f"coarse sample times; 4th-order quadrature needs them on nodes",
-            time.time() - t0)
+            f"coarse sample times; 4th-order quadrature needs them on nodes")
     pressures = [pressure_solve(s, cfg) for s in states]
     r_fine = abs(local_energy_residual(states, pressures, phi, cfg))
     r_coarse = abs(local_energy_residual(coarse, pressures[::2], phi, cfg))
     ratio = r_coarse / r_fine
     passed = r_coarse < 1e-3 and 12.0 <= ratio <= 20.0
-    return CriterionResult(
-        6, "local-energy-equality", passed,
-        f"residual {r_coarse:.3e}, cadence-halving ratio {ratio:.2f} "
-        f"(order {np.log2(ratio):.2f}; required window [12, 20])",
-        time.time() - t0)
+    return passed, (f"residual {r_coarse:.3e}, cadence-halving ratio "
+                    f"{ratio:.2f} (order {np.log2(ratio):.2f}; required "
+                    f"window [12, 20])")
 
 
-def criterion_sweeps() -> CriterionResult:
-    t0 = time.time()
+@_criterion(7, "convergence-sweeps")
+def criterion_sweeps() -> tuple[bool, str]:
     grid = WaveGrid(2, 64)
     details = []
     ok = True
@@ -286,12 +294,11 @@ def criterion_sweeps() -> CriterionResult:
     dev = abs(report.ratio - report.ratio_bound) / report.ratio_bound
     ok = ok and report.passed and dev <= 0.02
     details.append(f"N-ratio {report.ratio:.6f} vs {report.ratio_bound:.6f}")
-    return CriterionResult(7, "convergence-sweeps", ok, ", ".join(details),
-                           time.time() - t0)
+    return ok, ", ".join(details)
 
 
-def criterion_model_family() -> CriterionResult:
-    t0 = time.time()
+@_criterion(8, "model-family-consistency")
+def criterion_model_family() -> tuple[bool, str]:
     grid = WaveGrid(3, 32)
     forcing = _budget_forcing()
     u0 = random_solenoidal(grid, 21, -2.0, 6)
@@ -311,14 +318,11 @@ def criterion_model_family() -> CriterionResult:
     la0 = final_u(ModelKind.LERAY_ALPHA, 0.0, 0)
     dev2 = float(np.abs(nse - la0).max() / np.abs(nse).max())
     passed = dev1 <= 1e-13 and dev2 <= 1e-13
-    return CriterionResult(
-        8, "model-family-consistency", passed,
-        f"deconv(N=0) dev {dev1:.2e}, alpha=0 dev {dev2:.2e}",
-        time.time() - t0)
+    return passed, f"deconv(N=0) dev {dev1:.2e}, alpha=0 dev {dev2:.2e}"
 
 
-def criterion_mhd() -> CriterionResult:
-    t0 = time.time()
+@_criterion(9, "mhd-energy-identity")
+def criterion_mhd() -> tuple[bool, str]:
     grid = WaveGrid(3, 32)
     cfg = ModelConfig(kind=ModelKind.MHD_DECONV, nu=0.02, nu2=0.02,
                       filter=FilterParams(alpha=0.1, theta=0.25, n_deconv=1))
@@ -342,10 +346,8 @@ def criterion_mhd() -> CriterionResult:
                                + sobolev_norm(u, 1.0) * l2_norm(b))
         worst_cancel = max(worst_cancel, abs(total) / scale)
     passed = r1 < 1e-4 and 3.0 <= ratio <= 5.0 and worst_cancel <= 1e-11
-    return CriterionResult(
-        9, "mhd-energy-identity", passed,
-        f"residual {r1:.3e}, ratio {ratio:.2f}, cancellation {worst_cancel:.2e}",
-        time.time() - t0)
+    return passed, (f"residual {r1:.3e}, ratio {ratio:.2f}, cancellation "
+                    f"{worst_cancel:.2e}")
 
 
 _PERSISTENCE_CONFIG = """
@@ -380,18 +382,16 @@ def _persistence_run(outdir: str, initial: str, checkpoint_every: int = 0):
         initial=initial, outdir=outdir, checkpoint_every=checkpoint_every)))
 
 
-def criterion_persistence() -> CriterionResult:
-    t0 = time.time()
+@_criterion(10, "determinism-persistence")
+def criterion_persistence() -> tuple[bool, str]:
     fresh = "preset = random\nseed = 9\nslope = -2.0\ncutoff_shell = 8"
     with tempfile.TemporaryDirectory() as tmp:
         dir_a = os.path.join(tmp, "a")
         dir_b = os.path.join(tmp, "b")
         final_a, _ = _persistence_run(dir_a, fresh, checkpoint_every=50)
         _persistence_run(dir_b, fresh, checkpoint_every=50)
-        with open(os.path.join(dir_a, "energy.csv"), "rb") as fh:
-            bytes_a = fh.read()
-        with open(os.path.join(dir_b, "energy.csv"), "rb") as fh:
-            bytes_b = fh.read()
+        bytes_a, bytes_b = (pathlib.Path(d, "energy.csv").read_bytes()
+                            for d in (dir_a, dir_b))
         deterministic = bytes_a == bytes_b
 
         # bit-exact checkpoint round trip of the final state
@@ -407,27 +407,15 @@ def criterion_persistence() -> CriterionResult:
                     / np.abs(final_a.u.coeffs).max())
         resumed = dev <= 1e-13
     passed = deterministic and roundtrip and resumed
-    return CriterionResult(
-        10, "determinism-persistence", passed,
-        f"byte-identical={deterministic}, roundtrip={roundtrip}, "
-        f"resume dev {dev:.2e}", time.time() - t0)
+    return passed, (f"byte-identical={deterministic}, roundtrip={roundtrip}, "
+                    f"resume dev {dev:.2e}")
 
 
 def run_all(fault: str | None = None) -> list[CriterionResult]:
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
-    return [
-        criterion_filter_bounds(),
-        criterion_deconv_operator(),
-        criterion_advection(fault=fault),
-        criterion_taylor_green(),
-        criterion_energy_budget(),
-        criterion_local_energy(),
-        criterion_sweeps(),
-        criterion_model_family(),
-        criterion_mhd(),
-        criterion_persistence(),
-    ]
+    return [row(fault=fault) if row is criterion_advection else row()
+            for _, row in sorted(_ROWS.items())]
 
 
 def format_table(results: list[CriterionResult]) -> str:

@@ -155,6 +155,18 @@ class TestErrorExitCodes:
         assert key in err and "line" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("mode", ["33 1 : 1 0 -33 0", "16 1 : 1 0 -16 0"],
+                             ids=["wraps-to-1-1", "nyquist-index"])
+    def test_forcing_that_the_grid_aliases(self, tmp_path, capsys, mode):
+        # orthogonal on the integer index, but n = 32 stores a = (33, 1) at
+        # (1, 1), where it is not solenoidal, and a_1 = 16 on the Nyquist row
+        forced = SWEEP_BASE.replace("n = 64", "n = 32").replace(
+            "[initial]", f"[forcing]\nmode_1 = {mode}\n\n[initial]")
+        cfg = write_cfg(tmp_path, forced, outdir=os.path.join(tmp_path, "o"))
+        assert main(["run", cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "forcing mode" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command,option,value", [
         ("sweep-alpha", "--alphas", "0.4,x"),
         ("sweep-n", "--orders", "0,x"),

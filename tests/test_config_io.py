@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from lerayflow import (ConfigSyntaxError, FilterParams, InvariantViolation,
-                       ModelConfig, ModelKind, SimState, UnknownKeyError,
-                       WaveGrid, random_solenoidal)
+                       ModelConfig, ModelKind, SimState, SpectralVectorField,
+                       StepperConfig, SymmetryViolation, UnknownKeyError,
+                       WaveGrid, inverse_transform, random_solenoidal, run)
 from lerayflow.checkpoint import (_HEADER_FMT, MAGIC, load_checkpoint,
                                   save_checkpoint)
 from lerayflow.cli import EXIT_INVARIANT, main
@@ -267,6 +268,10 @@ def _broken_mirror(full):
     full[0, 1, 1, 2, 6] += 1e-3  # a_3 = -2: dropped on load
 
 
+def _broken_plane(full):
+    full[0, 1, 1, 2, 0] += 1e-3  # a_3 = 0: kept, as is its mirror (7, 6, 0)
+
+
 FORGED = {
     # name: (header overrides, fields in the payload, payload edit, message)
     "short_payload": ({}, 1, "short", "payload of"),
@@ -278,7 +283,19 @@ FORGED = {
     "nonfinite_t": ({"t": float("inf")}, 1, None, "non-finite time"),
     "nonfinite_coefficient": ({}, 1, _nan_coefficient, "non-finite coefficients"),
     "broken_mirror": ({}, 1, _broken_mirror, "mirror modes"),
+    "broken_plane": ({}, 1, _broken_plane, "mirror modes"),
 }
+
+
+def _resume_config(tmp_path, ckpt) -> str:
+    """A one-step 3D n = 8 leray-alpha run resumed from ``ckpt`` (t = 0.5)."""
+    cfg = os.path.join(tmp_path, "resume.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"[grid]\ndim = 3\nn = 8\n[model]\nkind = leray-alpha\n"
+                 f"nu = 0.02\nalpha = 0.1\n[initial]\npreset = checkpoint\n"
+                 f"path = {ckpt}\n[stepper]\ndt = 0.001\nt_end = 0.501\n"
+                 f"[output]\ndirectory = {tmp_path}/out\n")
+    return cfg
 
 
 class TestForgedCheckpoints:
@@ -316,6 +333,18 @@ class TestForgedCheckpoints:
         err = capsys.readouterr().err
         assert "payload of" in err and len(err.strip().splitlines()) == 1
 
+    def test_resume_of_a_broken_plane_exits_with_invariant_code(
+            self, tmp_path, capsys):
+        # the file loaded before, and the run died at its first Hermitian
+        # gate with an internal-error exit
+        full = full_payload(WaveGrid(3, 8))
+        _broken_plane(full)
+        ckpt = os.path.join(tmp_path, "plane.lfck")
+        forge_checkpoint(ckpt, full.astype("<c16").tobytes())
+        assert main(["run", _resume_config(tmp_path, ckpt)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "mirror modes" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("stored,configured", [
         ("mhd-deconv", "leray-alpha"), ("leray-alpha", "mhd-deconv")])
     def test_resume_checks_magnetic_field(self, tmp_path, capsys, stored,
@@ -340,6 +369,31 @@ class TestForgedCheckpoints:
         assert main(["run", cfg]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert "magnetic field" in err and len(err.strip().splitlines()) == 1
+
+
+class TestOneHermitianGate:
+    """The same broken-plane spectrum, refused with the same residual by
+    every entry point of a spectrum: a transform, a run and a checkpoint."""
+
+    @pytest.mark.parametrize("entry,error", [
+        ("inverse_transform", SymmetryViolation), ("run", SymmetryViolation),
+        ("load_checkpoint", InvariantViolation)])
+    def test_broken_plane_refused(self, tmp_path, entry, error):
+        grid = WaveGrid(3, 8)
+        full = full_payload(grid)
+        _broken_plane(full)
+        u = SpectralVectorField(grid, np.ascontiguousarray(full[0][..., :5]))
+        path = os.path.join(tmp_path, "plane.lfck")
+        forge_checkpoint(path, full.astype("<c16").tobytes())
+        cfg = ModelConfig(kind=ModelKind.LERAY_ALPHA, nu=0.02,
+                          filter=FilterParams(alpha=0.1, theta=0.25))
+        call = {"inverse_transform": lambda: inverse_transform(u),
+                "run": lambda: run(SimState(0.5, u), cfg,
+                                   StepperConfig(dt=1e-3, t_end=0.501)),
+                "load_checkpoint": lambda: load_checkpoint(path)}[entry]
+        residual = 1e-3 / np.abs(full[0]).max()
+        with pytest.raises(error, match=f"Hermitian residual {residual:.3e}"):
+            call()
 
 
 class TestCsvOutput:

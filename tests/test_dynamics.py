@@ -15,7 +15,7 @@ from lerayflow import (CriticalityViolation, FilterParams, ForcingMode,
                        rhs, sobolev_norm)
 from lerayflow.fields import from_physical, to_physical
 from lerayflow.presets import taylor_green_state_field
-from lerayflow.validate import convolution_advect_oracle
+from lerayflow.validate import _budget_forcing, convolution_advect_oracle
 
 from conftest import single_mode_field
 
@@ -310,6 +310,21 @@ class TestForcingSpec:
         bad = ForcingSpec((ForcingMode((0, 0, 0), (0.0, 1.0, 0.0)),))
         with pytest.raises(InvariantViolation):
             bad.validate(3)
+
+    @pytest.mark.parametrize("a,amplitude", [
+        ((33, 1), (1.0, -33.0)), ((16, 1), (1.0, -16.0)), ((32, 0), (0.0, 1.0))],
+        ids=["wraps-to-1-1", "nyquist-index", "wraps-to-the-mean"])
+    def test_stored_mode_checked_on_the_grid(self, a, amplitude):
+        f = ForcingSpec((ForcingMode(a, amplitude),))
+        f.validate(2)  # orthogonal on the integer index
+        with pytest.raises(InvariantViolation, match="forcing mode"):
+            f.check_stored(WaveGrid(2, 32))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_low_modes_pass_the_stored_check(self, n):
+        _budget_forcing().check_stored(WaveGrid(3, n))
+        ForcingSpec((ForcingMode((1, 2), (0.2, -0.1)),)).check_stored(
+            WaveGrid(2, n))
 
     def test_evaluation_is_real_and_solenoidal(self, grid3):
         f = ForcingSpec((ForcingMode((1, 2, 0), (0.2 + 0.1j, -0.1 - 0.05j,

@@ -95,6 +95,18 @@ class TestStepBasics:
         assert np.abs(inverse_transform(final.u).data - exact.data).max() < 1e-10
 
 
+class TestForcingOnTheGrid:
+    @pytest.mark.parametrize("entry", [run, step], ids=["run", "step"])
+    def test_aliased_forcing_is_refused(self, entry):
+        # a = (33, 1) is stored at (1, 1) on n = 32, where (1, -33) is not
+        # orthogonal to it
+        forcing = ForcingSpec((ForcingMode((33, 1), (1.0, -33.0)),))
+        grid = WaveGrid(2, 32)
+        with pytest.raises(InvariantViolation, match="forcing mode"):
+            entry(SimState(0.0, random_solenoidal(grid, 1, -2.0, 4)),
+                  nse_cfg(0.02, forcing), StepperConfig(dt=1e-3, t_end=2e-3))
+
+
 class TestConvergenceOrder:
     def test_ifrk4_fourth_order(self):
         # forced, genuinely nonlinear 2D run; reference at dt/8
