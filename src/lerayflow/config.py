@@ -2,16 +2,17 @@
 
 The format is deliberately flat so parse errors can always name the offending
 key and line.  Comments start with '#', values never span lines, duplicate
-keys are rejected with both line numbers.  Every key is declared once, in
-``_KEYS``, with its reader and default; float values must be finite.  The
-[forcing] section takes mode_1, mode_2, ... ("a1 a2 [a3] : re im pairs :
-decay") instead.
+keys are rejected with both line numbers.  Every key is declared once, as a
+``RunConfig`` field with its section, reader and default (``_KEYS`` is derived
+from the fields); float values must be finite.  The [forcing] section takes
+mode_1, mode_2, ... ("a1 a2 [a3] : re im pairs : decay") instead.
 
 Parsing reports the first fault in this order: syntax and unknown keys in
-text order, then unreadable or missing values in table order, then the range
-checks.  All module invariants (positivity, the theta >= 1/4 gate, forcing
-that is solenoidal as the grid stores it, ...) are re-validated at parse
-time so a RunConfig that parses is a RunConfig that runs.
+text order, then unreadable (an unknown ``kind`` or ``scheme`` included) or
+missing values in field order, then the range checks.  All module invariants
+(the grid's own check, the theta >= 1/4 gate, forcing that is solenoidal as
+the grid stores it, whole steps up to ``t_end``, ...) are re-validated at
+parse time so a RunConfig that parses is a RunConfig that runs.
 """
 
 from __future__ import annotations
@@ -19,56 +20,72 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import MISSING, dataclass, field, fields
 
 from .dynamics import ForcingMode, ForcingSpec, ModelConfig, ModelKind, SimState
 from .errors import (ConfigSyntaxError, CriticalityViolation,
                      InvariantViolation, UnknownKeyError)
 from .fields import SpectralVectorField, random_solenoidal
 from .filtering import FilterParams
-from .grid import WaveGrid
-from .presets import taylor_green_state_field
+from .grid import WaveGrid, check_grid
+from .presets import check_taylor_green_grid, taylor_green_state_field
 from .stepping import StepperConfig, StepperScheme, working_set
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file"]
 
-_KINDS = {k.value: k for k in ModelKind}
-_SCHEMES = {s.value: s for s in StepperScheme}
+
+def _int(text: str) -> int:
+    return int(text, 10)
 
 
-@dataclass
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _bool(text: str) -> bool:
+    return {"true": True, "false": False}[text.lower()]
+
+
+def _key(section: str, read=None, default=MISSING):
+    """A key of [section], read by ``read``; required when it has no default."""
+    return field(default=default, metadata={"section": section, "read": read})
+
+
+@dataclass(kw_only=True)
 class RunConfig:
-    """Validated run description; builder methods assemble live objects."""
+    """Validated run description: each field is a config key with its section,
+    reader and default, in reading order.  Builders assemble live objects."""
 
-    dim: int
-    n: int
-    length: float
-    dealias_fraction: float
-    kind: ModelKind
-    nu: float
-    nu2: float | None
-    alpha: float
-    theta: float
-    n_deconv: int
-    unsafe_subcritical: bool
-    forcing: ForcingSpec
-    preset: str
-    seed: int
-    slope: float
-    cutoff_shell: int | None
-    scale: float
-    seed_b: int | None
-    scale_b: float | None
-    path: str | None
-    dt: float
-    t_end: float
-    scheme: StepperScheme
-    sample_every: int
-    cfl_limit: float
-    directory: str | None
-    checkpoint_every: int
+    dim: int = _key("grid", _int)
+    n: int = _key("grid", _int)
+    length: float = _key("grid", _float, 2.0 * math.pi)
+    dealias_fraction: float = _key("grid", _float, 2.0 / 3.0)
+    kind: ModelKind = _key("model", ModelKind)
+    nu: float = _key("model", _float)
+    nu2: float | None = _key("model", _float, None)
+    alpha: float = _key("model", _float, 0.0)
+    theta: float = _key("model", _float, 0.25)
+    n_deconv: int = _key("model", _int, 0)
+    unsafe_subcritical: bool = _key("model", _bool, False)
+    forcing: ForcingSpec = _key("forcing")  # from mode_1, mode_2, ...
+    preset: str = _key("initial", str)
+    seed: int = _key("initial", _int, 0)
+    slope: float = _key("initial", _float, -2.0)
+    cutoff_shell: int | None = _key("initial", _int, None)
+    scale: float = _key("initial", _float, 1.0)
+    seed_b: int | None = _key("initial", _int, None)
+    scale_b: float | None = _key("initial", _float, None)
+    path: str | None = _key("initial", str, None)
+    dt: float = _key("stepper", _float)
+    t_end: float = _key("stepper", _float)
+    scheme: StepperScheme = _key("stepper", StepperScheme, StepperScheme.IFRK4)
+    sample_every: int = _key("stepper", _int, 1)
+    cfl_limit: float = _key("stepper", _float, 0.5)
+    directory: str | None = _key("output", str, None)
+    checkpoint_every: int = _key("output", _int, 0)
 
     def build_grid(self) -> WaveGrid:
         cutoff = max(1, int(math.floor(self.dealias_fraction * self.n / 2)))
@@ -120,44 +137,12 @@ class RunConfig:
         return SimState(0.0, SpectralVectorField(grid, u.coeffs * self.scale), b)
 
 
-_REQUIRED = object()  # marks a key without a default
-
-
-def _int(text: str) -> int:
-    return int(text, 10)
-
-
-def _float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-def _bool(text: str) -> bool:
-    return {"true": True, "false": False}[text.lower()]
-
-
-# section -> key -> (reader, default or _REQUIRED); each key names its
-# RunConfig field.  [forcing] takes mode_1, mode_2, ... instead.
-_KEYS = {
-    "grid": {"dim": (_int, _REQUIRED), "n": (_int, _REQUIRED),
-             "length": (_float, 2.0 * np.pi),
-             "dealias_fraction": (_float, 2.0 / 3.0)},
-    "model": {"kind": (str, _REQUIRED), "nu": (_float, _REQUIRED),
-              "nu2": (_float, None), "alpha": (_float, 0.0),
-              "theta": (_float, 0.25), "n_deconv": (_int, 0),
-              "unsafe_subcritical": (_bool, False)},
-    "forcing": {},
-    "initial": {"preset": (str, _REQUIRED), "seed": (_int, 0),
-                "slope": (_float, -2.0), "cutoff_shell": (_int, None),
-                "scale": (_float, 1.0), "seed_b": (_int, None),
-                "scale_b": (_float, None), "path": (str, None)},
-    "stepper": {"dt": (_float, _REQUIRED), "t_end": (_float, _REQUIRED),
-                "scheme": (str, "ifrk4"), "sample_every": (_int, 1),
-                "cfl_limit": (_float, 0.5)},
-    "output": {"directory": (str, None), "checkpoint_every": (_int, 0)},
-}
+# section -> key -> its RunConfig field; [forcing] takes mode_1, mode_2, ...
+_KEYS: dict[str, dict] = {}
+for _f in fields(RunConfig):
+    _KEYS.setdefault(_f.metadata["section"], {})
+    if _f.metadata["read"] is not None:
+        _KEYS[_f.metadata["section"]][_f.name] = _f
 
 
 def _tokenize(text: str) -> dict[tuple[str, str], tuple[int, str]]:
@@ -224,35 +209,28 @@ def parse_config(text: str) -> RunConfig:
     entries = _tokenize(text)
     values = {}
     for section, keys in _KEYS.items():
-        for key, (read, default) in keys.items():
+        for key, spec in keys.items():
             entry = entries.get((section, key))
             if entry is None:
-                if default is _REQUIRED:
+                if spec.default is MISSING:
                     raise InvariantViolation(f"{key}: required key missing "
                                              f"from [{section}]")
-                values[key] = default
+                values[key] = spec.default
                 continue
             line_no, raw = entry
             try:
-                values[key] = read(raw)
+                values[key] = spec.metadata["read"](raw)
             except (ValueError, KeyError):
                 raise InvariantViolation(
                     f"{key}: cannot interpret {raw!r} (line {line_no})") from None
 
     dim, n = values["dim"], values["n"]
-    if dim not in (2, 3):
-        raise InvariantViolation(f"dim: must be 2 or 3, got {dim}")
-    if n < 8 or n % 2:
-        raise InvariantViolation(f"n: must be even and >= 8, got {n}")
-    if values["length"] <= 0:
-        raise InvariantViolation("length: must be positive")
+    try:
+        check_grid(dim, n, values["length"])
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from None
     if not 0.0 < values["dealias_fraction"] <= 1.0:
         raise InvariantViolation("dealias_fraction: must lie in (0, 1]")
-    if values["kind"] not in _KINDS:
-        raise InvariantViolation(
-            f"kind: unknown model kind {values['kind']!r} "
-            f"(expected one of {sorted(_KINDS)})")
-    values["kind"] = _KINDS[values["kind"]]
     run_bytes = working_set(dim, n, values["kind"])
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if run_bytes > memory:
@@ -275,9 +253,6 @@ def parse_config(text: str) -> RunConfig:
             raise InvariantViolation(f"{key}: a path cannot hold a NUL byte")
     if values["preset"] == "checkpoint" and not values["path"]:
         raise InvariantViolation("path: required for the checkpoint preset")
-    if values["scheme"] not in _SCHEMES:
-        raise InvariantViolation(f"scheme: unknown scheme {values['scheme']!r}")
-    values["scheme"] = _SCHEMES[values["scheme"]]
     if values["checkpoint_every"] < 0:
         raise InvariantViolation("checkpoint_every: must be >= 0")
     cfg = RunConfig(**values)
@@ -286,7 +261,9 @@ def parse_config(text: str) -> RunConfig:
     try:
         grid = cfg.build_grid()
         cfg.build_model()
-        cfg.build_stepper()
+        stepper = cfg.build_stepper()
+        if cfg.preset != "checkpoint":  # that one starts at its file's time
+            stepper.n_steps()
         cfg.forcing.check_stored(grid)
     except CriticalityViolation as exc:
         raise InvariantViolation(f"theta: {exc}") from None
@@ -296,8 +273,11 @@ def parse_config(text: str) -> RunConfig:
         raise InvariantViolation(
             f"cutoff_shell: {cfg.cutoff_shell} exceeds the dealias cutoff "
             f"{grid.dealias_cutoff}")
-    if cfg.preset == "taylor-green" and dim != 2:
-        raise InvariantViolation("preset: taylor-green requires dim = 2")
+    if cfg.preset == "taylor-green":
+        try:
+            check_taylor_green_grid(grid)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"preset: {exc}") from None
     if cfg.preset != "checkpoint":
         # Energy samples at t = 0 are below n^dim (A max(1, k0 n))^2, with
         # A = |scale| (k0 j)^slope, j in [1, cutoff] (|scale| for Taylor-Green)

@@ -29,7 +29,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["WaveGrid", "worker_count"]
+__all__ = ["WaveGrid", "check_grid", "worker_count"]
 
 # Read once: os.cpu_count() costs microseconds and every transform asks.
 _CPU_COUNT = os.cpu_count() or 1
@@ -50,17 +50,30 @@ def worker_count() -> int:
     return max(1, min(value, _CPU_COUNT))
 
 
+def check_grid(dim: int, n: int, L: float) -> None:
+    """Raise ValueError unless ``(dim, n, L)`` make a grid; allocates nothing."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    if n < 8 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 8, got {n}")
+    if not 0 < L < np.inf:
+        raise ValueError(f"length L must be positive and finite, got {L}")
+    k0 = 2.0 * np.pi / float(L)
+    with np.errstate(over="ignore", under="ignore"):
+        extremes = (np.float64(float(L) / n) ** dim, np.float64(k0) ** 2,
+                    dim * np.float64(k0 * (n // 2)) ** 2)
+    if not all(0.0 < x < np.inf for x in extremes):
+        raise ValueError(
+            f"length L = {L} is out of range for n = {n}: the cell volume "
+            f"or |k|^2 is not a positive finite float")
+
+
 class WaveGrid:
     """Wavevector set, masks and quadrature weights for one periodic box."""
 
     def __init__(self, dim: int, n: int, L: float = 2.0 * np.pi,
                  dealias_cutoff: int | None = None):
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"n must be even and >= 8, got {n}")
-        if not 0 < L < np.inf:
-            raise ValueError(f"period L must be positive and finite, got {L}")
+        check_grid(dim, n, L)
         if dealias_cutoff is None:
             dealias_cutoff = n // 3
         if not 1 <= dealias_cutoff <= n // 2:
@@ -75,13 +88,6 @@ class WaveGrid:
         self.shape = (n,) * dim
         self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self.k0 = 2.0 * np.pi / self.L  # fundamental wavenumber
-        with np.errstate(over="ignore", under="ignore"):
-            extremes = (np.float64(self.L / n) ** dim, np.float64(self.k0) ** 2,
-                        dim * np.float64(self.k0 * (n // 2)) ** 2)
-        if not all(0.0 < x < np.inf for x in extremes):
-            raise ValueError(
-                f"length L = {L} is out of range for n = {n}: the cell volume "
-                f"or |k|^2 is not a positive finite float")
         self.cell_volume = (self.L / n) ** dim
 
         a = self.a

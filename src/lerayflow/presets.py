@@ -20,10 +20,12 @@ from .errors import InvariantViolation
 from .fields import RealVectorField, SpectralVectorField, forward_transform
 from .grid import WaveGrid
 
-__all__ = ["taylor_green_velocity", "taylor_green_state_field"]
+__all__ = ["check_taylor_green_grid", "taylor_green_velocity",
+           "taylor_green_state_field"]
 
 
-def _check_grid(grid: WaveGrid) -> None:
+def check_taylor_green_grid(grid: WaveGrid) -> None:
+    """Raise InvariantViolation unless the preset fits the grid: 2D, L = 2*pi."""
     if grid.dim != 2:
         raise InvariantViolation("the Taylor-Green preset is two-dimensional")
     if abs(grid.L - 2.0 * np.pi) > 1e-12:
@@ -32,7 +34,7 @@ def _check_grid(grid: WaveGrid) -> None:
 
 def taylor_green_velocity(grid: WaveGrid, nu: float, t: float) -> RealVectorField:
     """Physical-space Taylor-Green velocity at time t."""
-    _check_grid(grid)
+    check_taylor_green_grid(grid)
     x, y = grid.mesh()
     decay = np.exp(-2.0 * nu * t)
     data = np.stack([np.cos(x) * np.sin(y) * decay,

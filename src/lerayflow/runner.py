@@ -30,7 +30,6 @@ def execute_run(rc: RunConfig) -> tuple[SimState, list[EnergyRecord]]:
     """Run the configured simulation and write all output artifacts."""
     if not rc.directory:
         raise InvariantViolation("directory: required in [output] for a run")
-    os.makedirs(rc.directory, exist_ok=True)
     grid = rc.build_grid()
     model = rc.build_model()
     sc = rc.build_stepper()
@@ -39,6 +38,7 @@ def execute_run(rc: RunConfig) -> tuple[SimState, list[EnergyRecord]]:
     records: list[EnergyRecord] = []
     n_steps = sc.n_steps(initial.t)
     t_start = initial.t
+    os.makedirs(rc.directory, exist_ok=True)  # a failed start makes none
 
     def checkpoint_sink(state: SimState) -> None:
         i = int(round((state.t - t_start) / sc.dt))

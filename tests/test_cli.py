@@ -127,6 +127,40 @@ class TestErrorExitCodes:
         cfg = write_cfg(tmp_path, bad, outdir=os.path.join(tmp_path, "o"))
         assert main(["run", cfg]) == EXIT_INVARIANT
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("n = 64", "n = 16\nlength = 3.0",
+         "preset: the Taylor-Green preset needs L = 2*pi"),
+        ("t_end = 0.01", "t_end = 0.0025", "not a positive integer multiple"),
+    ], ids=["taylor-green-length", "partial-step"])
+    @pytest.mark.parametrize("command", ["run", "multiplier-table"])
+    def test_rejected_at_parse_time(self, tmp_path, capsys, old, new, message,
+                                    command):
+        outdir = os.path.join(tmp_path, "o")
+        cfg = write_cfg(tmp_path, TG_RUN.replace(old, new), outdir=outdir)
+        assert main([command, cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("checkpoint,t_end,code", [
+        ("missing.lfck", "0.02", EXIT_IO),
+        ("a/final.lfck", "0.0125", EXIT_INVARIANT),  # from t = 0.01
+    ], ids=["missing-checkpoint", "partial-step-from-checkpoint"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys,
+                                                   checkpoint, t_end, code):
+        assert main(["run", write_cfg(tmp_path, TG_RUN, outdir=os.path.join(
+            tmp_path, "a"))]) == EXIT_OK
+        outdir = os.path.join(tmp_path, "o")
+        resume = TG_RUN.replace("preset = taylor-green", "preset = checkpoint\n"
+                                f"path = {os.path.join(tmp_path, checkpoint)}")
+        cfg = write_cfg(tmp_path, resume.replace("t_end = 0.01",
+                                                 f"t_end = {t_end}"),
+                        name="resume.cfg", outdir=outdir)
+        capsys.readouterr()
+        assert main(["run", cfg]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not os.path.exists(outdir)
+
     @pytest.mark.parametrize("line", ["seed = -1", "seed = 3\nseed_b = -2"])
     def test_negative_seed(self, tmp_path, capsys, line):
         bad = SWEEP_BASE.replace("seed = 3", line)

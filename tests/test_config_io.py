@@ -1,6 +1,7 @@
 """Config parsing, checkpoint format, CSV emission."""
 
 import os
+import re
 import struct
 import zlib
 from dataclasses import astuple
@@ -15,7 +16,7 @@ from lerayflow import (ConfigSyntaxError, FilterParams, InvariantViolation,
 from lerayflow.checkpoint import (_HEADER_FMT, MAGIC, load_checkpoint,
                                   save_checkpoint)
 from lerayflow.cli import EXIT_INVARIANT, main
-from lerayflow.config import parse_config
+from lerayflow.config import _KEYS, parse_config
 from lerayflow.diagnostics import EnergyRecord, measure_energy
 from lerayflow.fields import full_layout
 from lerayflow.output import atomic_write, energy_csv_text, format_g17
@@ -95,6 +96,24 @@ class TestParseConfig:
         text = MINIMAL.replace("dim = 2", "dim = 3").replace("n = 64", "n = 16")
         with pytest.raises(InvariantViolation, match="preset"):
             parse_config(text)
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("kind = leray-alpha", "kind = euler", "kind"),
+        ("t_end = 0.01", "t_end = 0.01\nscheme = rk3", "scheme"),
+    ])
+    def test_unknown_enum_value_is_unreadable(self, old, new, key):
+        with pytest.raises(InvariantViolation,
+                           match=rf"^{key}: cannot interpret '\w+' \(line \d+\)$"):
+            parse_config(MINIMAL.replace(old, new))
+
+    def test_whole_steps_checked_for_fresh_presets(self):
+        text = MINIMAL.replace("t_end = 0.01", "t_end = 0.0025")
+        with pytest.raises(InvariantViolation, match="multiple of dt"):
+            parse_config(text)
+        # a checkpoint's start time is in its file: only the run can check
+        rc = parse_config(text.replace("preset = taylor-green",
+                                       "preset = checkpoint\npath = a.lfck"))
+        assert rc.t_end == 0.0025
 
     def test_forcing_modes_parsed_in_order(self):
         text = MINIMAL + """
@@ -199,6 +218,19 @@ t_end = 0.01
             for f, g, factor in zip((scaled.u, scaled.b), (plain.u, plain.b),
                                     factors):
                 assert np.array_equal(f.coeffs, factor * g.coeffs)
+
+
+def test_readme_names_every_key():
+    # a key added without docs fails here
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("## Configuration format")[1].split("```")[1]
+    sections = dict(re.findall(r"^\[(\w+)\](.*?)(?=^\[|\Z)", block,
+                               re.M | re.S))
+    assert list(sections) == list(_KEYS)
+    assert {section: [key for key in keys
+                      if not re.search(rf"\b{key}\b", sections[section])]
+            for section, keys in _KEYS.items()} == {s: [] for s in _KEYS}
 
 
 class TestCheckpoint:
