@@ -8,11 +8,12 @@ from the fields); float values must be finite.  The [forcing] section takes
 mode_1, mode_2, ... ("a1 a2 [a3] : re im pairs : decay") instead.
 
 Parsing reports the first fault in this order: syntax and unknown keys in
-text order, then unreadable (an unknown ``kind`` or ``scheme`` included) or
-missing values in field order, then the range checks.  All module invariants
-(the grid's own check, the theta >= 1/4 gate, forcing that is solenoidal as
-the grid stores it, whole steps up to ``t_end``, ...) are re-validated at
-parse time so a RunConfig that parses is a RunConfig that runs.
+text order, then unreadable (an unknown ``kind``, ``preset`` or ``scheme``
+included) or missing values in field order, then the range checks.  All
+module invariants (the grid's own check, the theta >= 1/4 gate, forcing that
+is solenoidal as the grid stores it, whole steps up to ``t_end``, ...) are
+re-validated at parse time so a RunConfig that parses is a RunConfig that
+runs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 
 from .dynamics import ForcingMode, ForcingSpec, ModelConfig, ModelKind, SimState
 from .errors import (ConfigSyntaxError, CriticalityViolation,
@@ -49,6 +51,12 @@ def _bool(text: str) -> bool:
     return {"true": True, "false": False}[text.lower()]
 
 
+class Preset(str, Enum):  # the reader of [initial] preset
+    TAYLOR_GREEN = "taylor-green"
+    RANDOM = "random"
+    CHECKPOINT = "checkpoint"
+
+
 def _key(section: str, read=None, default=MISSING):
     """A key of [section], read by ``read``; required when it has no default."""
     return field(default=default, metadata={"section": section, "read": read})
@@ -71,7 +79,7 @@ class RunConfig:
     n_deconv: int = _key("model", _int, 0)
     unsafe_subcritical: bool = _key("model", _bool, False)
     forcing: ForcingSpec = _key("forcing")  # from mode_1, mode_2, ...
-    preset: str = _key("initial", str)
+    preset: Preset = _key("initial", Preset)
     seed: int = _key("initial", _int, 0)
     slope: float = _key("initial", _float, -2.0)
     cutoff_shell: int | None = _key("initial", _int, None)
@@ -106,7 +114,7 @@ class RunConfig:
                              cfl_limit=self.cfl_limit)
 
     def build_initial(self, grid: WaveGrid) -> SimState:
-        if self.preset == "checkpoint":
+        if self.preset is Preset.CHECKPOINT:
             from .checkpoint import load_checkpoint
             state, meta = load_checkpoint(self.path)
             loaded = meta["grid"]
@@ -120,9 +128,9 @@ class RunConfig:
                     f"field; the configured kind is {self.kind.value}")
             return state
         b = None
-        if self.preset == "taylor-green":
+        if self.preset is Preset.TAYLOR_GREEN:
             u = taylor_green_state_field(grid, self.nu, 0.0)
-        elif self.preset == "random":
+        else:
             cutoff = (self.cutoff_shell if self.cutoff_shell is not None
                       else grid.dealias_cutoff)
             u = random_solenoidal(grid, self.seed, self.slope, cutoff)
@@ -131,9 +139,6 @@ class RunConfig:
                 scale_b = self.scale_b if self.scale_b is not None else self.scale
                 b = random_solenoidal(grid, seed_b, self.slope, cutoff)
                 b = SpectralVectorField(grid, b.coeffs * scale_b)
-        else:
-            raise InvariantViolation(
-                f"preset: unknown initial preset {self.preset!r}")
         return SimState(0.0, SpectralVectorField(grid, u.coeffs * self.scale), b)
 
 
@@ -243,15 +248,13 @@ def parse_config(text: str) -> RunConfig:
         for (section, key), (line_no, raw) in entries.items()
         if section == "forcing"))
 
-    if values["preset"] not in ("taylor-green", "random", "checkpoint"):
-        raise InvariantViolation(f"preset: unknown preset {values['preset']!r}")
     for key in ("seed", "seed_b"):
         if values[key] is not None and values[key] < 0:
             raise InvariantViolation(f"{key}: must be >= 0, got {values[key]}")
     for key in ("path", "directory"):
         if values[key] is not None and "\0" in values[key]:
             raise InvariantViolation(f"{key}: a path cannot hold a NUL byte")
-    if values["preset"] == "checkpoint" and not values["path"]:
+    if values["preset"] is Preset.CHECKPOINT and not values["path"]:
         raise InvariantViolation("path: required for the checkpoint preset")
     if values["checkpoint_every"] < 0:
         raise InvariantViolation("checkpoint_every: must be >= 0")
@@ -262,7 +265,7 @@ def parse_config(text: str) -> RunConfig:
         grid = cfg.build_grid()
         cfg.build_model()
         stepper = cfg.build_stepper()
-        if cfg.preset != "checkpoint":  # that one starts at its file's time
+        if cfg.preset is not Preset.CHECKPOINT:  # it starts at its file's t
             stepper.n_steps()
         cfg.forcing.check_stored(grid)
     except CriticalityViolation as exc:
@@ -273,12 +276,12 @@ def parse_config(text: str) -> RunConfig:
         raise InvariantViolation(
             f"cutoff_shell: {cfg.cutoff_shell} exceeds the dealias cutoff "
             f"{grid.dealias_cutoff}")
-    if cfg.preset == "taylor-green":
+    if cfg.preset is Preset.TAYLOR_GREEN:
         try:
             check_taylor_green_grid(grid)
         except InvariantViolation as exc:
             raise InvariantViolation(f"preset: {exc}") from None
-    if cfg.preset != "checkpoint":
+    if cfg.preset is not Preset.CHECKPOINT:
         # Energy samples at t = 0 are below n^dim (A max(1, k0 n))^2, with
         # A = |scale| (k0 j)^slope, j in [1, cutoff] (|scale| for Taylor-Green)
         room = (math.log(sys.float_info.max) - dim * math.log(n)) / 2 \
@@ -286,7 +289,8 @@ def parse_config(text: str) -> RunConfig:
         cutoff = (grid.dealias_cutoff if cfg.cutoff_shell is None
                   else cfg.cutoff_shell)
         peak = max((cfg.slope * math.log(grid.k0 * j) for j in (1, cutoff)
-                    if cfg.preset == "random" and cutoff >= 1), default=0.0)
+                    if cfg.preset is Preset.RANDOM and cutoff >= 1),
+                   default=0.0)
         for key, scale in (("slope", 1.0), ("scale", cfg.scale), ("scale_b",
                            cfg.kind is ModelKind.MHD_DECONV and cfg.scale_b)):
             if scale and math.log(abs(scale)) + peak > room:

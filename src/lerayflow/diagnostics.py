@@ -32,8 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (ModelConfig, SimState, _flux, _kind_table,
-                       _source_samples)
+from .dynamics import ModelConfig, SimState, _kind_transport
 from .errors import (GridMismatch, InvariantViolation, NonMonotone,
                      TooFewSamples)
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
@@ -202,11 +201,12 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     # The kernel's own inverse transforms, one per source: the fields and
     # the advecting fields of row 0 (u alone for nse; Hu, u; or Hu, u, Hb,
     # b), and one forward transform of g f and f . grad g per field (and
-    # |b|^2/2), to pair with the band-limited lap f, f, p and q.
-    sources, rows = _kind_table(state, cfg)
-    phys = _source_samples(grid, sources)
-    f_phys = [phys[v] for _, v in rows[0]]
-    adv_phys = [phys[a] for a, _ in rows[0]]
+    # |b|^2/2), to pair with the band-limited lap f, f, p and q; its flux
+    # step gives q from the induction row, when there is one.
+    kernel = _kind_transport(state, cfg, potential=1)
+    phys = kernel.samples([f.coeffs for f in state.fields])
+    f_phys = [phys[v] for _, v in kernel.rows[0]]
+    adv_phys = [phys[a] for a, _ in kernel.rows[0]]
     squares = [np.sum(f * f, axis=0) for f in f_phys]
     hat = from_physical(grid, np.concatenate(
         [g * f for f in f_phys]
@@ -233,7 +233,7 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     if state.b is not None:
         flux -= 2.0 * np.sum(f_phys[0] * f_phys[1], axis=0) * adv_phys[1]
         pressure = pressure + hat[-1] * grid.dealias_weight
-        q_hat = _flux(grid, phys, rows[1:], potential=True)[0, 0]
+        q_hat = kernel.flux(phys)[0, 0]
     rhs += w * np.sum(np.sum(np.multiply(flux, grad_g, out=flux), axis=0))
     del flux  # before the force's spectrum exists
     rhs += 2.0 * w * _grid_sum(grid, grad_hat[0], pressure)

@@ -14,18 +14,20 @@ the d^2 derivatives of v.  A projected term drops ``F_ll I`` from its flux F
 (l the last axis; Basdevant, J. Comput. Phys. 50, 1983), as ``P(ik c) = 0``
 for any scalar c and the dealias mask is a scalar per mode.
 
-One kernel evaluates every transport term: the RHS (one projected row per
-field), the pressure and the local-energy diagnostics, which hold the
-sources' samples and call its flux step alone.  Each source is inverse
-transformed on its own: a field as it is, a smoothed field from one d-vector
-buffer that the sources take in turn.  The flux step goes chunk by chunk
-(``_flux_plan``): one output component's products (all of a symmetric
-flux's) are formed, transformed and contracted before the next's, each
-product once and in the same arithmetic order.  Its work arrays (that
-buffer, the widest chunk's product rows and the spectral work) belong to the
-calling thread (``WaveGrid.work``), so threads can share a grid; every call
-of a thread overwrites its arrays, and nothing the kernel returns aliases
-them: its rows are fresh, or the ``out`` given.
+One kernel, ``_Transport``, evaluates every transport term: the RHS (one
+projected row per field), the pressure and the local-energy diagnostics,
+which hold the sources' samples and call its flux step alone.  It is made
+once per caller, once per run for the stepper, and resolves then the flux
+plan (``_flux_plan``), the contraction and smoothing symbols and the FFT
+worker count.  Each source is inverse transformed on its own: a field as it
+is, a smoothed field from one d-vector buffer that the sources take in turn.
+The flux step goes chunk by chunk: one output component's products (all of
+a symmetric flux's) are formed, transformed and contracted before the
+next's, each product once and in the same arithmetic order.  Its work arrays
+(that buffer, the widest chunk's product rows and the spectral work) belong
+to the calling thread (``WaveGrid.work``), so threads can share a grid;
+every call of a thread overwrites its arrays, and nothing the kernel returns
+aliases them: its rows are fresh, or the ``out`` given.
 
 The kind table
 ``_KIND_ROWS`` is the one place where model kinds differ; it gives the rows
@@ -58,7 +60,7 @@ from .errors import (CriticalityViolation, GridMismatch, InvariantViolation,
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
                      project_in_place, spectral_work, to_physical)
 from .filtering import CRITICAL_THETA, FilterParams, smoothing_symbol
-from .grid import WaveGrid
+from .grid import WaveGrid, worker_count
 
 __all__ = [
     "ModelKind", "ForcingSpec", "ForcingMode", "ModelConfig", "SimState",
@@ -196,11 +198,11 @@ class SimState:
 
 @functools.cache
 def _flux_plan(d: int, rows: tuple, potential: bool = False):
-    """:func:`_flux`'s bookkeeping per (d, rows, potential): the moved
+    """:class:`_Transport`'s bookkeeping per (d, rows, potential): the moved
     fields, the chunks, one per output component or per symmetric flux
     (whose components share products): their products as ``(ufunc, a, b)``
     terms, and per component ``(row, component, [(symbol, product)])``; and
-    the most products of one chunk."""
+    the most products of one chunk (0 without rows)."""
     l, products, plan = d - 1, [], []
     pairs = list(itertools.combinations_with_replacement(range(d), 2))
     for r, row in enumerate(rows):
@@ -227,89 +229,100 @@ def _flux_plan(d: int, rows: tuple, potential: bool = False):
                          [(r, q, [(j, used.index(n)) for j, n in terms])
                           for q, terms in chunk]))
     return (sorted({p for row in rows for _, p in row}), plan,
-            max(len(products) for products, _ in plan))
+            max((len(products) for products, _ in plan), default=0))
 
 
-def _transport(g: WaveGrid, sources, rows, forcing: ForcingSpec = ForcingSpec(),
-               t: float = 0.0, *, peaks: list | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased, Leray-projected half spectra of signed sums of
-    ``-w . grad v`` (the tendency's sign), one per row, into ``out`` when
-    given, plus the ``forcing`` at time t on row 0.  ``sources`` are
-    ``(coeffs, symbol)``: spectra times smoothing symbols (None for 1); row
-    terms ``(i, p)`` are ``w_i . grad v_p``, the first added, the others
-    subtracted.  Two steps: :func:`_source_samples`, the inverse transforms,
-    and :func:`_flux`, which callers holding those samples (the pressure and
-    the local-energy residual) call alone."""
-    out = _flux(g, _source_samples(g, sources), rows, peaks=peaks, out=out)
-    if not forcing.is_zero():
-        out[0] += forcing.evaluate(g, t).coeffs
-    return out
+class _Transport:
+    """The transport kernel (module notes) of one grid, source list and row
+    table.  ``sources`` are ``(field, symbol)``: a position in the spectra a
+    call passes and the smoothing symbol to multiply it by (None for 1); row
+    terms ``(i, p)`` are ``w_i . grad v_p`` between source positions, the
+    first added, the others subtracted.  A call gives the dealiased,
+    Leray-projected half spectra of ``-w . grad v`` per row plus the
+    ``forcing`` on row 0, or with ``potential`` (a row index) the scalar p
+    of that row alone, none if the table has no such row."""
 
+    def __init__(self, g: WaveGrid, sources, rows, *,
+                 potential: int | None = None, forcing=ForcingSpec()):
+        d, self.project = g.dim, potential is None
+        self.grid, self.sources, self.rows = g, sources, rows
+        rows = rows if self.project else rows[potential:potential + 1]
+        self.moved, self.chunks, self.width = _flux_plan(d, rows,
+                                                         not self.project)
+        if self.project:  # the contraction, masked to the dealias band
+            self.symbol = g.cached(("minus_masked_ik",),
+                                   lambda: -(1j * g.k) * g.dealias_weight)
+        else:
+            self.symbol = g.cached(("potential",), lambda: np.stack([
+                -g.k[j] * g.k[q] / g.k_sq_safe * g.dealias_weight
+                for j, q in itertools.combinations_with_replacement(range(d), 2)]))
+        self.workers = worker_count()
+        self.shape = (len(rows), d if self.project else 1) + g.spectral_shape
+        self.forcing = None if forcing.is_zero() else forcing
 
-def _source_samples(g: WaveGrid, sources) -> list[np.ndarray]:
-    """Physical samples of :func:`_transport`'s sources, one ``(d, *g.shape)``
-    array each, from one inverse transform per source: of the spectrum
-    itself, or of the spectrum times its symbol, written into the calling
-    thread's one d-vector source buffer."""
-    phys = []
-    for coeffs, symbol in sources:
-        if symbol is not None:
-            coeffs = np.multiply(coeffs, symbol, out=g.work(
-                "source", (g.dim,) + g.spectral_shape, complex))
-        phys.append(to_physical(g, coeffs))
-    return phys
+    def __call__(self, fields, t: float = 0.0, *, peaks: list | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """The rows for the d-vector half spectra ``fields`` at time t, into
+        ``out`` when given: :meth:`samples`, then :meth:`flux`."""
+        out = self.flux(self.samples(fields), peaks=peaks, out=out)
+        if self.forcing is not None:
+            out[0] += self.forcing.evaluate(self.grid, t).coeffs
+        return out
 
+    def samples(self, fields) -> list[np.ndarray]:
+        """Physical samples of the sources, one ``(d, *g.shape)`` array each:
+        of the spectrum itself, or of its product with the symbol, written
+        into the source buffer."""
+        g, phys = self.grid, []
+        for i, symbol in self.sources:
+            coeffs = fields[i]
+            if symbol is not None:
+                coeffs = np.multiply(coeffs, symbol, out=g.work(
+                    "source", (g.dim,) + g.spectral_shape, complex))
+            phys.append(to_physical(g, coeffs, self.workers))
+        return phys
 
-def _flux(g: WaveGrid, phys: list, rows, *, potential: bool = False,
-          peaks: list | None = None,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`_transport` from the sources' samples ``phys``, or with
-    ``potential`` the scalar p of the module notes per row, into ``out`` when
-    given: per chunk of :func:`_flux_plan`, one forward transform and the
-    contraction with a grid-cached symbol masked to the dealias band, ``-ik_j``
-    or ``-k_j k_q / |k|^2``.  ``peaks`` (a list) gets the largest physical
-    |component| of the transported fields."""
-    d = g.dim
-    moved, chunks, width = _flux_plan(d, rows, potential)
-    if peaks is not None:
-        peaks.append(float(max(max(phys[p].max(), -phys[p].min())
-                               for p in moved)))
-    if potential:
-        symbol = g.cached(("potential",), lambda: np.stack([
-            -g.k[j] * g.k[q] / g.k_sq_safe * g.dealias_weight
-            for j, q in itertools.combinations_with_replacement(range(d), 2)]))
-    else:
-        symbol = g.cached(("minus_masked_ik",),
-                          lambda: -(1j * g.k) * g.dealias_weight)
-    # The calling thread's work arrays: rows for the widest chunk's products
-    # and one more, and an accumulator.
-    work = g.work("products", (width + 1,) + g.shape)
-    acc = spectral_work(g)[0]
-    for products, components in chunks:
-        for i, ((_, (s, a), (p, b)), *rest) in enumerate(products):
-            np.multiply(phys[s][a], phys[p][b], out=work[i])
-            for op, (s, a), (p, b) in rest:  # the next row is free until used
-                op(work[i], np.multiply(phys[s][a], phys[p][b],
-                                        out=work[i + 1]), out=work[i])
-        hat = from_physical(g, work[:len(products)])
-        if out is None:
-            # A fresh ``out`` (a step's new state) is made while the samples
-            # and the first chunk's spectra are alive, so it lands above
-            # them: freed, they leave room below it, not a heap top that
-            # the allocator gives back and the next stage faults in again.
-            out = np.empty((len(rows), 1 if potential else d)
-                           + g.spectral_shape, dtype=complex)
-        for r, q, ((j, n), *rest) in components:
-            comp = out[r, q]
-            np.multiply(symbol[j], hat[n], out=comp)
-            for j, n in rest:
-                comp += np.multiply(symbol[j], hat[n], out=acc)
-        del hat  # one chunk's spectra at a time
-    if not potential:
-        for row_hat in out:
-            project_in_place(g, row_hat)
-    return out
+    def flux(self, phys: list, *, peaks: list | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """The rows (no forcing) from the sources' samples ``phys``, into
+        ``out`` when given: per chunk, its products, one forward transform and
+        the contraction with the symbol.  ``peaks`` (a list) gets the largest
+        physical |component| of the transported fields."""
+        g, symbol = self.grid, self.symbol
+        # Rows for the widest chunk's products and one more, and an
+        # accumulator.  Work arrays are fetched per call, here and in
+        # samples: made with the kernel, before any stage's transients, they
+        # would leave the heap top free for glibc to trim and refault (940
+        # minor faults per 32^3 mhd-deconv stage, measured).
+        work = g.work("products", (self.width + 1,) + g.shape)
+        acc = spectral_work(g)[0]
+        if peaks is not None:
+            peaks.append(float(max(max(phys[p].max(), -phys[p].min())
+                                   for p in self.moved)))
+        for products, components in self.chunks:
+            for i, ((_, (s, a), (p, b)), *rest) in enumerate(products):
+                np.multiply(phys[s][a], phys[p][b], out=work[i])
+                for op, (s, a), (p, b) in rest:  # the next row is free until used
+                    op(work[i], np.multiply(phys[s][a], phys[p][b],
+                                            out=work[i + 1]), out=work[i])
+            hat = from_physical(g, work[:len(products)], self.workers)
+            if out is None:
+                # A fresh ``out`` (a step's new state) is made while the
+                # samples and the first chunk's spectra are alive, so it lands
+                # above them: freed, they leave room below it, not a heap top
+                # that the allocator gives back and the next stage faults in
+                # again.
+                out = np.empty(self.shape, dtype=complex)
+            for r, q, ((j, n), *rest) in components:
+                comp = out[r, q]
+                np.multiply(symbol[j], hat[n], out=comp)
+                for j, n in rest:
+                    comp += np.multiply(symbol[j], hat[n], out=acc)
+            del hat  # one chunk's spectra at a time
+        if self.project:
+            for row_hat in out:
+                project_in_place(g, row_hat)
+        return out
 
 
 def advect(w: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorField:
@@ -319,8 +332,9 @@ def advect(w: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorFiel
     g = w.grid
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
-    sources = [(w.coeffs, None)] + [(v.coeffs, None)] * (v.coeffs is not w.coeffs)
-    minus = _transport(g, sources, (((0, len(sources) - 1),),))[0]
+    fields = [w.coeffs] + [v.coeffs] * (v.coeffs is not w.coeffs)
+    minus = _Transport(g, [(i, None) for i in range(len(fields))],
+                       (((0, len(fields) - 1),),))(fields)[0]
     return SpectralVectorField(g, np.negative(minus, out=minus))
 
 
@@ -335,20 +349,24 @@ _KIND_ROWS = {
 }
 
 
-def _kind_table(state: SimState, cfg: ModelConfig) -> tuple[list, tuple]:
-    """The kind table's sources, as :func:`_transport` takes them, and rows."""
+def _kind_transport(state: SimState, cfg: ModelConfig, *,
+                    potential: int | None = None) -> _Transport:
+    """:class:`_Transport` of the kind table's sources, smoothed where it says
+    so, and rows (0 the momentum's, 1 the induction's) on the state's grid,
+    with the forcing.  Raises unless the state's fields are the kind's."""
     if (state.b is None) == (cfg.kind is ModelKind.MHD_DECONV):
         raise MissingMagneticField("MHD model needs a magnetic field") \
             if state.b is None else InvariantViolation(
                 f"model kind {cfg.kind.value} has no magnetic field")
     if state.b is not None and not state.b.grid.same_as(state.u.grid):
         raise GridMismatch("the magnetic field is not on the velocity's grid")
+    g = state.u.grid
     symbol = None if cfg.kind is ModelKind.NSE else smoothing_symbol(
-        state.u.grid, cfg.filter,
-        deconvolution=cfg.kind is not ModelKind.LERAY_ALPHA)
+        g, cfg.filter, deconvolution=cfg.kind is not ModelKind.LERAY_ALPHA)
     sources, rows = _KIND_ROWS[cfg.kind]
-    return [(state.fields[i].coeffs, symbol if smoothed else None)
-            for i, smoothed in sources], rows
+    return _Transport(g, [(i, symbol if smoothed else None)
+                          for i, smoothed in sources], rows,
+                      potential=potential, forcing=cfg.forcing)
 
 
 def rhs(state: SimState, cfg: ModelConfig) -> list[SpectralVectorField]:
@@ -356,7 +374,8 @@ def rhs(state: SimState, cfg: ModelConfig) -> list[SpectralVectorField]:
     ``state.fields`` (the integrating-factor stepper takes viscosity
     exactly)."""
     g = state.u.grid
-    rows = _transport(g, *_kind_table(state, cfg), cfg.forcing, state.t)
+    rows = _kind_transport(state, cfg)([f.coeffs for f in state.fields],
+                                       state.t)
     return [SpectralVectorField(g, row) for row in rows]
 
 
@@ -366,11 +385,11 @@ def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     is present, so the result is the fluid pressure.  The kernel's inverse
     transforms serve both: b's samples are the kernel's own."""
     g = state.u.grid
-    sources, rows = _kind_table(state, cfg)
-    phys = _source_samples(g, sources)
-    p_hat = _flux(g, phys, rows[:1], potential=True)[0, 0]
+    kernel = _kind_transport(state, cfg, potential=0)
+    phys = kernel.samples([f.coeffs for f in state.fields])
+    p_hat = kernel.flux(phys)[0, 0]
     if state.b is not None:
-        b_phys = phys[rows[0][1][1]]  # v of the momentum row's Lorentz term
+        b_phys = phys[kernel.rows[0][1][1]]  # v of the momentum's Lorentz term
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \
             * g.dealias_weight
     return SpectralScalarField(g, p_hat)

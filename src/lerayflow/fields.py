@@ -127,21 +127,25 @@ def full_layout(grid: WaveGrid, half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, tail], axis=-1)
 
 
-def to_physical(grid: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Physical samples of a stack of half spectra (inverse real FFT).
+def to_physical(grid: WaveGrid, coeffs: np.ndarray,
+                workers: int | None = None) -> np.ndarray:
+    """Physical samples of a stack of half spectra (inverse real FFT) on
+    ``workers`` threads (default :func:`worker_count`, read per call).
 
     Inside the plane a_d = 0 the transform reads only the Hermitian part;
     :func:`inverse_transform` checks that there is no other."""
     axes = tuple(range(coeffs.ndim - grid.dim, coeffs.ndim))
-    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward",
-                            workers=worker_count())
+    workers = worker_count() if workers is None else workers
+    return scipy.fft.irfftn(coeffs, axes=axes, norm="forward", workers=workers)
 
 
-def from_physical(grid: WaveGrid, data: np.ndarray) -> np.ndarray:
-    """Half spectra of a stack of real samples (forward real FFT)."""
+def from_physical(grid: WaveGrid, data: np.ndarray,
+                  workers: int | None = None) -> np.ndarray:
+    """Half spectra of a stack of real samples (forward real FFT), with the
+    ``workers`` of :func:`to_physical`."""
     axes = tuple(range(data.ndim - grid.dim, data.ndim))
-    return scipy.fft.rfftn(data, axes=axes, norm="forward",
-                           workers=worker_count())
+    workers = worker_count() if workers is None else workers
+    return scipy.fft.rfftn(data, axes=axes, norm="forward", workers=workers)
 
 
 def forward_transform(r: RealVectorField) -> SpectralVectorField:
@@ -177,11 +181,12 @@ def spectral_work(g: WaveGrid) -> np.ndarray:
 
 
 def project_in_place(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
-    """:func:`leray_project` of a d-vector of half spectra, written over it."""
+    """:func:`leray_project` of a d-vector of half spectra, written over it,
+    with the grid's complex ``k`` and ``k / |k|^2``."""
     k_dot, tmp = spectral_work(g)
-    np.multiply(g.k[0], coeffs[0], out=k_dot)
+    np.multiply(g.k_complex[0], coeffs[0], out=k_dot)
     for j in range(1, g.dim):
-        k_dot += np.multiply(g.k[j], coeffs[j], out=tmp)
+        k_dot += np.multiply(g.k_complex[j], coeffs[j], out=tmp)
     for c, k_over_ksq in zip(coeffs, g.k_over_ksq):
         c -= np.multiply(k_over_ksq, k_dot, out=tmp)
     return coeffs
@@ -233,7 +238,7 @@ def random_solenoidal(grid: WaveGrid, seed: int, spectrum_slope: float,
     z = np.ascontiguousarray(z[..., : grid.n // 2 + 1])
 
     # Solenoidal projection, then per-mode renormalization to the shell law.
-    z -= grid.k_over_ksq * np.sum(grid.k * z, axis=0)[np.newaxis]
+    project_in_place(grid, z)
     keep = grid.mode_mask & (grid.shell >= 1) & (grid.shell <= cutoff_shell)
     z[:, ~keep] = 0.0
     amp = np.sqrt(np.sum(np.abs(z) ** 2, axis=0))

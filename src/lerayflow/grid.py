@@ -92,13 +92,16 @@ class WaveGrid:
 
         a = self.a
         self.a_sq = np.sum(a * a, axis=0)   # exact integer |a|^2
-        self.k = self.k0 * a.astype(np.float64)
+        # The Leray projection's k and k / |k|^2 (0 at the mean) are complex,
+        # as a float factor is cast (exactly) whenever it multiplies a
+        # spectrum; k is the real part of its complex copy, not a second one.
+        self.k_complex = np.zeros((dim,) + self.spectral_shape, dtype=complex)
+        self.k_complex.real = self.k0 * a.astype(np.float64)
+        self.k = self.k_complex.real
         self.k_sq = (self.k0 ** 2) * self.a_sq.astype(np.float64)
         self.k_mag = np.sqrt(self.k_sq)
-
-        # k / |k|^2 with the zero mode mapped to 0 (Leray projection kernel).
         self.k_sq_safe = np.where(self.k_sq > 0, self.k_sq, 1.0)
-        self.k_over_ksq = self.k / self.k_sq_safe
+        self.k_over_ksq = (self.k / self.k_sq_safe).astype(complex)
         self.k_over_ksq[(slice(None),) + (0,) * dim] = 0.0
 
         abs_a = np.abs(a)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import EnergyRecord, measure_energy
 from .dynamics import (_KIND_ROWS, ModelConfig, ModelKind, SimState,
-                       _flux_plan, _kind_table, _transport)
+                       _flux_plan, _kind_transport)
 from .errors import CFLExceeded, InvariantViolation, NonFinite
 from .fields import SpectralVectorField, hermitian_gate
 
@@ -76,11 +76,12 @@ def _viscous_factor(grid, nu: float, h: float) -> np.ndarray:
 class _Stepper:
     """The per-mode viscous exponentials for one (grid, model, dt), the
     stage buffers (the stage state, k2 and k3) that the RK combinations
-    write into, and the kind table resolved once for the stage state."""
+    write into, and the transport kernel, resolved once for the state's
+    kind and grid: every stage of every step calls it."""
 
-    def __init__(self, cfg: ModelConfig, sc: StepperConfig, grid):
+    def __init__(self, cfg: ModelConfig, sc: StepperConfig, state: SimState):
+        grid = state.u.grid
         cfg.forcing.check_stored(grid)
-        self.cfg = cfg
         self.sc = sc
         self.grid = grid
         nus = [cfg.nu] if cfg.nu2 is None else [cfg.nu, cfg.nu2]
@@ -93,8 +94,7 @@ class _Stepper:
         shape = (len(nus), grid.dim) + grid.spectral_shape
         self.stage, self.k2, self.k3 = (np.empty(shape, dtype=complex)
                                         for _ in range(3))
-        self.sources, self.rows = _kind_table(self._state(0.0, self.stage),
-                                              cfg)
+        self.transport = _kind_transport(state, cfg)
         self.dx = grid.L / grid.n
         self.max_cfl = 0.0
         self._cfl_warned = False
@@ -115,7 +115,7 @@ class _Stepper:
             self._cfl_warned = True
 
     def advance(self, state: SimState) -> SimState:
-        h, t, forcing = self.sc.dt, state.t, self.cfg.forcing
+        h, t, transport = self.sc.dt, state.t, self.transport
         y = [f.coeffs for f in state.fields]
 
         # Each combination keeps the operation order of its formula.  k1 is
@@ -123,8 +123,7 @@ class _Stepper:
         # k2 and k3 buffers hold the other tendencies and serve as scratch
         # once their values are folded into the sum or not yet written.
         peaks: list[float] = []
-        k1 = _transport(self.grid, *_kind_table(state, self.cfg), forcing, t,
-                        peaks=peaks)
+        k1 = transport(y, t, peaks=peaks)
         self._check_cfl(t, peaks[0])
         if self.sc.scheme is StepperScheme.IFEULER:
             for yi, ki, ef in zip(y, k1, self.e_full):  # ef (y + h k1)
@@ -136,15 +135,13 @@ class _Stepper:
                 np.multiply(ki, 0.5 * h, out=s)         # eh (y + h/2 k1)
                 s += yi
                 s *= eh
-            k2 = _transport(self.grid, self.sources, self.rows, forcing,
-                            t + 0.5 * h, out=self.k2)
+            k2 = transport(self.stage, t + 0.5 * h, out=self.k2)
             for yi, ki, eh, s, tmp in zip(y, k2, self.e_half, self.stage,
                                           self.k3):
                 np.multiply(yi, eh, out=s)              # eh y + h/2 k2
                 np.multiply(ki, 0.5 * h, out=tmp)
                 s += tmp
-            k3 = _transport(self.grid, self.sources, self.rows, forcing,
-                            t + 0.5 * h, out=self.k3)
+            k3 = transport(self.stage, t + 0.5 * h, out=self.k3)
             for yi, b2, c, ef, eh2, heh, s in zip(
                     y, k2, k3, self.e_full, self.two_e_half, self.h_e_half,
                     self.stage):
@@ -153,8 +150,7 @@ class _Stepper:
                 c *= heh                                # ef y + h eh k3
                 np.multiply(yi, ef, out=s)
                 s += c
-            k4 = _transport(self.grid, self.sources, self.rows, forcing,
-                            t + h, out=self.k3)
+            k4 = transport(self.stage, t + h, out=self.k3)
             # ef y + h/6 (ef k1 + 2 eh (k2 + k3) + k4)
             for yi, a, b2, d, ef in zip(y, k1, k2, k4, self.e_full):
                 a *= ef
@@ -173,25 +169,28 @@ class _Stepper:
 
 
 def working_set(dim: int, n: int, kind: ModelKind) -> int:
-    """Bytes an IF-RK4 run holds at its peak: per field the initial, current
-    and new state, stage, k2, k3 and viscous symbols; the kernel's source
-    buffer (with a smoothed source), the inverse-FFT copy of one source, the
-    samples, the widest chunk's product rows and spectra, and the spectral
-    work; the grid."""
+    """Bytes an IF-RK4 run holds at its peak, a stage's flux step (the
+    inverse transforms' input copies are gone by then): per field the
+    initial, current and new state, stage, k2, k3 and viscous symbols; the
+    kernel's samples, product rows, widest chunk's spectra and spectral work,
+    with smoothed sources the source buffer and one d-vector spectrum more
+    per smoothed source (allocator holes, measured); the grid's arrays and
+    symbols, the complex k and k/|k|^2 included."""
     spectral, points = n ** (dim - 1) * (n // 2 + 1), n ** dim
     sources, rows = _KIND_ROWS[kind]
     fields = len(rows)  # one tendency row per field
-    smoothed = any(smoothed for _, smoothed in sources)
+    smoothed = sum(smoothed for _, smoothed in sources)
     widest = _flux_plan(dim, rows)[2]
-    return 16 * spectral * (widest + 2 + dim * (6 * fields + smoothed + 1)) \
-        + 8 * spectral * (4 * fields + 4 * dim + 9) \
+    return 16 * spectral * (widest + 2 + dim * (6 * fields + 3 + smoothed
+                                                + (smoothed > 0))) \
+        + 8 * spectral * (4 * fields + 9) \
         + 8 * points * (dim * len(sources) + widest + 1)
 
 
 def step(state: SimState, cfg: ModelConfig, sc: StepperConfig) -> SimState:
     """Advance the state by one dt, as one step of :func:`run` does.  The
     viscous factors come from the grid's cache, so repeated calls reuse them."""
-    return _Stepper(cfg, sc, state.u.grid).advance(state)
+    return _Stepper(cfg, sc, state).advance(state)
 
 
 def run(initial: SimState, cfg: ModelConfig, sc: StepperConfig,
@@ -209,7 +208,7 @@ def run(initial: SimState, cfg: ModelConfig, sc: StepperConfig,
     first.  Deterministic for fixed inputs."""
     t_start = initial.t
     n_steps = sc.n_steps(t_start)
-    stepper = _Stepper(cfg, sc, initial.u.grid)
+    stepper = _Stepper(cfg, sc, initial)
     state = initial
     for i in range(n_steps + 1):
         if i > 0:

@@ -1,6 +1,7 @@
 """End-to-end CLI: exit codes, artifacts, analytic content of energy.csv."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -141,6 +142,16 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
         assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("command", ["run", "multiplier-table"])
+    def test_unknown_preset(self, tmp_path, capsys, command):
+        bad = TG_RUN.replace("preset = taylor-green", "preset = vortex")
+        cfg = write_cfg(tmp_path, bad, outdir=os.path.join(tmp_path, "o"))
+        assert main([command, cfg]) == EXIT_INVARIANT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert re.search(r"preset: cannot interpret 'vortex' \(line \d+\)",
+                         err[0])
 
     @pytest.mark.parametrize("checkpoint,t_end,code", [
         ("missing.lfck", "0.02", EXIT_IO),

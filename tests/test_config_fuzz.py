@@ -8,7 +8,8 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, find, given, settings,
+                        strategies as st)
 
 from lerayflow.cli import (EXIT_CHECK_FAILED, EXIT_INVARIANT, EXIT_OK,
                            EXIT_SYNTAX, EXIT_UNKNOWN_KEY, main)
@@ -23,6 +24,14 @@ BASE = {
               "theta": "0.25"},
     "forcing": {"mode_1": "1 2 : 0.2 0.0 -0.1 0.0 : 0.5"},
     "initial": {"preset": "random", "seed": "9", "cutoff_shell": "4"},
+    "stepper": {"dt": "0.001", "t_end": "0.01"},
+    "output": {"directory": "out", "checkpoint_every": "5"},
+}
+# The second base reaches the checks of the Taylor-Green preset (2D, L = 2*pi).
+TAYLOR_GREEN = {
+    "grid": {"dim": "2", "n": "16"},
+    "model": {"kind": "nse", "nu": "0.02"},
+    "initial": {"preset": "taylor-green"},
     "stepper": {"dt": "0.001", "t_end": "0.01"},
     "output": {"directory": "out", "checkpoint_every": "5"},
 }
@@ -62,10 +71,13 @@ def render(sections) -> list[str]:
 
 @st.composite
 def config_texts(draw):
-    sections = {section: dict(entries) for section, entries in BASE.items()}
+    base = draw(st.sampled_from([BASE, TAYLOR_GREEN]))
+    sections = {section: dict(entries) for section, entries in base.items()}
     for _ in range(draw(st.integers(1, 3))):
         section, key = draw(st.sampled_from(KEYS))
-        sections[section][key] = draw(TOKENS)
+        sections.setdefault(section, {})[key] = draw(TOKENS)
+    if base is TAYLOR_GREEN and draw(st.booleans()):
+        sections["grid"]["length"] = draw(TOKENS)
     lines = render(sections)
     edit = draw(st.sampled_from([None] * 6 + ["unknown", "duplicate",
                                               "malformed"]))
@@ -82,7 +94,22 @@ def config_texts(draw):
 
 
 def test_base_config_parses():
-    assert parse_config("\n".join(render(BASE))).n == 16
+    for base in (BASE, TAYLOR_GREEN):
+        assert parse_config("\n".join(render(base))).n == 16
+
+
+def test_strategy_reaches_the_taylor_green_length_check():
+    def refused_length(text):
+        try:
+            parse_config(text)
+        except ConfigError as exc:
+            return "Taylor-Green preset needs L = 2*pi" in str(exc)
+        return False
+
+    text = find(config_texts(), refused_length,
+                settings=settings(derandomize=True, database=None,
+                                  max_examples=2000))
+    assert "preset = taylor-green" in text and "length = " in text
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

@@ -100,6 +100,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("old,new,key", [
         ("kind = leray-alpha", "kind = euler", "kind"),
         ("t_end = 0.01", "t_end = 0.01\nscheme = rk3", "scheme"),
+        ("preset = taylor-green", "preset = vortex", "preset"),
     ])
     def test_unknown_enum_value_is_unreadable(self, old, new, key):
         with pytest.raises(InvariantViolation,

@@ -1,14 +1,18 @@
 """Integrating-factor time stepping: exactness, order, contracts."""
 
+import hashlib
+import platform
+
 import numpy as np
 import pytest
+import scipy
 
-import lerayflow.stepping
+import lerayflow.dynamics
 from lerayflow import (CFLExceeded, FilterParams, ForcingMode, ForcingSpec,
                        InvariantViolation, ModelConfig, ModelKind, NonFinite,
                        SimState, SpectralVectorField, StepperConfig,
                        StepperScheme, WaveGrid, inverse_transform, l2_norm,
-                       random_solenoidal, run, step)
+                       random_solenoidal, rhs, run, step)
 from lerayflow.dynamics import pressure_solve
 from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field, taylor_green_velocity
@@ -26,14 +30,14 @@ def nse_cfg(nu: float, forcing=None) -> ModelConfig:
 @pytest.fixture
 def zero_tendency(monkeypatch):
     """The stepper's tendency replaced by zero rows with a peak |u| of 0."""
-    def transport(g, sources, rows, forcing, t, *, peaks=None, out=None):
+    def transport(kernel, fields, t=0.0, *, peaks=None, out=None):
         if peaks is not None:
             peaks.append(0.0)
         if out is None:
-            return np.zeros((len(rows), g.dim) + g.spectral_shape, complex)
+            return np.zeros(kernel.shape, complex)
         out[...] = 0
         return out
-    monkeypatch.setattr(lerayflow.stepping, "_transport", transport)
+    monkeypatch.setattr(lerayflow.dynamics._Transport, "__call__", transport)
 
 
 class TestStepBasics:
@@ -261,7 +265,7 @@ class TestCFL:
     def test_value_matches_a_direct_transform(self, dim, kind, scheme):
         cfg, state = model_state(dim, kind)
         sc = StepperConfig(dt=1e-3, t_end=1e-3, scheme=scheme)
-        stepper = _Stepper(cfg, sc, state.u.grid)
+        stepper = _Stepper(cfg, sc, state)
         stepper.advance(state)
         umax = max(float(np.abs(to_physical(f.grid, f.coeffs)).max())
                    for f in (state.u, state.b) if f is not None)
@@ -431,3 +435,74 @@ class TestStepperConfigValidation:
         sc = StepperConfig(dt=1e-300, t_end=1e300)
         with pytest.raises(InvariantViolation, match="multiple of dt"):
             sc.n_steps()
+
+
+class TestBitIdentity:
+    """The final state of 20 IF-RK4 steps, byte for byte, per kind and
+    field: forced (except mhd-deconv) from random fields on 16^2 and 16^3.
+    The hashes pin a step's arithmetic: a change that reorders it anywhere
+    changes them.  They hold at any LERAY_THREADS, with the numpy 2.4 and
+    scipy 1.17 builds they were taken with; a failure names the builds in
+    use and the first field that differs."""
+
+    @pytest.mark.parametrize("dim,kind,digests", [
+        (2, ModelKind.NSE, ("374cb8654423bbec",)),
+        (2, ModelKind.LERAY_ALPHA, ("74eccb8c3002832c",)),
+        (2, ModelKind.LERAY_DECONV, ("58e5817d6abfb5ed",)),
+        (2, ModelKind.MHD_DECONV, ("feafaeb384de29ed", "3bb5fa5eb3945a24")),
+        (3, ModelKind.NSE, ("71a9de7718965e37",)),
+        (3, ModelKind.LERAY_ALPHA, ("abd0666bb34da3c5",)),
+        (3, ModelKind.LERAY_DECONV, ("6d381a886e0e4795",)),
+        (3, ModelKind.MHD_DECONV, ("5f4798b91c2fea3e", "1210c213bb36e6e8")),
+    ])
+    def test_final_state_sha256(self, dim, kind, digests):
+        grid = WaveGrid(dim, 16)
+        mhd = kind is ModelKind.MHD_DECONV
+        mode = ForcingMode((1, 2, 0)[:dim], (0.2, -0.1, 0.05)[:dim], 0.5)
+        cfg = ModelConfig(kind, 0.05, FilterParams(alpha=0.1, theta=0.25,
+                                                   n_deconv=1),
+                          ForcingSpec(() if mhd else (mode,)),
+                          nu2=0.05 if mhd else None)
+        state = SimState(0.0, *(random_solenoidal(grid, seed, -1.5, 5)
+                                for seed in (3, 4)[:1 + mhd]))
+        final = run(state, cfg, StepperConfig(dt=1e-3, t_end=2e-2))
+        got = tuple(hashlib.sha256(f.coeffs.tobytes()).hexdigest()[:16]
+                    for f in final.fields)
+        differ = [name for name, a, b in zip("ub", got, digests) if a != b]
+        assert got == digests, (
+            f"field {differ[0]} differs ({got} != {digests}) with numpy "
+            f"{np.__version__}, scipy {scipy.__version__} on "
+            f"{platform.machine()}: other builds may round differently")
+
+
+class TestReentrancy:
+    """A state sink that calls rhs and pressure_solve on the run's own grid
+    and thread overwrites the thread's work arrays between steps, and the
+    pressure potential's wider chunk regrows the product rows; the
+    trajectory stays the one of the same run without those calls."""
+
+    @pytest.mark.parametrize("dim,kind", [(2, ModelKind.NSE),
+                                          (3, ModelKind.LERAY_ALPHA),
+                                          (3, ModelKind.MHD_DECONV)])
+    def test_sink_calls_leave_the_trajectory(self, dim, kind):
+        cfg, state = model_state(dim, kind)
+        grid = state.u.grid
+        sc = StepperConfig(dt=1e-3, t_end=1e-2)
+
+        def trajectory(solve: bool):
+            states = []
+
+            def sink(s):
+                if solve:
+                    rhs(s, cfg)
+                    pressure_solve(s, cfg)
+                states.append(s)
+            final = run(state, cfg, sc, state_sink=sink, state_every=1)
+            return [f.coeffs for s in states + [final] for f in s.fields]
+
+        quiet = trajectory(False)
+        rows = grid.scratch.products.shape[0]
+        busy = trajectory(True)
+        assert grid.scratch.products.shape[0] > rows  # regrown in the sink
+        assert len(busy) == len(quiet)
+        assert all(np.array_equal(a, b) for a, b in zip(busy, quiet))
