@@ -120,7 +120,7 @@ class ForcingSpec:
         outside = ~grid.mode_mask | (grid.a_sq == 0)
         for m in self.modes:
             f = ForcingSpec((m,)).evaluate(grid, 0.0).coeffs
-            div = np.abs(np.sum(grid.k * f, axis=0)).max()
+            div = np.abs(np.sum(grid.k_complex * f, axis=0)).max()
             if np.any(f[:, outside]) or div > 1e-12 * np.max(
                     grid.k_mag * np.linalg.norm(f, axis=0)):
                 raise InvariantViolation(
@@ -263,7 +263,9 @@ class _Transport:
     def __call__(self, fields, t: float = 0.0, *, peaks: list | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
         """The rows for the d-vector half spectra ``fields`` at time t, into
-        ``out`` when given: :meth:`samples`, then :meth:`flux`."""
+        ``out`` when given: :meth:`samples`, then :meth:`flux`.  ``out`` may
+        be ``fields`` itself, as every source is read before a row is
+        written."""
         out = self.flux(self.samples(fields), peaks=peaks, out=out)
         if self.forcing is not None:
             out[0] += self.forcing.evaluate(self.grid, t).coeffs

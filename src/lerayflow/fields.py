@@ -68,7 +68,7 @@ class SpectralVectorField:
         norm = l2_norm(self) if norm is None else norm
         if norm == 0.0:
             return 0.0
-        div = np.sum(self.grid.k * self.coeffs, axis=0)
+        div = np.sum(self.grid.k_complex * self.coeffs, axis=0)
         return float(np.abs(div).max() / norm)
 
 
@@ -134,18 +134,18 @@ def to_physical(grid: WaveGrid, coeffs: np.ndarray,
 
     Inside the plane a_d = 0 the transform reads only the Hermitian part;
     :func:`inverse_transform` checks that there is no other."""
-    axes = tuple(range(coeffs.ndim - grid.dim, coeffs.ndim))
     workers = worker_count() if workers is None else workers
-    return scipy.fft.irfftn(coeffs, axes=axes, norm="forward", workers=workers)
+    return scipy.fft.irfftn(coeffs, axes=grid.fft_axes, norm="forward",
+                            workers=workers)
 
 
 def from_physical(grid: WaveGrid, data: np.ndarray,
                   workers: int | None = None) -> np.ndarray:
     """Half spectra of a stack of real samples (forward real FFT), with the
     ``workers`` of :func:`to_physical`."""
-    axes = tuple(range(data.ndim - grid.dim, data.ndim))
     workers = worker_count() if workers is None else workers
-    return scipy.fft.rfftn(data, axes=axes, norm="forward", workers=workers)
+    return scipy.fft.rfftn(data, axes=grid.fft_axes, norm="forward",
+                           workers=workers)
 
 
 def forward_transform(r: RealVectorField) -> SpectralVectorField:

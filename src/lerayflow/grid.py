@@ -119,6 +119,9 @@ class WaveGrid:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        # The transform axes, the last dim of any stack, resolved once as
+        # every transform reads them.
+        self.fft_axes = tuple(range(-dim, 0))
         self._symbols: dict[tuple, np.ndarray] = {}
         self.scratch = threading.local()  # the calling thread's work arrays
 

@@ -16,6 +16,8 @@ so reruns are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import astuple, dataclass
 from enum import Enum
@@ -54,8 +56,7 @@ class StepperConfig:
             raise InvariantViolation(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise InvariantViolation("t_end must be at least dt")
-        if self.sample_every < 1:
-            raise InvariantViolation("sample_every must be >= 1")
+        _check_every("sample_every", self.sample_every)
 
     def n_steps(self, t_start: float = 0.0) -> int:
         span = self.t_end - t_start
@@ -68,6 +69,19 @@ class StepperConfig:
         return steps
 
 
+def _check_every(name: str, value) -> None:
+    """Raise unless a cadence ``value`` is a positive integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise InvariantViolation(
+            f"{name} must be a positive integer, got {value!r}")
+
+
+# No modulus of a complex whose parts are at most this large overflows:
+# hypot(x, x) is finite for x = DBL_MAX / sqrt(2) as rounded.
+_SAFE_PART = sys.float_info.max / math.sqrt(2.0)
+
+
 def _viscous_factor(grid, nu: float, h: float) -> np.ndarray:
     """exp(-nu |k|^2 h) per mode, kept in the grid's symbol cache."""
     return grid.cached(("viscous", nu, h), lambda: np.exp(-nu * grid.k_sq * h))
@@ -75,9 +89,10 @@ def _viscous_factor(grid, nu: float, h: float) -> np.ndarray:
 
 class _Stepper:
     """The per-mode viscous exponentials for one (grid, model, dt), the
-    stage buffers (the stage state, k2 and k3) that the RK combinations
-    write into, and the transport kernel, resolved once for the state's
-    kind and grid: every stage of every step calls it."""
+    stage buffers (the stage state, then ef y; k2; k3, then stage 4's input
+    and k4) that the RK combinations write into, and the transport kernel,
+    resolved once for the state's kind and grid: every stage of every step
+    calls it."""
 
     def __init__(self, cfg: ModelConfig, sc: StepperConfig, state: SimState):
         grid = state.u.grid
@@ -90,7 +105,8 @@ class _Stepper:
         self.h_e_half = [sc.dt * eh for eh in self.e_half]
         self.two_e_half = [2.0 * eh for eh in self.e_half]
         # Owned by this stepper, never by the grid, and overwritten by every
-        # step: the stage state and the rows of k2 and of k3, then k4.
+        # step: the stage state, then ef y; the rows of k2; the rows of k3,
+        # then stage 4's state and, over it, k4.
         shape = (len(nus), grid.dim) + grid.spectral_shape
         self.stage, self.k2, self.k3 = (np.empty(shape, dtype=complex)
                                         for _ in range(3))
@@ -119,9 +135,11 @@ class _Stepper:
         y = [f.coeffs for f in state.fields]
 
         # Each combination keeps the operation order of its formula.  k1 is
-        # a fresh array that ends up holding the new state; the stepper's
-        # k2 and k3 buffers hold the other tendencies and serve as scratch
-        # once their values are folded into the sum or not yet written.
+        # a fresh array that ends up holding the new state.  The stage buffer
+        # holds each stage's input, and from stage 3 on ef y, which the sum
+        # adds.  k2's and k3's buffers hold those tendencies and serve as
+        # scratch once their values are folded into the sum or not yet
+        # written; k3's holds stage 4's input, which k4 overwrites.
         peaks: list[float] = []
         k1 = transport(y, t, peaks=peaks)
         self._check_cfl(t, peaks[0])
@@ -142,28 +160,29 @@ class _Stepper:
                 np.multiply(ki, 0.5 * h, out=tmp)
                 s += tmp
             k3 = transport(self.stage, t + 0.5 * h, out=self.k3)
-            for yi, b2, c, ef, eh2, heh, s in zip(
+            for yi, b2, c, ef, eh2, heh, efy in zip(
                     y, k2, k3, self.e_full, self.two_e_half, self.h_e_half,
                     self.stage):
                 b2 += c                                 # 2 eh (k2 + k3)
                 b2 *= eh2
-                c *= heh                                # ef y + h eh k3
-                np.multiply(yi, ef, out=s)
-                s += c
-            k4 = transport(self.stage, t + h, out=self.k3)
-            # ef y + h/6 (ef k1 + 2 eh (k2 + k3) + k4)
-            for yi, a, b2, d, ef in zip(y, k1, k2, k4, self.e_full):
+                np.multiply(yi, ef, out=efy)            # ef y, kept
+                c *= heh                                # h eh k3 + ef y
+                c += efy
+            k4 = transport(k3, t + h, out=k3)
+            # h/6 (ef k1 + 2 eh (k2 + k3) + k4) + ef y
+            for a, b2, d, ef, efy in zip(k1, k2, k4, self.e_full,
+                                         self.stage):
                 a *= ef
                 a += b2
                 a += d
                 a *= h / 6.0
-                np.multiply(yi, ef, out=b2)
-                a += b2
+                a += efy
 
-        for arr in k1:
-            peak = float(np.abs(arr).max())
-            if not np.isfinite(peak):
-                raise NonFinite(f"non-finite solution after step from t = {t:.6g}")
+        # One pass over the parts; the modulus only when one may overflow it.
+        parts = k1.view(float)
+        if not (parts.max() <= _SAFE_PART and -parts.min() <= _SAFE_PART) \
+                and not math.isfinite(np.abs(k1).max()):
+            raise NonFinite(f"non-finite solution after step from t = {t:.6g}")
 
         return self._state(t + h, k1)
 
@@ -206,6 +225,8 @@ def run(initial: SimState, cfg: ModelConfig, sc: StepperConfig,
     ``state_every``-th one when that is given, for trajectory diagnostics.
     The first, the last and every delivered state pass the Hermitian gate
     first.  Deterministic for fixed inputs."""
+    if state_every is not None:
+        _check_every("state_every", state_every)
     t_start = initial.t
     n_steps = sc.n_steps(t_start)
     stepper = _Stepper(cfg, sc, initial)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lerayflow import (RealVectorField, SpectralVectorField, SymmetryViolation,
-                       WaveGrid, forward_transform, inverse_transform,
+                       WaveGrid, forward_transform, inverse_transform, l2_norm,
                        leray_project, random_solenoidal, sobolev_norm)
 from lerayflow.diagnostics import fit_loglog
 
@@ -92,6 +92,28 @@ class TestLerayProjection:
         twice = leray_project(once)
         assert np.abs(twice.coeffs - once.coeffs).max() \
             <= 1e-14 * np.abs(once.coeffs).max()
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_complex_k_gives_the_bits_of_float_k(self, dim):
+        # a float k is cast to complex, imaginary part +0, before it
+        # multiplies a spectrum; the complex k gives the same bits, signed
+        # zeros included
+        grid = WaveGrid(dim, 16)
+        rng = np.random.default_rng(dim)
+        shape = (dim,) + grid.spectral_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zeros = rng.integers(0, 4, shape)
+        c.real[zeros == 1] = -0.0
+        c.imag[zeros == 2] = -0.0
+        c[zeros == 3] = 0.0
+        div = np.sum(grid.k * c, axis=0)
+        assert np.array_equal(
+            np.sum(grid.k_complex * c, axis=0).view(np.uint64),
+            div.view(np.uint64))
+        u = SpectralVectorField(grid, c)
+        assert u.divergence_residual() == float(np.abs(div).max() / l2_norm(u))
 
 
 class TestSobolevNorms:

@@ -13,7 +13,7 @@ from lerayflow import (CFLExceeded, FilterParams, ForcingMode, ForcingSpec,
                        SimState, SpectralVectorField, StepperConfig,
                        StepperScheme, WaveGrid, inverse_transform, l2_norm,
                        random_solenoidal, rhs, run, step)
-from lerayflow.dynamics import pressure_solve
+from lerayflow.dynamics import _kind_transport, pressure_solve
 from lerayflow.fields import to_physical
 from lerayflow.presets import taylor_green_state_field, taylor_green_velocity
 from lerayflow.stepping import _Stepper
@@ -27,17 +27,23 @@ def nse_cfg(nu: float, forcing=None) -> ModelConfig:
                        forcing=forcing or ForcingSpec.zero())
 
 
-@pytest.fixture
-def zero_tendency(monkeypatch):
-    """The stepper's tendency replaced by zero rows with a peak |u| of 0."""
+def constant_tendency(monkeypatch, mean: complex = 0j):
+    """The stepper's tendency replaced by zero rows, except ``mean`` at the
+    mean mode of u's first component, with a peak |u| of 0."""
     def transport(kernel, fields, t=0.0, *, peaks=None, out=None):
         if peaks is not None:
             peaks.append(0.0)
         if out is None:
-            return np.zeros(kernel.shape, complex)
+            out = np.empty(kernel.shape, complex)
         out[...] = 0
+        out[(0, 0) + (0,) * kernel.grid.dim] = mean
         return out
     monkeypatch.setattr(lerayflow.dynamics._Transport, "__call__", transport)
+
+
+@pytest.fixture
+def zero_tendency(monkeypatch):
+    constant_tendency(monkeypatch)
 
 
 class TestStepBasics:
@@ -206,6 +212,26 @@ class TestRunContracts:
             step(SimState(0.0, bad), nse_cfg(0.1),
                  StepperConfig(dt=0.01, t_end=0.01))
 
+    @pytest.mark.parametrize("every", [0, -2, 2.5, "2", True])
+    def test_state_every_must_be_a_positive_integer(self, grid3, every):
+        # 0 divided by zero after step 1, -2 acted as 2 and 2.5 delivered
+        # only the ends; now each is refused before anything is delivered
+        u0 = random_solenoidal(grid3, 1, -1.0, 4)
+        states, samples = [], []
+        with pytest.raises(InvariantViolation, match="state_every"):
+            run(SimState(0.0, u0), nse_cfg(0.1),
+                StepperConfig(dt=0.01, t_end=0.04), samples.append,
+                state_sink=states.append, state_every=every)
+        assert (states, samples) == ([], [])
+
+    def test_state_every_accepts_numpy_integers(self, grid3):
+        u0 = random_solenoidal(grid3, 1, -1.0, 4)
+        states = []
+        run(SimState(0.0, u0), nse_cfg(0.1),
+            StepperConfig(dt=0.01, t_end=0.04), state_sink=states.append,
+            state_every=np.int64(2))
+        assert [round(s.t, 10) for s in states] == [0.0, 0.02, 0.04]
+
     def test_state_sink_cadence(self, grid3):
         u0 = random_solenoidal(grid3, 1, -1.0, 4)
         states = []
@@ -245,6 +271,75 @@ def model_state(dim: int, kind: ModelKind, n: int = 16):
     u = random_solenoidal(grid, 5, -1.5, grid.dealias_cutoff)
     b = random_solenoidal(grid, 6, -1.5, grid.dealias_cutoff) if mhd else None
     return cfg, SimState(0.0, u, b)
+
+
+class TestFiniteness:
+    """``step`` raises NonFinite exactly when a coefficient of the new state
+    has a part that is not finite or a modulus that overflows.  Under a
+    constant tendency K at the mean mode (viscous factor 1) one step maps y
+    there to y + dt K, up to rounding, and leaves the zero modes zero."""
+
+    MAX = np.finfo(float).max
+
+    def one_step(self, monkeypatch, y: complex, K: complex = 0j,
+                 dt: float = 0.01):
+        constant_tendency(monkeypatch, K)
+        grid = WaveGrid(2, 8)
+        coeffs = np.zeros((2,) + grid.spectral_shape, complex)
+        coeffs[0, 0, 0] = y
+        with np.errstate(all="ignore"):  # the stages' own overflows
+            return step(SimState(0.0, SpectralVectorField(grid, coeffs)),
+                        nse_cfg(0.1), StepperConfig(dt=dt, t_end=dt))
+
+    @pytest.mark.parametrize("y,K,dt", [
+        (complex(np.nan, 0.0), 0j, 0.01),     # y with a NaN real part
+        (-1.79e308j, -1e307j, 1.0),           # real 0, imaginary -inf
+        (1.5e308 + 1.5e308j, 0j, 0.01),       # finite parts, |.| overflows
+    ])
+    def test_raises(self, monkeypatch, y, K, dt):
+        with pytest.raises(NonFinite, match="after step from t = 0"):
+            self.one_step(monkeypatch, y, K, dt)
+
+    @pytest.mark.parametrize("y", [
+        1.7e308 + 0j, 1.2e308 - 1.2e308j, -1.3e308 + 1.2e308j,
+        complex(MAX / np.sqrt(2), MAX / np.sqrt(2))])
+    def test_large_finite_moduli_pass(self, monkeypatch, y):
+        new = self.one_step(monkeypatch, y).u.coeffs
+        assert new[0, 0, 0] == y and np.isfinite(np.abs(new).max())
+
+
+class TestAliasing:
+    """The stepper runs stage 4's kernel call over its own input, and every
+    step's new state is a fresh array."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_kernel_output_over_its_input(self, dim, kind):
+        cfg, state = model_state(dim, kind)
+        if kind is not ModelKind.MHD_DECONV:  # forced where allowed
+            cfg = ModelConfig(kind, cfg.nu, cfg.filter, ForcingSpec((
+                ForcingMode((1, 2, 0)[:dim], (0.2, -0.1, 0.05)[:dim], 0.5),)))
+        kernel = _kind_transport(state, cfg)
+        x = np.stack([f.coeffs for f in state.fields])
+        fresh = kernel(x.copy(), 0.3)
+        assert kernel(x, 0.3, out=x) is x
+        assert np.array_equal(x.view(np.uint64), fresh.view(np.uint64))
+
+    @pytest.mark.parametrize("dim,kind", [(2, ModelKind.NSE),
+                                          (3, ModelKind.LERAY_ALPHA),
+                                          (3, ModelKind.MHD_DECONV)])
+    @pytest.mark.parametrize("scheme", list(StepperScheme))
+    def test_new_state_shares_no_memory(self, dim, kind, scheme):
+        cfg, state = model_state(dim, kind)
+        stepper = _Stepper(cfg, StepperConfig(dt=1e-3, t_end=1e-2,
+                                              scheme=scheme), state)
+        states = [state]
+        for _ in range(3):
+            states.append(stepper.advance(states[-1]))
+            held = [stepper.stage, stepper.k2, stepper.k3] + [
+                f.coeffs for s in states[:-1] for f in s.fields]
+            assert not any(np.shares_memory(f.coeffs, a)
+                           for f in states[-1].fields for a in held)
 
 
 class TestCFL:
@@ -421,6 +516,16 @@ class TestStepperConfigValidation:
     def test_sample_every_positive(self):
         with pytest.raises(InvariantViolation):
             StepperConfig(dt=0.1, t_end=1.0, sample_every=0)
+
+    @pytest.mark.parametrize("every", [-1, 2.5, 1.0, "2", True, None])
+    def test_sample_every_must_be_a_positive_integer(self, every):
+        # 2.5 sampled every 5th step
+        with pytest.raises(InvariantViolation, match="sample_every"):
+            StepperConfig(dt=0.1, t_end=1.0, sample_every=every)
+
+    def test_sample_every_accepts_numpy_integers(self):
+        sc = StepperConfig(dt=0.1, t_end=1.0, sample_every=np.int32(3))
+        assert sc.sample_every == 3
 
     @pytest.mark.parametrize("field,value", [
         ("dt", float("nan")), ("dt", float("inf")), ("t_end", float("nan")),
