@@ -15,7 +15,7 @@ from .filtering import (FilterParams, deconvolution_multiplier, deconvolve,
                         van_cittert_series)
 from .dynamics import (ForcingMode, ForcingSpec, ModelConfig, ModelKind,
                        SimState, advect, pressure_solve, rhs)
-from .stepping import StepperConfig, StepperScheme, run, step
+from .stepping import StepperConfig, run, step
 from .diagnostics import (BumpTestFunction, EnergyRecord, SweepReport,
                           alpha_sweep, energy_budget_residual, fit_loglog,
                           local_energy_residual, measure_energy, n_sweep)

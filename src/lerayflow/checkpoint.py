@@ -25,8 +25,9 @@ component by component (x first), each a C-order complex128 array over the
 full FFT-layout axes.  The solver keeps only the rfft half spectrum, so saving
 expands it by Hermitian symmetry, and loading checks the whole stored array
 against its Hermitian reflection (the mirror modes and the self-conjugate
-planes alike) before it keeps the half.  Round trips are bit-exact, which is
-what makes resumed runs reproduce uninterrupted trajectories.  Every
+planes alike) before it keeps the half, which must be zero outside the dealias
+band, where the transport identities do not hold.  Round trips are bit-exact,
+which is what makes resumed runs reproduce uninterrupted trajectories.  Every
 malformed file raises :class:`InvariantViolation` with a one-line message.
 """
 
@@ -125,8 +126,12 @@ def load_checkpoint(path: str) -> tuple[SimState, dict]:
                                            np.abs(stored).max()),
                        f"{path}: mirror modes are not the conjugates of the "
                        f"kept ones", InvariantViolation)
-        fields.append(SpectralVectorField(
-            grid, np.array(stored[..., : n // 2 + 1], dtype=complex)))
+        half = np.array(stored[..., : n // 2 + 1], dtype=complex)
+        if np.any(half[:, ~grid.dealias_mask]):
+            raise InvariantViolation(
+                f"{path}: non-zero coefficients outside the dealias band "
+                f"|a_j| <= {cutoff}")
+        fields.append(SpectralVectorField(grid, half))
     meta = {"grid": grid, "kind": kind, "nu": nu, "nu2": nu2 if has_b else None,
             "alpha": alpha, "theta": theta, "n_deconv": n_deconv}
     return SimState(t, *fields), meta

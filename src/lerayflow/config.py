@@ -8,12 +8,12 @@ from the fields); float values must be finite.  The [forcing] section takes
 mode_1, mode_2, ... ("a1 a2 [a3] : re im pairs : decay") instead.
 
 Parsing reports the first fault in this order: syntax and unknown keys in
-text order, then unreadable (an unknown ``kind``, ``preset`` or ``scheme``
-included) or missing values in field order, then the range checks.  All
-module invariants (the grid's own check, the theta >= 1/4 gate, forcing that
-is solenoidal as the grid stores it, whole steps up to ``t_end``, ...) are
-re-validated at parse time so a RunConfig that parses is a RunConfig that
-runs.
+text order, then unreadable (an unknown ``kind`` or ``preset`` included) or
+missing values in field order, then the range checks.  All module invariants
+(the grid's own check, the theta >= 1/4 gate, forcing that is solenoidal and
+inside the dealias band as the grid stores it, whole steps up to ``t_end``,
+...) are re-validated at parse time so a RunConfig that parses is a RunConfig
+that runs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .fields import SpectralVectorField, random_solenoidal
 from .filtering import FilterParams
 from .grid import WaveGrid, check_grid
 from .presets import check_taylor_green_grid, taylor_green_state_field
-from .stepping import StepperConfig, StepperScheme, working_set
+from .stepping import StepperConfig, working_set
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file"]
 
@@ -89,7 +89,6 @@ class RunConfig:
     path: str | None = _key("initial", str, None)
     dt: float = _key("stepper", _float)
     t_end: float = _key("stepper", _float)
-    scheme: StepperScheme = _key("stepper", StepperScheme, StepperScheme.IFRK4)
     sample_every: int = _key("stepper", _int, 1)
     cfl_limit: float = _key("stepper", _float, 0.5)
     directory: str | None = _key("output", str, None)
@@ -109,7 +108,7 @@ class RunConfig:
                            unsafe_subcritical=self.unsafe_subcritical)
 
     def build_stepper(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, t_end=self.t_end, scheme=self.scheme,
+        return StepperConfig(dt=self.dt, t_end=self.t_end,
                              sample_every=self.sample_every,
                              cfl_limit=self.cfl_limit)
 

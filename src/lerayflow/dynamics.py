@@ -99,34 +99,25 @@ class ForcingSpec:
     def is_zero(self) -> bool:
         return len(self.modes) == 0
 
-    def validate(self, dim: int) -> None:
-        for m in self.modes:
-            if len(m.a) != dim or len(m.amplitude) != dim:
-                raise InvariantViolation(
-                    f"forcing mode {m.a} does not match dimension {dim}")
-            if all(c == 0 for c in m.a):
-                raise InvariantViolation("forcing at the zero mode is not allowed")
-            k_dot = sum(a * amp for a, amp in zip(m.a, m.amplitude))
-            scale = max(abs(complex(c)) for c in m.amplitude)
-            if scale > 0 and abs(k_dot) > 1e-12 * scale * max(abs(c) for c in m.a):
-                raise InvariantViolation(
-                    f"forcing amplitude at {m.a} is not orthogonal to its wavevector")
-
     def check_stored(self, grid: WaveGrid) -> None:
-        """:meth:`validate`, and each mode as :meth:`evaluate` stores it on
-        ``grid`` (indices mod n) must lie on retained modes other than the
-        mean, and there ``max |k . f| <= 1e-12 max |k| |f|``."""
-        self.validate(grid.dim)
-        outside = ~grid.mode_mask | (grid.a_sq == 0)
+        """Each mode has ``grid.dim`` indices and amplitudes, and as
+        :meth:`evaluate` stores it on ``grid`` (indices mod n) lies off the
+        mean, inside the dealias band and there ``max |k . f| <= 1e-12 max
+        |k| |f|``: the transport identities hold only inside the band."""
+        outside = ~grid.dealias_mask | (grid.a_sq == 0)
         for m in self.modes:
+            if len(m.a) != grid.dim or len(m.amplitude) != grid.dim:
+                raise InvariantViolation(
+                    f"forcing mode {m.a} does not match dimension {grid.dim}")
             f = ForcingSpec((m,)).evaluate(grid, 0.0).coeffs
             div = np.abs(np.sum(grid.k_complex * f, axis=0)).max()
             if np.any(f[:, outside]) or div > 1e-12 * np.max(
                     grid.k_mag * np.linalg.norm(f, axis=0)):
                 raise InvariantViolation(
-                    f"forcing mode {m.a} aliases on the n = {grid.n} grid "
-                    f"(indices mod n) to a force that is not divergence-free "
-                    f"on retained modes")
+                    f"forcing mode {m.a} is not, as the n = {grid.n} grid "
+                    f"stores it (indices mod n), a divergence-free force off "
+                    f"the mean and inside the dealias band |a_j| <= "
+                    f"{grid.dealias_cutoff}")
 
     def evaluate(self, grid: WaveGrid, t: float) -> SpectralVectorField:
         """The force at time t on the half spectrum: each mode (indices taken

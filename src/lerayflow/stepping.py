@@ -3,10 +3,10 @@
 The semi-discrete system is ``d uhat/dt = -nu |k|^2 uhat + N(u, t)`` per mode
 (``nu2`` for the magnetic field).  Substituting ``w = exp(nu |k|^2 t) uhat``
 removes the stiff diagonal part exactly, and the remaining system is advanced
-with classical RK4 (or forward Euler).  Where the nonlinear term vanishes the
-per-mode decay is exact for arbitrarily large dt, which is what the tight
-energy-budget tolerances downstream rely on.  The stepper reads its CFL
-number off the peak |u| (and |b|) of stage 1's own transform.
+with classical RK4.  Where the nonlinear term vanishes the per-mode decay is
+exact for arbitrarily large dt, which is what the tight energy-budget
+tolerances downstream rely on.  The stepper reads its CFL number off the peak
+|u| (and |b|) of stage 1's own transform.
 
 The step size is fixed; ``t_end`` must be an integer multiple of ``dt``.
 Sample times are ``i * dt`` computed by multiplication, never accumulation,
@@ -20,7 +20,6 @@ import numbers
 import sys
 import warnings
 from dataclasses import astuple, dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,19 +30,13 @@ from .dynamics import (_KIND_ROWS, ModelConfig, ModelKind, SimState,
 from .errors import CFLExceeded, InvariantViolation, NonFinite
 from .fields import SpectralVectorField, hermitian_gate
 
-__all__ = ["StepperScheme", "StepperConfig", "step", "run", "working_set"]
-
-
-class StepperScheme(Enum):
-    IFRK4 = "ifrk4"
-    IFEULER = "ifeuler"
+__all__ = ["StepperConfig", "step", "run", "working_set"]
 
 
 @dataclass(frozen=True)
 class StepperConfig:
     dt: float
     t_end: float
-    scheme: StepperScheme = StepperScheme.IFRK4
     sample_every: int = 1
     cfl_limit: float = 0.5
 
@@ -143,40 +136,33 @@ class _Stepper:
         peaks: list[float] = []
         k1 = transport(y, t, peaks=peaks)
         self._check_cfl(t, peaks[0])
-        if self.sc.scheme is StepperScheme.IFEULER:
-            for yi, ki, ef in zip(y, k1, self.e_full):  # ef (y + h k1)
-                ki *= h
-                ki += yi
-                ki *= ef
-        else:
-            for yi, ki, eh, s in zip(y, k1, self.e_half, self.stage):
-                np.multiply(ki, 0.5 * h, out=s)         # eh (y + h/2 k1)
-                s += yi
-                s *= eh
-            k2 = transport(self.stage, t + 0.5 * h, out=self.k2)
-            for yi, ki, eh, s, tmp in zip(y, k2, self.e_half, self.stage,
-                                          self.k3):
-                np.multiply(yi, eh, out=s)              # eh y + h/2 k2
-                np.multiply(ki, 0.5 * h, out=tmp)
-                s += tmp
-            k3 = transport(self.stage, t + 0.5 * h, out=self.k3)
-            for yi, b2, c, ef, eh2, heh, efy in zip(
-                    y, k2, k3, self.e_full, self.two_e_half, self.h_e_half,
-                    self.stage):
-                b2 += c                                 # 2 eh (k2 + k3)
-                b2 *= eh2
-                np.multiply(yi, ef, out=efy)            # ef y, kept
-                c *= heh                                # h eh k3 + ef y
-                c += efy
-            k4 = transport(k3, t + h, out=k3)
-            # h/6 (ef k1 + 2 eh (k2 + k3) + k4) + ef y
-            for a, b2, d, ef, efy in zip(k1, k2, k4, self.e_full,
-                                         self.stage):
-                a *= ef
-                a += b2
-                a += d
-                a *= h / 6.0
-                a += efy
+        for yi, ki, eh, s in zip(y, k1, self.e_half, self.stage):
+            np.multiply(ki, 0.5 * h, out=s)         # eh (y + h/2 k1)
+            s += yi
+            s *= eh
+        k2 = transport(self.stage, t + 0.5 * h, out=self.k2)
+        for yi, ki, eh, s, tmp in zip(y, k2, self.e_half, self.stage,
+                                      self.k3):
+            np.multiply(yi, eh, out=s)              # eh y + h/2 k2
+            np.multiply(ki, 0.5 * h, out=tmp)
+            s += tmp
+        k3 = transport(self.stage, t + 0.5 * h, out=self.k3)
+        for yi, b2, c, ef, eh2, heh, efy in zip(
+                y, k2, k3, self.e_full, self.two_e_half, self.h_e_half,
+                self.stage):
+            b2 += c                                 # 2 eh (k2 + k3)
+            b2 *= eh2
+            np.multiply(yi, ef, out=efy)            # ef y, kept
+            c *= heh                                # h eh k3 + ef y
+            c += efy
+        k4 = transport(k3, t + h, out=k3)
+        # h/6 (ef k1 + 2 eh (k2 + k3) + k4) + ef y
+        for a, b2, d, ef, efy in zip(k1, k2, k4, self.e_full, self.stage):
+            a *= ef
+            a += b2
+            a += d
+            a *= h / 6.0
+            a += efy
 
         # One pass over the parts; the modulus only when one may overflow it.
         parts = k1.view(float)

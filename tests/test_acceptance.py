@@ -2,9 +2,17 @@
 
 Each test runs the corresponding criterion from lerayflow.validate (the same
 code `lerayflow validate` executes) and asserts its verdict, printing the
-measured numbers either way.
+measured numbers either way.  A ``fails_`` test is a row's negative control:
+it breaks one ingredient that the row guards, by monkeypatch, and asserts
+that the row fails on the number of the clause that guards it.
 """
 
+import dataclasses
+import re
+
+import numpy as np
+
+import lerayflow.filtering
 import lerayflow.validate as V
 
 
@@ -19,8 +27,35 @@ def test_criterion_01_filter_bounds():
     _check(V.criterion_filter_bounds())
 
 
+def test_criterion_01_fails_a_filter_factor_above_one(monkeypatch):
+    # The filter factor 1/(1 + x) raised to 2 on shell 1, where the factor's
+    # bound alpha^(-2 theta) |k|^(-2 theta) is below 2 at alpha = 0.8.
+    multiplier = lerayflow.filtering.helmholtz_multiplier
+    monkeypatch.setattr(
+        lerayflow.filtering, "helmholtz_multiplier",
+        lambda k_mag, p: np.where(np.rint(k_mag) == 1, 0.5,
+                                  multiplier(k_mag, p)))
+    result = V.criterion_filter_bounds()
+    assert result.passed is False
+    ratio = float(re.search(r"bound = (\S+)", result.detail)[1])
+    assert ratio > 1.0 + 1e-12
+
+
 def test_criterion_02_deconvolution_operator():
     _check(V.criterion_deconv_operator())
+
+
+def test_criterion_02_fails_a_series_one_term_short(monkeypatch):
+    # N = 0 keeps its one term; every N >= 1 drops its last
+    series = V.van_cittert_series
+    monkeypatch.setattr(
+        V, "van_cittert_series",
+        lambda u, p: series(u, dataclasses.replace(
+            p, n_deconv=max(p.n_deconv - 1, 0))))
+    result = V.criterion_deconv_operator()
+    assert result.passed is False
+    mismatch = float(re.search(r"series mismatch (\S+)", result.detail)[1])
+    assert mismatch > 1e-12
 
 
 def test_criterion_03_advection_oracle():
@@ -59,6 +94,22 @@ def test_criterion_06_fails_a_window_off_the_coarse_nodes(monkeypatch):
 
 def test_criterion_07_convergence_sweeps():
     _check(V.criterion_sweeps())
+
+
+def test_criterion_07_fails_a_filter_order_off_theta(monkeypatch):
+    # The filter built with theta + 0.1: alpha^(2 theta) |k|^(2 theta) with
+    # the wrong exponent, so the filter error decays as alpha^(2 theta + 0.2).
+    multiplier = lerayflow.filtering.helmholtz_multiplier
+    monkeypatch.setattr(
+        lerayflow.filtering, "helmholtz_multiplier",
+        lambda k_mag, p: multiplier(
+            k_mag, dataclasses.replace(p, theta=p.theta + 0.1)))
+    result = V.criterion_sweeps()
+    assert result.passed is False
+    slopes = re.findall(r"slope\(theta=(\S+)\) = (\S+),", result.detail)
+    assert [theta for theta, _ in slopes] == ["0.25", "0.5"]
+    assert all(abs(float(slope) - 2 * float(theta)) > 0.05
+               for theta, slope in slopes)
 
 
 def test_criterion_08_model_family_consistency():

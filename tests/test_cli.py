@@ -123,6 +123,20 @@ class TestErrorExitCodes:
         cfg = write_cfg(tmp_path, TG_RUN + "\n[grid2]\nx = 1\n", outdir="o")
         assert main(["run", cfg]) == EXIT_UNKNOWN_KEY
 
+    @pytest.mark.parametrize("value", ["ifrk4", "ifeuler"])
+    @pytest.mark.parametrize("command", ["run", "multiplier-table"])
+    def test_scheme_is_an_unknown_key(self, tmp_path, capsys, value, command):
+        # IF-RK4 is the one integrator; the key that chose it is gone
+        outdir = os.path.join(tmp_path, "o")
+        text = TG_RUN.replace("t_end = 0.01", f"t_end = 0.01\nscheme = {value}")
+        cfg = write_cfg(tmp_path, text, outdir=outdir)
+        line = text.format(outdir=outdir).splitlines().index(
+            f"scheme = {value}") + 1
+        assert main([command, cfg]) == EXIT_UNKNOWN_KEY
+        assert capsys.readouterr().err == (
+            f"unknown key: line {line}: unknown key 'scheme' in [stepper]\n")
+        assert not os.path.exists(outdir)
+
     def test_invariant_violation(self, tmp_path):
         bad = TG_RUN.replace("kind = nse", "kind = leray-alpha\ntheta = 0.1")
         cfg = write_cfg(tmp_path, bad, outdir=os.path.join(tmp_path, "o"))
@@ -200,17 +214,23 @@ class TestErrorExitCodes:
         assert key in err and "line" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("mode", ["33 1 : 1 0 -33 0", "16 1 : 1 0 -16 0"],
-                             ids=["wraps-to-1-1", "nyquist-index"])
-    def test_forcing_that_the_grid_aliases(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("dim,mode", [
+        (2, "33 1 : 1 0 -33 0"), (2, "16 1 : 1 0 -16 0"),
+        (3, "14 0 0 : 0 0 3 0 0 0")],
+        ids=["wraps-to-1-1", "nyquist-index", "outside-the-dealias-band"])
+    def test_forcing_that_the_grid_aliases(self, tmp_path, capsys, dim, mode):
         # orthogonal on the integer index, but n = 32 stores a = (33, 1) at
-        # (1, 1), where it is not solenoidal, and a_1 = 16 on the Nyquist row
-        forced = SWEEP_BASE.replace("n = 64", "n = 32").replace(
+        # (1, 1), where it is not solenoidal, a_1 = 16 on the Nyquist row,
+        # and a_1 = 14 beyond the dealias cutoff 10
+        forced = SWEEP_BASE.replace("dim = 2\nn = 64", f"dim = {dim}\nn = 32")
+        forced = forced.replace(
             "[initial]", f"[forcing]\nmode_1 = {mode}\n\n[initial]")
         cfg = write_cfg(tmp_path, forced, outdir=os.path.join(tmp_path, "o"))
         assert main(["run", cfg]) == EXIT_INVARIANT
         err = capsys.readouterr().err
-        assert "forcing mode" in err and len(err.strip().splitlines()) == 1
+        a = tuple(int(c) for c in mode.split(":")[0].split())
+        assert f"forcing mode {a}" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command,option,value", [
         ("sweep-alpha", "--alphas", "0.4,x"),

@@ -99,7 +99,6 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("old,new,key", [
         ("kind = leray-alpha", "kind = euler", "kind"),
-        ("t_end = 0.01", "t_end = 0.01\nscheme = rk3", "scheme"),
         ("preset = taylor-green", "preset = vortex", "preset"),
     ])
     def test_unknown_enum_value_is_unreadable(self, old, new, key):
@@ -305,6 +304,12 @@ def _broken_plane(full):
     full[0, 1, 1, 2, 0] += 1e-3  # a_3 = 0: kept, as is its mirror (7, 6, 0)
 
 
+def _outside_the_band(full):
+    # u_y at a = (3, 0, 0) and its conjugate at (5, 0, 0) = -(3, 0, 0):
+    # Hermitian and solenoidal, but beyond the stored dealias cutoff 2
+    full[0, 1, 3, 0, 0] = full[0, 1, 5, 0, 0] = 1e-3
+
+
 FORGED = {
     # name: (header overrides, fields in the payload, payload edit, message)
     "short_payload": ({}, 1, "short", "payload of"),
@@ -317,6 +322,7 @@ FORGED = {
     "nonfinite_coefficient": ({}, 1, _nan_coefficient, "non-finite coefficients"),
     "broken_mirror": ({}, 1, _broken_mirror, "mirror modes"),
     "broken_plane": ({}, 1, _broken_plane, "mirror modes"),
+    "outside_the_band": ({}, 1, _outside_the_band, "outside the dealias band"),
 }
 
 
@@ -366,17 +372,19 @@ class TestForgedCheckpoints:
         err = capsys.readouterr().err
         assert "payload of" in err and len(err.strip().splitlines()) == 1
 
-    def test_resume_of_a_broken_plane_exits_with_invariant_code(
-            self, tmp_path, capsys):
-        # the file loaded before, and the run died at its first Hermitian
-        # gate with an internal-error exit
+    @pytest.mark.parametrize("case", ["broken_plane", "outside_the_band"])
+    def test_resume_of_a_file_that_loaded_exits_with_invariant_code(
+            self, tmp_path, capsys, case):
+        # consistent headers and payloads, refused by the content checks
+        _, _, edit, message = FORGED[case]
         full = full_payload(WaveGrid(3, 8))
-        _broken_plane(full)
-        ckpt = os.path.join(tmp_path, "plane.lfck")
+        edit(full)
+        ckpt = os.path.join(tmp_path, f"{case}.lfck")
         forge_checkpoint(ckpt, full.astype("<c16").tobytes())
         assert main(["run", _resume_config(tmp_path, ckpt)]) == EXIT_INVARIANT
         err = capsys.readouterr().err
-        assert "mirror modes" in err and len(err.strip().splitlines()) == 1
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert not os.path.exists(os.path.join(tmp_path, "out"))
 
     @pytest.mark.parametrize("stored,configured", [
         ("mhd-deconv", "leray-alpha"), ("leray-alpha", "mhd-deconv")])
