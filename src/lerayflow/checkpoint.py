@@ -122,8 +122,7 @@ def load_checkpoint(path: str) -> tuple[SimState, dict]:
 
     fields = []
     for stored in full:
-        hermitian_gate(reflection_residual(stored, range(1, dim + 1),
-                                           np.abs(stored).max()),
+        hermitian_gate(reflection_residual(stored, range(1, dim + 1), stored),
                        f"{path}: mirror modes are not the conjugates of the "
                        f"kept ones", InvariantViolation)
         half = np.array(stored[..., : n // 2 + 1], dtype=complex)

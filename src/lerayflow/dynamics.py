@@ -23,11 +23,14 @@ worker count.  Each source is inverse transformed on its own: a field as it
 is, a smoothed field from one d-vector buffer that the sources take in turn.
 The flux step goes chunk by chunk: one output component's products (all of
 a symmetric flux's) are formed, transformed and contracted before the
-next's, each product once and in the same arithmetic order.  Its work arrays
-(that buffer, the widest chunk's product rows and the spectral work) belong
-to the calling thread (``WaveGrid.work``), so threads can share a grid;
-every call of a thread overwrites its arrays, and nothing the kernel returns
-aliases them: its rows are fresh, or the ``out`` given.
+next's, each product once and in the same arithmetic order.  Its per-mode
+work (the smoothing multiply, contraction, projection and forcing) runs on
+the compact dealias band (``WaveGrid.gather``): its rows go into a band
+``out``, or are scattered into fresh half spectra, zero outside the band.
+Its work arrays (that buffer, the widest chunk's product rows and the band
+rows) belong to the calling thread (``WaveGrid.work``), so threads can
+share a grid; every call of a thread overwrites its arrays, and nothing the
+kernel returns aliases them.
 
 The kind table
 ``_KIND_ROWS`` is the one place where model kinds differ; it gives the rows
@@ -58,7 +61,7 @@ import numpy as np
 from .errors import (CriticalityViolation, GridMismatch, InvariantViolation,
                      MissingMagneticField)
 from .fields import (SpectralScalarField, SpectralVectorField, from_physical,
-                     project_in_place, spectral_work, to_physical)
+                     project_in_place, to_physical)
 from .filtering import CRITICAL_THETA, FilterParams, smoothing_symbol
 from .grid import WaveGrid, worker_count
 
@@ -231,7 +234,8 @@ class _Transport:
     first added, the others subtracted.  A call gives the dealiased,
     Leray-projected half spectra of ``-w . grad v`` per row plus the
     ``forcing`` on row 0, or with ``potential`` (a row index) the scalar p
-    of that row alone, none if the table has no such row."""
+    of that row alone, none if the table has no such row: compact band rows
+    (:meth:`WaveGrid.gather`) into a band ``out``, else fresh half spectra."""
 
     def __init__(self, g: WaveGrid, sources, rows, *,
                  potential: int | None = None, forcing=ForcingSpec()):
@@ -240,82 +244,90 @@ class _Transport:
         rows = rows if self.project else rows[potential:potential + 1]
         self.moved, self.chunks, self.width = _flux_plan(d, rows,
                                                          not self.project)
-        if self.project:  # the contraction, masked to the dealias band
-            self.symbol = g.cached(("minus_masked_ik",),
-                                   lambda: -(1j * g.k) * g.dealias_weight)
+        if self.project:  # the contraction, on the dealias band
+            self.symbol = g.cached(("minus_ik",), lambda: -(1j * g.k), True)
         else:
             self.symbol = g.cached(("potential",), lambda: np.stack([
-                -g.k[j] * g.k[q] / g.k_sq_safe * g.dealias_weight
-                for j, q in itertools.combinations_with_replacement(range(d), 2)]))
+                -g.k[j] * g.k[q] / g.k_sq_safe for j, q in
+                itertools.combinations_with_replacement(range(d), 2)]), True)
         self.workers = worker_count()
         self.shape = (len(rows), d if self.project else 1) + g.spectral_shape
+        # band work rows: a smoothed source, or a chunk's spectra and a sum
+        self.band = (max(self.width + 1, d),) + g.band_shape
         self.forcing = None if forcing.is_zero() else forcing
 
     def __call__(self, fields, t: float = 0.0, *, peaks: list | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """The rows for the d-vector half spectra ``fields`` at time t, into
-        ``out`` when given: :meth:`samples`, then :meth:`flux`.  ``out`` may
-        be ``fields`` itself, as every source is read before a row is
+        """The rows for the d-vector spectra ``fields`` at time t:
+        :meth:`samples`, then :meth:`flux`.  A band ``out`` may be
+        ``fields`` itself, as every source is read before a row is
         written."""
-        out = self.flux(self.samples(fields), peaks=peaks, out=out)
-        if self.forcing is not None:
-            out[0] += self.forcing.evaluate(self.grid, t).coeffs
-        return out
+        return self.flux(self.samples(fields), t, peaks=peaks, out=out)
 
     def samples(self, fields) -> list[np.ndarray]:
-        """Physical samples of the sources, one ``(d, *g.shape)`` array each:
-        of the spectrum itself, or of its product with the symbol, written
-        into the source buffer."""
+        """Physical samples of the sources, one ``(d, *g.shape)`` array each,
+        of half spectra as they are, or of band arrays and smoothed bands
+        scattered into the source buffer, which is zero outside the band."""
         g, phys = self.grid, []
         for i, symbol in self.sources:
             coeffs = fields[i]
+            full = coeffs.shape[1:] == g.spectral_shape
             if symbol is not None:
-                coeffs = np.multiply(coeffs, symbol, out=g.work(
+                band = g.work("band", self.band, complex)[:g.dim]
+                coeffs = np.multiply(g.gather(coeffs, out=band) if full
+                                     else coeffs, symbol, out=band)
+            if symbol is not None or not full:
+                coeffs = g.scatter(coeffs, out=g.work(
                     "source", (g.dim,) + g.spectral_shape, complex))
             phys.append(to_physical(g, coeffs, self.workers))
         return phys
 
-    def flux(self, phys: list, *, peaks: list | None = None,
+    def flux(self, phys: list, t: float = 0.0, *, peaks: list | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
-        """The rows (no forcing) from the sources' samples ``phys``, into
-        ``out`` when given: per chunk, its products, one forward transform and
-        the contraction with the symbol.  ``peaks`` (a list) gets the largest
-        physical |component| of the transported fields."""
+        """The rows from the sources' samples ``phys`` at time t: per chunk,
+        its products, one forward transform, its band's contraction with the
+        symbol; then the projection and the forcing.  ``peaks`` (a list) gets
+        the largest physical |component| of the transported fields."""
         g, symbol = self.grid, self.symbol
-        # Rows for the widest chunk's products and one more, and an
-        # accumulator.  Work arrays are fetched per call, here and in
-        # samples: made with the kernel, before any stage's transients, they
-        # would leave the heap top free for glibc to trim and refault (940
-        # minor faults per 32^3 mhd-deconv stage, measured).
+        # Rows for the widest chunk's products and one more.  Work arrays are
+        # fetched per call, here and in samples: made with the kernel, before
+        # any stage's transients, they would leave the heap top free for
+        # glibc to trim and refault (940 minor faults per 32^3 mhd-deconv
+        # stage, measured).
         work = g.work("products", (self.width + 1,) + g.shape)
-        acc = spectral_work(g)[0]
+        band = g.work("band", self.band, complex)
+        acc, rows = band[self.width], out
         if peaks is not None:
             peaks.append(float(max(max(phys[p].max(), -phys[p].min())
                                    for p in self.moved)))
+        if out is None:
+            # A fresh ``out`` (a step's new state), made while the samples
+            # are alive, lands above them: freed, they leave room below it,
+            # not a heap top that the allocator gives back and refaults.
+            count = self.shape[0] * self.shape[1]
+            rows = g.work("rows", (count,) + g.band_shape, complex)[
+                :count].reshape(self.shape[:2] + g.band_shape)
+            out = np.zeros(self.shape, dtype=complex)
         for products, components in self.chunks:
             for i, ((_, (s, a), (p, b)), *rest) in enumerate(products):
                 np.multiply(phys[s][a], phys[p][b], out=work[i])
                 for op, (s, a), (p, b) in rest:  # the next row is free until used
                     op(work[i], np.multiply(phys[s][a], phys[p][b],
                                             out=work[i + 1]), out=work[i])
-            hat = from_physical(g, work[:len(products)], self.workers)
-            if out is None:
-                # A fresh ``out`` (a step's new state) is made while the
-                # samples and the first chunk's spectra are alive, so it lands
-                # above them: freed, they leave room below it, not a heap top
-                # that the allocator gives back and the next stage faults in
-                # again.
-                out = np.empty(self.shape, dtype=complex)
+            spectra = from_physical(g, work[:len(products)], self.workers)
+            hat = g.gather(spectra, out=band[:len(products)])
+            del spectra  # one chunk's spectra at a time
             for r, q, ((j, n), *rest) in components:
-                comp = out[r, q]
+                comp = rows[r, q]
                 np.multiply(symbol[j], hat[n], out=comp)
                 for j, n in rest:
                     comp += np.multiply(symbol[j], hat[n], out=acc)
-            del hat  # one chunk's spectra at a time
         if self.project:
-            for row_hat in out:
-                project_in_place(g, row_hat)
-        return out
+            for row_hat in rows:
+                project_in_place(g, row_hat, band=True)
+            if self.forcing is not None:
+                rows[0] += g.gather(self.forcing.evaluate(g, t).coeffs)
+        return out if rows is out else g.scatter(rows, out=out)
 
 
 def advect(w: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorField:
@@ -355,7 +367,8 @@ def _kind_transport(state: SimState, cfg: ModelConfig, *,
         raise GridMismatch("the magnetic field is not on the velocity's grid")
     g = state.u.grid
     symbol = None if cfg.kind is ModelKind.NSE else smoothing_symbol(
-        g, cfg.filter, deconvolution=cfg.kind is not ModelKind.LERAY_ALPHA)
+        g, cfg.filter, deconvolution=cfg.kind is not ModelKind.LERAY_ALPHA,
+        band=True)
     sources, rows = _KIND_ROWS[cfg.kind]
     return _Transport(g, [(i, symbol if smoothed else None)
                           for i, smoothed in sources], rows,

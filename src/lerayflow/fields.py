@@ -57,11 +57,11 @@ class SpectralVectorField:
         return SpectralVectorField(self.grid, self.coeffs.copy())
 
     def hermitian_residual(self) -> float:
-        """:func:`reflection_residual` relative to max |coeff| inside the
-        planes a_d = 0 and a_d = n/2, the only ones holding both k and -k."""
+        """:func:`reflection_residual` inside the planes a_d = 0 and
+        a_d = n/2, the only ones holding both k and -k, relative to the
+        whole field."""
         return reflection_residual(self.coeffs[..., :: self.grid.n // 2],
-                                   range(1, self.grid.dim),
-                                   np.abs(self.coeffs).max())
+                                   range(1, self.grid.dim), self.coeffs)
 
     def divergence_residual(self, norm: float | None = None) -> float:
         """max_k |k . uhat_k| relative to the field's L2 norm (if not given)."""
@@ -102,9 +102,12 @@ def hermitian_reflection(coeffs: np.ndarray, axes) -> np.ndarray:
     return np.conj(out)
 
 
-def reflection_residual(coeffs: np.ndarray, axes, scale: float) -> float:
+def reflection_residual(coeffs: np.ndarray, axes, whole: np.ndarray) -> float:
     """max |coeffs - :func:`hermitian_reflection`| over ``axes``, relative
-    to ``scale`` (0 when it is 0): the one measure of Hermitian symmetry."""
+    to the largest part (real or imaginary, in one pass) in ``whole``, 0
+    when that is 0: the one measure of Hermitian symmetry."""
+    parts = np.ascontiguousarray(whole).view(float)
+    scale = max(parts.max(), -parts.min())
     if scale == 0.0:
         return 0.0
     dev = np.abs(coeffs - hermitian_reflection(coeffs, axes))
@@ -174,20 +177,19 @@ def leray_project(s: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(s.grid, project_in_place(s.grid, s.coeffs.copy()))
 
 
-def spectral_work(g: WaveGrid) -> np.ndarray:
-    """The calling thread's two half spectra of the grid's, for projection
-    and contraction."""
-    return g.work("spectral_work", (2,) + g.spectral_shape, complex)
-
-
-def project_in_place(g: WaveGrid, coeffs: np.ndarray) -> np.ndarray:
-    """:func:`leray_project` of a d-vector of half spectra, written over it,
-    with the grid's complex ``k`` and ``k / |k|^2``."""
-    k_dot, tmp = spectral_work(g)
-    np.multiply(g.k_complex[0], coeffs[0], out=k_dot)
+def project_in_place(g: WaveGrid, coeffs: np.ndarray,
+                     band: bool = False) -> np.ndarray:
+    """:func:`leray_project` of a d-vector of half spectra (compact band
+    arrays with ``band``), written over it, with the grid's complex ``k``
+    and ``k / |k|^2``."""
+    k, k_over = (g.cached((name,), lambda: getattr(g, name), band)
+                 for name in ("k_complex", "k_over_ksq"))
+    k_dot, tmp = g.work("band" if band else "spectral_work", (2,) + (
+        g.band_shape if band else g.spectral_shape), complex)[:2]
+    np.multiply(k[0], coeffs[0], out=k_dot)
     for j in range(1, g.dim):
-        k_dot += np.multiply(g.k_complex[j], coeffs[j], out=tmp)
-    for c, k_over_ksq in zip(coeffs, g.k_over_ksq):
+        k_dot += np.multiply(k[j], coeffs[j], out=tmp)
+    for c, k_over_ksq in zip(coeffs, k_over):
         c -= np.multiply(k_over_ksq, k_dot, out=tmp)
     return coeffs
 

@@ -83,17 +83,19 @@ def deconvolution_multiplier(k_mag, p: FilterParams):
     return out if np.asarray(k_mag).ndim else float(out)
 
 
-def smoothing_symbol(g, p: FilterParams, deconvolution: bool = False):
+def smoothing_symbol(g, p: FilterParams, deconvolution: bool = False,
+                     band: bool = False):
     """The grid-cached symbol of :func:`filter_apply`, or of :func:`deconvolve`
-    with ``deconvolution``; None for 1.  N = 0 takes the filter's, as 1/(1+x)
-    and 1 - x/(1+x) differ by an ulp in floating point."""
+    with ``deconvolution``, its compact copy with ``band``; None for 1.  N = 0
+    takes the filter's, as 1/(1+x) and 1 - x/(1+x) differ by an ulp in
+    floating point."""
     if p.alpha == 0.0:
         return None
     if deconvolution and p.n_deconv > 0:
         return g.cached(("deconvolve", p.alpha, p.theta, p.n_deconv),
-                        lambda: deconvolution_multiplier(g.k_mag, p))
+                        lambda: deconvolution_multiplier(g.k_mag, p), band)
     return g.cached(("filter", p.alpha, p.theta),
-                    lambda: 1.0 / helmholtz_multiplier(g.k_mag, p))
+                    lambda: 1.0 / helmholtz_multiplier(g.k_mag, p), band)
 
 
 def _smoothed(u: SpectralVectorField, p: FilterParams,

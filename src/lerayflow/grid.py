@@ -18,12 +18,17 @@ wavevector is ``k = 2*pi*a/L``.  Every array below has the spectral shape.
   ``a_d = n/2``, 2 elsewhere, where a stored mode also stands for its
   mirror.  Sums over the full spectrum are weighted sums over the half.
 
+Per-mode work runs on the compact band: the ``2^(d-1)`` boxes of
+``dealias_mask`` in FFT order per axis, packed into ``band_shape`` by
+:meth:`WaveGrid.gather` and written back by :meth:`WaveGrid.scatter`.
+
 A grid may be shared by threads: its arrays and cached symbols are read-only,
 and work arrays (:meth:`WaveGrid.work`) belong to the calling thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 
@@ -116,6 +121,13 @@ class WaveGrid:
 
         # Integer shell index |k| in units of k0, rounded to nearest shell.
         self.shell = np.rint(np.sqrt(self.a_sq.astype(np.float64))).astype(np.int64)
+        c = min(self.dealias_cutoff, n // 2 - 1)
+        self.band_shape = (2 * c + 1,) * (dim - 1) + (c + 1,)
+        # (band, full) index of each box: per leading axis 0..c or -c..-1
+        halves = ((slice(0, c + 1),) * 2, (slice(c + 1, None), slice(n - c, n)))
+        self._boxes = [tuple((Ellipsis, *index, slice(0, c + 1))
+                             for index in zip(*box))
+                       for box in itertools.product(halves, repeat=dim - 1)]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -138,14 +150,17 @@ class WaveGrid:
         """The derivative symbol ``i k``, made on each access."""
         return 1j * self.k
 
-    def cached(self, key: tuple, build) -> np.ndarray:
-        """The read-only array stored under ``key``, made once by ``build()``.
+    def cached(self, key: tuple, build, band: bool = False) -> np.ndarray:
+        """The read-only array stored under ``key``, made once by ``build()``;
+        with ``band``, its compact copy (:meth:`gather`), stored apart.
 
         The one cache of the grid's diagonal symbols (powers of |k|, filter
         multipliers, viscous factors, the transport kernel's contractions)
         and of the samples of test functions, shared by every thread.  Work
         arrays are per thread: :meth:`work`.
         """
+        if band:
+            key, build = ("band",) + key, lambda full=build: self.gather(full())
         value = self._symbols.get(key)
         if value is None:  # threads that race here all get the first one
             value = build()
@@ -155,15 +170,31 @@ class WaveGrid:
 
     def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """The calling thread's work array ``name``, of at least
-        ``shape[0]`` rows: made with ``shape`` on first use, and made anew
-        when it has fewer rows.  Any later call of the same thread may
-        overwrite it, and no other thread sees it, so threads can share the
-        grid."""
+        ``shape[0]`` rows: made with ``shape`` and zeroed on first use, and
+        made anew when it has fewer rows.  Any later call of the same thread
+        may overwrite it, and no other thread sees it, so threads can share
+        the grid."""
         value = getattr(self.scratch, name, None)
         if value is None or len(value) < shape[0]:
-            value = np.empty(shape, dtype=dtype)
+            value = np.zeros(shape, dtype=dtype)
             setattr(self.scratch, name, value)
         return value
+
+    def gather(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The compact band of half spectra ``x``, into ``out`` or anew."""
+        if out is None:
+            out = np.empty(x.shape[:-self.dim] + self.band_shape, x.dtype)
+        for band, full in self._boxes:
+            out[band] = x[full]
+        return out
+
+    def scatter(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Compact ``x`` into the band of ``out``, or of fresh zero spectra."""
+        if out is None:
+            out = np.zeros(x.shape[:-self.dim] + self.spectral_shape, x.dtype)
+        for band, full in self._boxes:
+            out[full] = x[band]
+        return out
 
     def k_power(self, exponent: float) -> np.ndarray:
         """|k|^exponent with the zero mode mapped to 0 (mean-free spaces)."""

@@ -6,7 +6,9 @@ removes the stiff diagonal part exactly, and the remaining system is advanced
 with classical RK4.  Where the nonlinear term vanishes the per-mode decay is
 exact for arbitrarily large dt, which is what the tight energy-budget
 tolerances downstream rely on.  The stepper reads its CFL number off the peak
-|u| (and |b|) of stage 1's own transform.
+|u| (and |b|) of stage 1's own transform.  It carries the compact dealias
+band alone (``WaveGrid.gather``), so it accepts only states that are 0
+outside that band, and every new state is 0 there.
 
 The step size is fixed; ``t_end`` must be an integer multiple of ``dt``.
 Sample times are ``i * dt`` computed by multiplication, never accumulation,
@@ -76,20 +78,27 @@ _SAFE_PART = sys.float_info.max / math.sqrt(2.0)
 
 
 def _viscous_factor(grid, nu: float, h: float) -> np.ndarray:
-    """exp(-nu |k|^2 h) per mode, kept in the grid's symbol cache."""
-    return grid.cached(("viscous", nu, h), lambda: np.exp(-nu * grid.k_sq * h))
+    """exp(-nu |k|^2 h) per band mode, kept in the grid's symbol cache."""
+    return grid.cached(("viscous", nu, h), lambda: np.exp(-nu * grid.k_sq * h),
+                       band=True)
 
 
 class _Stepper:
-    """The per-mode viscous exponentials for one (grid, model, dt), the
-    stage buffers (the stage state, then ef y; k2; k3, then stage 4's input
-    and k4) that the RK combinations write into, and the transport kernel,
+    """The per-mode viscous exponentials for one (grid, model, dt), the band
+    buffers that the RK combinations write into, and the transport kernel,
     resolved once for the state's kind and grid: every stage of every step
-    calls it."""
+    calls it.  It carries the dealias band alone, so a state must be 0
+    outside it."""
 
     def __init__(self, cfg: ModelConfig, sc: StepperConfig, state: SimState):
         grid = state.u.grid
         cfg.forcing.check_stored(grid)
+        for rest in (f.coeffs[:, ~grid.dealias_mask] for f in state.fields):
+            if np.any(rest):
+                raise (InvariantViolation if np.isfinite(rest).all() else
+                       NonFinite)(f"state at t = {state.t:.6g}: non-zero "
+                                  f"coefficients outside the dealias band "
+                                  f"|a_j| <= {grid.dealias_cutoff}")
         self.sc = sc
         self.grid = grid
         nus = [cfg.nu] if cfg.nu2 is None else [cfg.nu, cfg.nu2]
@@ -98,19 +107,15 @@ class _Stepper:
         self.h_e_half = [sc.dt * eh for eh in self.e_half]
         self.two_e_half = [2.0 * eh for eh in self.e_half]
         # Owned by this stepper, never by the grid, and overwritten by every
-        # step: the stage state, then ef y; the rows of k2; the rows of k3,
-        # then stage 4's state and, over it, k4.
-        shape = (len(nus), grid.dim) + grid.spectral_shape
-        self.stage, self.k2, self.k3 = (np.empty(shape, dtype=complex)
-                                        for _ in range(3))
+        # step: y; k1, then the new state; the stage state, then ef y; k2;
+        # k3, then stage 4's state and, over it, k4.
+        shape = (len(nus), grid.dim) + grid.band_shape
+        self.y, self.k1, self.stage, self.k2, self.k3 = (
+            np.empty(shape, dtype=complex) for _ in range(5))
         self.transport = _kind_transport(state, cfg)
         self.dx = grid.L / grid.n
         self.max_cfl = 0.0
         self._cfl_warned = False
-
-    def _state(self, t: float, arrays: list[np.ndarray]) -> SimState:
-        return SimState(t, *(SpectralVectorField(self.grid, a)
-                             for a in arrays))
 
     def _check_cfl(self, t: float, umax: float) -> None:
         """Warn once when the advective CFL number exceeds the limit.  The
@@ -124,17 +129,19 @@ class _Stepper:
             self._cfl_warned = True
 
     def advance(self, state: SimState) -> SimState:
-        h, t, transport = self.sc.dt, state.t, self.transport
-        y = [f.coeffs for f in state.fields]
+        h, t, transport, grid = self.sc.dt, state.t, self.transport, self.grid
+        fields = [f.coeffs for f in state.fields]
+        y = [grid.gather(full, out=band) for full, band in zip(fields, self.y)]
 
-        # Each combination keeps the operation order of its formula.  k1 is
-        # a fresh array that ends up holding the new state.  The stage buffer
-        # holds each stage's input, and from stage 3 on ef y, which the sum
-        # adds.  k2's and k3's buffers hold those tendencies and serve as
-        # scratch once their values are folded into the sum or not yet
-        # written; k3's holds stage 4's input, which k4 overwrites.
+        # Each combination keeps the operation order of its formula, on the
+        # band.  Stage 1 reads the state's own arrays and gives k1 in fresh
+        # half spectra, zero outside the band, that end up holding the new
+        # state.  The stage buffer holds each stage's input, then ef y; k2's
+        # and k3's hold those tendencies and serve as scratch, and k3's holds
+        # stage 4's input, which k4 overwrites.
         peaks: list[float] = []
-        k1 = transport(y, t, peaks=peaks)
+        new = transport(fields, t, peaks=peaks)
+        k1 = grid.gather(new, out=self.k1)
         self._check_cfl(t, peaks[0])
         for yi, ki, eh, s in zip(y, k1, self.e_half, self.stage):
             np.multiply(ki, 0.5 * h, out=s)         # eh (y + h/2 k1)
@@ -170,25 +177,27 @@ class _Stepper:
                 and not math.isfinite(np.abs(k1).max()):
             raise NonFinite(f"non-finite solution after step from t = {t:.6g}")
 
-        return self._state(t + h, k1)
+        return SimState(t + h, *(SpectralVectorField(grid, a)
+                                 for a in grid.scatter(k1, out=new)))
 
 
 def working_set(dim: int, n: int, kind: ModelKind) -> int:
     """Bytes an IF-RK4 run holds at its peak, a stage's flux step (the
     inverse transforms' input copies are gone by then): per field the
-    initial, current and new state, stage, k2, k3 and viscous symbols; the
-    kernel's samples, product rows, widest chunk's spectra and spectral work,
-    with smoothed sources the source buffer and one d-vector spectrum more
-    per smoothed source (allocator holes, measured); the grid's arrays and
-    symbols, the complex k and k/|k|^2 included."""
+    initial, current and new state; the kernel's samples, product rows,
+    widest chunk's spectra, source buffer and one d-vector spectrum more per
+    smoothed source (allocator holes, measured); the grid's arrays, symbols
+    and spectral work; and on the band, at its widest (cutoff n/2 - 1), per
+    field y, k1, stage, k2, k3 and viscous factors, and the kernel's rows."""
     spectral, points = n ** (dim - 1) * (n // 2 + 1), n ** dim
+    band = (n - 1) ** (dim - 1) * (n // 2)
     sources, rows = _KIND_ROWS[kind]
     fields = len(rows)  # one tendency row per field
     smoothed = sum(smoothed for _, smoothed in sources)
     widest = _flux_plan(dim, rows)[2]
-    return 16 * spectral * (widest + 2 + dim * (6 * fields + 3 + smoothed
-                                                + (smoothed > 0))) \
-        + 8 * spectral * (4 * fields + 9) \
+    return 16 * spectral * (widest + 2 + dim * (3 * fields + 3 + smoothed)) \
+        + 16 * band * (widest + 1 + dim * (6 * fields + 3)) \
+        + 8 * spectral * 9 + 8 * band * (4 * fields + 1) \
         + 8 * points * (dim * len(sources) + widest + 1)
 
 

@@ -7,6 +7,10 @@ from lerayflow import (RealVectorField, SpectralVectorField, SymmetryViolation,
                        WaveGrid, forward_transform, inverse_transform, l2_norm,
                        leray_project, random_solenoidal, sobolev_norm)
 from lerayflow.diagnostics import fit_loglog
+from lerayflow.dynamics import _Transport
+from lerayflow.fields import project_in_place
+from lerayflow.filtering import FilterParams, smoothing_symbol
+from lerayflow.stepping import _viscous_factor
 
 from conftest import single_mode_field
 
@@ -61,6 +65,64 @@ class TestTransforms:
         phys = inverse_transform(u).data
         quadrature = np.mean(np.sum(phys * phys, axis=0))
         assert sobolev_norm(u, 0.0) ** 2 == pytest.approx(quadrature, rel=1e-10)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+class TestBandLayout:
+    """The compact dealias band: the boxes of ``dealias_mask`` packed in FFT
+    order per axis, with a gather and a scatter, and compact symbols equal,
+    bit for bit, to the gathered full-layout ones."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 10, 16, 32, 64])
+    @pytest.mark.parametrize("cutoff", ["1", "n//3", "n/2-1", "n/2"])
+    def test_gather_scatter_and_symbols(self, dim, n, cutoff):
+        grid = WaveGrid(dim, n, dealias_cutoff={
+            "1": 1, "n//3": n // 3, "n/2-1": n // 2 - 1, "n/2": n // 2}[cutoff])
+        c = min(grid.dealias_cutoff, n // 2 - 1)
+        assert grid.band_shape == (2 * c + 1,) * (dim - 1) + (c + 1,)
+        assert np.prod(grid.band_shape) == grid.dealias_mask.sum()
+
+        rng = np.random.default_rng(n + dim)
+        shape = (2, dim) + grid.spectral_shape
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        band = grid.gather(x)
+        assert band.shape == (2, dim) + grid.band_shape
+        assert same_bits(grid.scatter(band), np.where(grid.dealias_mask, x, 0))
+
+        nu, h = 0.03, 0.25
+        assert same_bits(_viscous_factor(grid, nu, h),
+                         grid.gather(np.exp(-nu * grid.k_sq * h)))
+        for p, deconvolution in ((FilterParams(0.1, 0.25), False),
+                                 (FilterParams(0.1, 0.25, 2), True)):
+            assert same_bits(
+                smoothing_symbol(grid, p, deconvolution, band=True),
+                grid.gather(smoothing_symbol(grid, p, deconvolution)))
+        # the contractions: the band is their mask, so the dealias weight
+        # of a full-layout symbol changes no value there, only the sign of
+        # a zero at the mean
+        rows = (((0, 0),),)
+        contraction = _Transport(grid, [(0, None)], rows).symbol
+        potential = _Transport(grid, [(0, None)], rows, potential=0).symbol
+        full = [-(1j * grid.k), np.stack([
+            -grid.k[j] * grid.k[q] / grid.k_sq_safe
+            for j in range(dim) for q in range(j, dim)])]
+        for compact, symbol in zip((contraction, potential), full):
+            assert same_bits(compact, grid.gather(symbol))
+            assert np.array_equal(compact,
+                                  grid.gather(symbol * grid.dealias_weight))
+        project_in_place(grid, band[0], band=True)
+        assert same_bits(grid._symbols["band", "k_complex"],
+                         grid.gather(grid.k_complex))
+        assert same_bits(grid._symbols["band", "k_over_ksq"],
+                         grid.gather(grid.k_over_ksq))
+        assert same_bits(band[0],
+                         grid.gather(project_in_place(grid, grid.scatter(
+                             grid.gather(x[0])))))
 
 
 class TestLerayProjection:

@@ -67,7 +67,7 @@ class TestStepBasics:
         once = step(start, cfg, sc)
         assert np.array_equal(once.u.coeffs, run(start, cfg, sc).u.coeffs)
         factors = dict(grid._symbols)
-        assert ("viscous", 0.05, 1e-3) in factors
+        assert ("band", "viscous", 0.05, 1e-3) in factors
         step(once, cfg, sc)
         assert grid._symbols.keys() == factors.keys()
         assert all(grid._symbols[k] is v for k, v in factors.items())
@@ -115,6 +115,62 @@ class TestForcingOnTheGrid:
                            match=re.escape(f"forcing mode {a}")):
             entry(SimState(0.0, random_solenoidal(grid, 1, -2.0, 4)), cfg,
                   StepperConfig(dt=1e-3, t_end=2e-3))
+
+
+class TestBandInvariant:
+    """A state enters the stepper (run, step, and so resume) only with every
+    coefficient outside the dealias band exactly 0: the stepper carries the
+    band alone, and outside it the transport identities fail.  A non-finite
+    coefficient there is NonFinite; in the band it reaches the step's own
+    finiteness test (TestFiniteness)."""
+
+    @staticmethod
+    def state(value) -> SimState:
+        # 16^3, cutoff 5: u_y at (7, 0, 0) and its mirror (-7, 0, 0) is a
+        # real, solenoidal mode outside the band
+        grid = WaveGrid(3, 16)
+        coeffs = random_solenoidal(grid, 1, -2.0, 5).coeffs
+        coeffs[1, 7, 0, 0] = coeffs[1, -7, 0, 0] = value
+        return SimState(0.0, SpectralVectorField(grid, coeffs))
+
+    @pytest.mark.parametrize("entry", [run, step], ids=["run", "step"])
+    def test_content_outside_the_band_is_refused(self, entry):
+        with pytest.raises(InvariantViolation) as info:
+            entry(self.state(0.05), nse_cfg(0.1),
+                  StepperConfig(dt=1e-3, t_end=2e-3))
+        assert str(info.value) == (
+            "state at t = 0: non-zero coefficients outside the dealias band "
+            "|a_j| <= 5")
+
+    @pytest.mark.parametrize("entry", [run, step], ids=["run", "step"])
+    def test_non_finite_content_outside_the_band_is_refused(self, entry):
+        with pytest.raises(NonFinite, match="outside the dealias band"):
+            entry(self.state(np.nan), nse_cfg(0.1),
+                  StepperConfig(dt=1e-3, t_end=2e-3))
+
+    def test_signed_zeros_outside_the_band_pass(self):
+        final = run(self.state(-0.0), nse_cfg(0.1),
+                    StepperConfig(dt=1e-3, t_end=2e-3))
+        assert np.isfinite(final.u.coeffs).all()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_states_stay_zero_outside_the_band(self, dim, kind):
+        # every state of a 20-step run: +0.0 outside the band, no -0.0
+        cfg, state = model_state(dim, kind)
+        if kind is not ModelKind.MHD_DECONV:  # forced where allowed
+            cfg = ModelConfig(kind, cfg.nu, cfg.filter, ForcingSpec((
+                ForcingMode((1, 2, 0)[:dim], (0.2, -0.1, 0.05)[:dim], 0.5),)))
+        states = []
+        run(state, cfg, StepperConfig(dt=1e-3, t_end=2e-2),
+            state_sink=states.append, state_every=1)
+        outside = ~state.u.grid.dealias_mask
+        assert len(states) == 21
+        for s in states[1:]:
+            for f in s.fields:
+                rest = f.coeffs[:, outside]
+                parts = np.stack([rest.real, rest.imag])
+                assert not parts.any() and not np.signbit(parts).any()
 
 
 class TestConvergenceOrder:
@@ -309,8 +365,8 @@ class TestFiniteness:
 
 
 class TestAliasing:
-    """The stepper runs stage 4's kernel call over its own input, and every
-    step's new state is a fresh array."""
+    """The stepper runs stage 4's kernel call over its own band input, and
+    every step's new state is a fresh array."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", list(ModelKind))
@@ -319,9 +375,9 @@ class TestAliasing:
         if kind is not ModelKind.MHD_DECONV:  # forced where allowed
             cfg = ModelConfig(kind, cfg.nu, cfg.filter, ForcingSpec((
                 ForcingMode((1, 2, 0)[:dim], (0.2, -0.1, 0.05)[:dim], 0.5),)))
-        kernel = _kind_transport(state, cfg)
-        x = np.stack([f.coeffs for f in state.fields])
-        fresh = kernel(x.copy(), 0.3)
+        kernel, grid = _kind_transport(state, cfg), state.u.grid
+        x = grid.gather(np.stack([f.coeffs for f in state.fields]))
+        fresh = grid.gather(kernel(x.copy(), 0.3))
         assert kernel(x, 0.3, out=x) is x
         assert np.array_equal(x.view(np.uint64), fresh.view(np.uint64))
 
@@ -334,7 +390,8 @@ class TestAliasing:
         states = [state]
         for _ in range(3):
             states.append(stepper.advance(states[-1]))
-            held = [stepper.stage, stepper.k2, stepper.k3] + [
+            held = [stepper.y, stepper.k1, stepper.stage, stepper.k2,
+                    stepper.k3] + [
                 f.coeffs for s in states[:-1] for f in s.fields]
             assert not any(np.shares_memory(f.coeffs, a)
                            for f in states[-1].fields for a in held)

@@ -118,10 +118,12 @@ def test_leray_project(dim):
 
 def test_work_arrays_belong_to_the_calling_thread():
     # after a warm 3D mhd-deconv rhs the thread holds one d-vector source
-    # buffer, the widest chunk's product rows and one more, and two spectral
-    # work arrays; a pressure potential (a wider chunk) grows the rows.  The
-    # grid's own and cached arrays are read-only, and another thread sees
-    # none of this one's work arrays.
+    # buffer, the widest chunk's product rows and one more, as many band
+    # rows, the band of the two 3-component result rows, and the two
+    # spectral work arrays of the states' own projection
+    # (random_solenoidal); a pressure potential (a wider chunk) grows the
+    # rows.  The grid's own and cached arrays are read-only, and another
+    # thread sees none of this one's work arrays.
     grid, cfg, states = model(3, ModelKind.MHD_DECONV)
     for state in states:
         rhs(state, cfg)
@@ -132,6 +134,8 @@ def test_work_arrays_belong_to_the_calling_thread():
     assert (widest, layout) == (3, {
         "source": ((3,) + grid.spectral_shape, np.complex128),
         "products": ((widest + 1,) + grid.shape, np.float64),
+        "band": ((widest + 1,) + grid.band_shape, np.complex128),
+        "rows": ((2 * 3,) + grid.band_shape, np.complex128),
         "spectral_work": ((2,) + grid.spectral_shape, np.complex128)})
     shared = [*grid._symbols.values(),
               *(a for a in vars(grid).values() if isinstance(a, np.ndarray))]
@@ -139,3 +143,4 @@ def test_work_arrays_belong_to_the_calling_thread():
     assert concurrently(lambda _: vars(grid.scratch), [None]) == [{}]
     pressure_solve(states[0], cfg)
     assert grid.scratch.products.shape == (7,) + grid.shape
+    assert grid.scratch.band.shape == (7,) + grid.band_shape
