@@ -233,7 +233,7 @@ def _local_energy_sides(state: SimState, p_hat: SpectralScalarField,
     if state.b is not None:
         flux -= 2.0 * np.sum(f_phys[0] * f_phys[1], axis=0) * adv_phys[1]
         pressure = pressure + hat[-1] * grid.dealias_weight
-        q_hat = kernel.flux(phys)[0, 0]
+        q_hat = grid.scatter(kernel.flux(phys)[0, 0])
     rhs += w * np.sum(np.sum(np.multiply(flux, grad_g, out=flux), axis=0))
     del flux  # before the force's spectrum exists
     rhs += 2.0 * w * _grid_sum(grid, grad_hat[0], pressure)

@@ -25,12 +25,14 @@ The flux step goes chunk by chunk: one output component's products (all of
 a symmetric flux's) are formed, transformed and contracted before the
 next's, each product once and in the same arithmetic order.  Its per-mode
 work (the smoothing multiply, contraction, projection and forcing) runs on
-the compact dealias band (``WaveGrid.gather``): its rows go into a band
-``out``, or are scattered into fresh half spectra, zero outside the band.
-Its work arrays (that buffer, the widest chunk's product rows and the band
-rows) belong to the calling thread (``WaveGrid.work``), so threads can
-share a grid; every call of a thread overwrites its arrays, and nothing the
-kernel returns aliases them.
+the compact dealias band (``WaveGrid.gather``), and its output is band
+rows alone, into the caller's ``out`` or a fresh array; a caller that wants
+half spectra scatters them (``WaveGrid.scatter``), zero outside the band.
+Its input is half spectra (a state's own arrays, any spectrum of the public
+entry points) or band arrays.  Its work arrays (that buffer, the widest
+chunk's product rows and their band rows) belong to the calling thread
+(``WaveGrid.work``), so threads can share a grid; every call of a thread
+overwrites its arrays, and nothing the kernel returns aliases them.
 
 The kind table
 ``_KIND_ROWS`` is the one place where model kinds differ; it gives the rows
@@ -232,10 +234,11 @@ class _Transport:
     call passes and the smoothing symbol to multiply it by (None for 1); row
     terms ``(i, p)`` are ``w_i . grad v_p`` between source positions, the
     first added, the others subtracted.  A call gives the dealiased,
-    Leray-projected half spectra of ``-w . grad v`` per row plus the
-    ``forcing`` on row 0, or with ``potential`` (a row index) the scalar p
-    of that row alone, none if the table has no such row: compact band rows
-    (:meth:`WaveGrid.gather`) into a band ``out``, else fresh half spectra."""
+    Leray-projected ``-w . grad v`` per row plus the ``forcing`` on row 0,
+    or with ``potential`` (a row index) the scalar p of that row alone, none
+    if the table has no such row: always compact band rows
+    (:meth:`WaveGrid.gather`), which a caller that wants half spectra
+    scatters (:meth:`WaveGrid.scatter`)."""
 
     def __init__(self, g: WaveGrid, sources, rows, *,
                  potential: int | None = None, forcing=ForcingSpec()):
@@ -251,7 +254,7 @@ class _Transport:
                 -g.k[j] * g.k[q] / g.k_sq_safe for j, q in
                 itertools.combinations_with_replacement(range(d), 2)]), True)
         self.workers = worker_count()
-        self.shape = (len(rows), d if self.project else 1) + g.spectral_shape
+        self.shape = (len(rows), d if self.project else 1) + g.band_shape
         # band work rows: a smoothed source, or a chunk's spectra and a sum
         self.band = (max(self.width + 1, d),) + g.band_shape
         self.forcing = None if forcing.is_zero() else forcing
@@ -259,9 +262,8 @@ class _Transport:
     def __call__(self, fields, t: float = 0.0, *, peaks: list | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
         """The rows for the d-vector spectra ``fields`` at time t:
-        :meth:`samples`, then :meth:`flux`.  A band ``out`` may be
-        ``fields`` itself, as every source is read before a row is
-        written."""
+        :meth:`samples`, then :meth:`flux`.  ``out`` may be ``fields``
+        itself, as every source is read before a row is written."""
         return self.flux(self.samples(fields), t, peaks=peaks, out=out)
 
     def samples(self, fields) -> list[np.ndarray]:
@@ -284,10 +286,11 @@ class _Transport:
 
     def flux(self, phys: list, t: float = 0.0, *, peaks: list | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
-        """The rows from the sources' samples ``phys`` at time t: per chunk,
-        its products, one forward transform, its band's contraction with the
-        symbol; then the projection and the forcing.  ``peaks`` (a list) gets
-        the largest physical |component| of the transported fields."""
+        """The band rows (``self.shape``) from the sources' samples ``phys``
+        at time t, into ``out`` or a fresh array: per chunk, its products,
+        one forward transform, its band's contraction with the symbol; then
+        the projection and the forcing.  ``peaks`` (a list) gets the largest
+        physical |component| of the transported fields."""
         g, symbol = self.grid, self.symbol
         # Rows for the widest chunk's products and one more.  Work arrays are
         # fetched per call, here and in samples: made with the kernel, before
@@ -296,18 +299,12 @@ class _Transport:
         # stage, measured).
         work = g.work("products", (self.width + 1,) + g.shape)
         band = g.work("band", self.band, complex)
-        acc, rows = band[self.width], out
+        acc = band[self.width]
+        if out is None:
+            out = np.empty(self.shape, dtype=complex)
         if peaks is not None:
             peaks.append(float(max(max(phys[p].max(), -phys[p].min())
                                    for p in self.moved)))
-        if out is None:
-            # A fresh ``out`` (a step's new state), made while the samples
-            # are alive, lands above them: freed, they leave room below it,
-            # not a heap top that the allocator gives back and refaults.
-            count = self.shape[0] * self.shape[1]
-            rows = g.work("rows", (count,) + g.band_shape, complex)[
-                :count].reshape(self.shape[:2] + g.band_shape)
-            out = np.zeros(self.shape, dtype=complex)
         for products, components in self.chunks:
             for i, ((_, (s, a), (p, b)), *rest) in enumerate(products):
                 np.multiply(phys[s][a], phys[p][b], out=work[i])
@@ -318,16 +315,16 @@ class _Transport:
             hat = g.gather(spectra, out=band[:len(products)])
             del spectra  # one chunk's spectra at a time
             for r, q, ((j, n), *rest) in components:
-                comp = rows[r, q]
+                comp = out[r, q]
                 np.multiply(symbol[j], hat[n], out=comp)
                 for j, n in rest:
                     comp += np.multiply(symbol[j], hat[n], out=acc)
         if self.project:
-            for row_hat in rows:
+            for row_hat in out:
                 project_in_place(g, row_hat, band=True)
             if self.forcing is not None:
-                rows[0] += g.gather(self.forcing.evaluate(g, t).coeffs)
-        return out if rows is out else g.scatter(rows, out=out)
+                out[0] += g.gather(self.forcing.evaluate(g, t).coeffs)
+        return out
 
 
 def advect(w: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorField:
@@ -338,8 +335,8 @@ def advect(w: SpectralVectorField, v: SpectralVectorField) -> SpectralVectorFiel
     if not g.same_as(v.grid):
         raise GridMismatch("advect requires both fields on the same grid")
     fields = [w.coeffs] + [v.coeffs] * (v.coeffs is not w.coeffs)
-    minus = _Transport(g, [(i, None) for i in range(len(fields))],
-                       (((0, len(fields) - 1),),))(fields)[0]
+    minus = g.scatter(_Transport(g, [(i, None) for i in range(len(fields))],
+                                 (((0, len(fields) - 1),),))(fields)[0])
     return SpectralVectorField(g, np.negative(minus, out=minus))
 
 
@@ -382,7 +379,7 @@ def rhs(state: SimState, cfg: ModelConfig) -> list[SpectralVectorField]:
     g = state.u.grid
     rows = _kind_transport(state, cfg)([f.coeffs for f in state.fields],
                                        state.t)
-    return [SpectralVectorField(g, row) for row in rows]
+    return [SpectralVectorField(g, row) for row in g.scatter(rows)]
 
 
 def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
@@ -393,7 +390,7 @@ def pressure_solve(state: SimState, cfg: ModelConfig) -> SpectralScalarField:
     g = state.u.grid
     kernel = _kind_transport(state, cfg, potential=0)
     phys = kernel.samples([f.coeffs for f in state.fields])
-    p_hat = kernel.flux(phys)[0, 0]
+    p_hat = g.scatter(kernel.flux(phys)[0, 0])
     if state.b is not None:
         b_phys = phys[kernel.rows[0][1][1]]  # v of the momentum's Lorentz term
         p_hat -= from_physical(g, 0.5 * np.sum(b_phys * b_phys, axis=0)) \

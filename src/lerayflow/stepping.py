@@ -8,7 +8,9 @@ exact for arbitrarily large dt, which is what the tight energy-budget
 tolerances downstream rely on.  The stepper reads its CFL number off the peak
 |u| (and |b|) of stage 1's own transform.  It carries the compact dealias
 band alone (``WaveGrid.gather``), so it accepts only states that are 0
-outside that band, and every new state is 0 there.
+outside that band: the kernel writes each stage's band rows into its
+buffers, and the new state is scattered from k1's after stage 4, 0 outside
+the band.
 
 The step size is fixed; ``t_end`` must be an integer multiple of ``dt``.
 Sample times are ``i * dt`` computed by multiplication, never accumulation,
@@ -107,8 +109,8 @@ class _Stepper:
         self.h_e_half = [sc.dt * eh for eh in self.e_half]
         self.two_e_half = [2.0 * eh for eh in self.e_half]
         # Owned by this stepper, never by the grid, and overwritten by every
-        # step: y; k1, then the new state; the stage state, then ef y; k2;
-        # k3, then stage 4's state and, over it, k4.
+        # step: y; k1, then the new state's band; the stage state, then ef y;
+        # k2; k3, then stage 4's state and, over it, k4.
         shape = (len(nus), grid.dim) + grid.band_shape
         self.y, self.k1, self.stage, self.k2, self.k3 = (
             np.empty(shape, dtype=complex) for _ in range(5))
@@ -134,14 +136,12 @@ class _Stepper:
         y = [grid.gather(full, out=band) for full, band in zip(fields, self.y)]
 
         # Each combination keeps the operation order of its formula, on the
-        # band.  Stage 1 reads the state's own arrays and gives k1 in fresh
-        # half spectra, zero outside the band, that end up holding the new
-        # state.  The stage buffer holds each stage's input, then ef y; k2's
-        # and k3's hold those tendencies and serve as scratch, and k3's holds
-        # stage 4's input, which k4 overwrites.
+        # band.  Stage 1 reads the state's own arrays.  The stage buffer
+        # holds each stage's input, then ef y; k2's and k3's hold those
+        # tendencies and serve as scratch, and k3's holds stage 4's input,
+        # which k4 overwrites; k1's ends up holding the new state's band.
         peaks: list[float] = []
-        new = transport(fields, t, peaks=peaks)
-        k1 = grid.gather(new, out=self.k1)
+        k1 = transport(fields, t, peaks=peaks, out=self.k1)
         self._check_cfl(t, peaks[0])
         for yi, ki, eh, s in zip(y, k1, self.e_half, self.stage):
             np.multiply(ki, 0.5 * h, out=s)         # eh (y + h/2 k1)
@@ -178,17 +178,19 @@ class _Stepper:
             raise NonFinite(f"non-finite solution after step from t = {t:.6g}")
 
         return SimState(t + h, *(SpectralVectorField(grid, a)
-                                 for a in grid.scatter(k1, out=new)))
+                                 for a in grid.scatter(k1)))
 
 
 def working_set(dim: int, n: int, kind: ModelKind) -> int:
-    """Bytes an IF-RK4 run holds at its peak, a stage's flux step (the
-    inverse transforms' input copies are gone by then): per field the
-    initial, current and new state; the kernel's samples, product rows,
-    widest chunk's spectra, source buffer and one d-vector spectrum more per
-    smoothed source (allocator holes, measured); the grid's arrays, symbols
-    and spectral work; and on the band, at its widest (cutoff n/2 - 1), per
-    field y, k1, stage, k2, k3 and viscous factors, and the kernel's rows."""
+    """Bytes that bound what an IF-RK4 run holds at its peak, a stage's
+    flux step (the inverse transforms' input copies are gone by then): per
+    field the initial and current state and one more, the new state, made
+    only after stage 4 and counted as a margin; the kernel's samples,
+    product rows, widest chunk's spectra, source buffer and one d-vector
+    spectrum more per smoothed source (allocator holes, measured); the
+    grid's arrays, symbols and spectral work; and on the band, at its widest
+    (cutoff n/2 - 1), per field y, k1, stage, k2, k3, viscous factors and
+    one d-vector more (margin), and the kernel's band rows and symbols."""
     spectral, points = n ** (dim - 1) * (n // 2 + 1), n ** dim
     band = (n - 1) ** (dim - 1) * (n // 2)
     sources, rows = _KIND_ROWS[kind]

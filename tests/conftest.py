@@ -21,21 +21,25 @@ def grid2_64() -> WaveGrid:
 
 
 class Counts(dict):
-    """(calls, fields) per real-FFT direction, keyed by name, and in
-    ``widest`` the most fields one call of that direction transformed."""
+    """(calls, fields) per real-FFT direction, keyed by name, in ``widest``
+    the most fields one call of that direction transformed, and in
+    ``copies`` the calls of ``WaveGrid.gather`` and ``WaveGrid.scatter``."""
 
     def __init__(self):
         super().__init__()
         self.widest = {}
+        self.copies = {"gather": 0, "scatter": 0}
 
     def clear(self):
         super().clear()
         self.widest.clear()
+        self.copies.update(gather=0, scatter=0)
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """A :class:`Counts` of the real FFTs made while the test runs."""
+    """A :class:`Counts` of the real FFTs and band copies made while the
+    test runs."""
     counts = Counts()
     for name in ("irfftn", "rfftn"):
         def counted(x, *args, _name=name, _fn=getattr(scipy.fft, name),
@@ -47,6 +51,12 @@ def counts(monkeypatch):
             counts.widest[_name] = max(counts.widest.get(_name, 0), width)
             return _fn(x, *args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
+    for name in ("gather", "scatter"):
+        def copied(grid, *args, _name=name, _fn=getattr(WaveGrid, name),
+                   **kwargs):
+            counts.copies[_name] += 1
+            return _fn(grid, *args, **kwargs)
+        monkeypatch.setattr(WaveGrid, name, copied)
     return counts
 
 

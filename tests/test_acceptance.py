@@ -13,6 +13,9 @@ import re
 import numpy as np
 
 import lerayflow.filtering
+import lerayflow.output
+import lerayflow.runner
+import lerayflow.stepping
 import lerayflow.validate as V
 
 
@@ -64,6 +67,18 @@ def test_criterion_03_advection_oracle():
 
 def test_criterion_04_taylor_green_exactness():
     _check(V.criterion_taylor_green())
+
+
+def test_criterion_04_fails_a_viscous_factor_of_half_the_step(monkeypatch):
+    # Every viscous factor exp(-nu |k|^2 h) made for h/2: the Taylor-Green
+    # decay, which the factors alone carry, runs at half its rate.
+    factor = lerayflow.stepping._viscous_factor
+    monkeypatch.setattr(lerayflow.stepping, "_viscous_factor",
+                        lambda grid, nu, h: factor(grid, nu, 0.5 * h))
+    result = V.criterion_taylor_green()
+    assert result.passed is False
+    error = float(re.search(r"max pointwise error (\S+)", result.detail)[1])
+    assert error >= 1e-10
 
 
 def test_criterion_05_energy_budget():
@@ -122,3 +137,20 @@ def test_criterion_09_mhd_energy_identity():
 
 def test_criterion_10_determinism_persistence():
     _check(V.criterion_persistence())
+
+
+def test_criterion_10_fails_a_byte_dropped_on_a_rerun(monkeypatch):
+    # The second run's energy.csv loses its last byte; its trajectory, the
+    # checkpoints and the resumed run are those of the first.
+    calls = []
+
+    def write(path, records):
+        calls.append(path)
+        text = lerayflow.output.energy_csv_text(records).encode()
+        lerayflow.output.atomic_write(path, text[:-1] if len(calls) == 2
+                                      else text)
+    monkeypatch.setattr(lerayflow.runner, "write_energy_csv", write)
+    result = V.criterion_persistence()
+    assert result.passed is False
+    assert "byte-identical=False, roundtrip=True" in result.detail
+    assert len(calls) == 3

@@ -377,7 +377,7 @@ class TestAliasing:
                 ForcingMode((1, 2, 0)[:dim], (0.2, -0.1, 0.05)[:dim], 0.5),)))
         kernel, grid = _kind_transport(state, cfg), state.u.grid
         x = grid.gather(np.stack([f.coeffs for f in state.fields]))
-        fresh = grid.gather(kernel(x.copy(), 0.3))
+        fresh = kernel(x.copy(), 0.3)
         assert kernel(x, 0.3, out=x) is x
         assert np.array_equal(x.view(np.uint64), fresh.view(np.uint64))
 
@@ -445,6 +445,24 @@ class TestTransformCounts:
         assert counts == {"irfftn": (4 * sources, inverse),
                           "rfftn": (calls, forward)}
         assert counts.widest["irfftn"] == dim  # never a stack of sources
+
+    @pytest.mark.parametrize("dim,kind,gathers,scatters", [
+        (2, ModelKind.NSE, 5, 4),
+        (3, ModelKind.LERAY_ALPHA, 14, 8),
+        (3, ModelKind.MHD_DECONV, 28, 15),
+    ])
+    def test_band_copies_per_step(self, counts, dim, kind, gathers,
+                                  scatters):
+        # gathers: y per field, each chunk's spectra and stage 1's smoothed
+        # sources; scatters: the band inputs of stages 2-4 and the smoothed
+        # sources into the source buffer, and the new state once.  Stage 1
+        # writes k1 in place, with no half spectra to gather it back from.
+        cfg, state = model_state(dim, kind)
+        stepper = _Stepper(cfg, StepperConfig(dt=1e-3, t_end=2e-3), state)
+        state = stepper.advance(state)  # symbols and work arrays made
+        counts.clear()
+        stepper.advance(state)
+        assert counts.copies == {"gather": gathers, "scatter": scatters}
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind,potential", [

@@ -119,8 +119,7 @@ def test_leray_project(dim):
 def test_work_arrays_belong_to_the_calling_thread():
     # after a warm 3D mhd-deconv rhs the thread holds one d-vector source
     # buffer, the widest chunk's product rows and one more, as many band
-    # rows, the band of the two 3-component result rows, and the two
-    # spectral work arrays of the states' own projection
+    # rows, and the two spectral work arrays of the states' own projection
     # (random_solenoidal); a pressure potential (a wider chunk) grows the
     # rows.  The grid's own and cached arrays are read-only, and another
     # thread sees none of this one's work arrays.
@@ -135,7 +134,6 @@ def test_work_arrays_belong_to_the_calling_thread():
         "source": ((3,) + grid.spectral_shape, np.complex128),
         "products": ((widest + 1,) + grid.shape, np.float64),
         "band": ((widest + 1,) + grid.band_shape, np.complex128),
-        "rows": ((2 * 3,) + grid.band_shape, np.complex128),
         "spectral_work": ((2,) + grid.spectral_shape, np.complex128)})
     shared = [*grid._symbols.values(),
               *(a for a in vars(grid).values() if isinstance(a, np.ndarray))]
